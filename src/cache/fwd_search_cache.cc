@@ -82,15 +82,10 @@ std::span<const FwdSearchSettle> FwdSearchCache::Insert(
     IndexInsert(source, static_cast<int32_t>(idx));
   } else {
     // CLOCK second chance: clear reference bits until an unreferenced
-    // victim appears (at most two sweeps, since cleared bits stay clear).
-    // A pinned entry is skipped without clearing its bit; the sweep guard
-    // bounds the walk so a fully-pinned cache (capacity 1) still evicts.
-    size_t swept = 0;
-    while ((entries_[hand_].ref != 0 || entries_[hand_].source == pinned_) &&
-           swept < 2 * size_) {
-      if (entries_[hand_].source != pinned_) entries_[hand_].ref = 0;
+    // victim appears (within one sweep, since cleared bits stay clear).
+    while (entries_[hand_].ref != 0) {
+      entries_[hand_].ref = 0;
       hand_ = (hand_ + 1) % size_;
-      ++swept;
     }
     idx = hand_;
     hand_ = (hand_ + 1) % size_;

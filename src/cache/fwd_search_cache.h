@@ -113,15 +113,6 @@ class FwdSearchCache {
   /// Drops every entry; keeps per-entry vector capacity and counters.
   void Clear();
 
-  /// Pins one source's entry against CLOCK eviction for the duration of a
-  /// query group (BssrEngine::RunGroup): the pinned entry is skipped when
-  /// choosing a victim, so the group's shared forward search survives every
-  /// member's inserts. Advisory — if nothing else is evictable (capacity 1)
-  /// the pinned entry is still replaced. At most one source is pinned;
-  /// pinning never changes Lookup/Insert results, only victim choice.
-  void PinSource(VertexId source) { pinned_ = source; }
-  void UnpinSource() { pinned_ = kInvalidVertex; }
-
   size_t size() const { return size_; }
   size_t capacity() const { return capacity_; }
   const Counters& counters() const { return counters_; }
@@ -147,7 +138,6 @@ class FwdSearchCache {
   size_t capacity_ = 0;
   size_t size_ = 0;
   size_t hand_ = 0;  // CLOCK hand over entries_[0..size_)
-  VertexId pinned_ = kInvalidVertex;  // eviction-exempt source, if any
   size_t tombstones_ = 0;
   std::vector<Entry> entries_;
   std::vector<int32_t> slots_;  // open addressing: entry index / empty / tomb

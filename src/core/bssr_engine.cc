@@ -229,22 +229,7 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
   if (query.destination) {
     TraceSpan tails_span(trace, TracePhase::kDestTails);
     const VertexId dest = *query.destination;
-    // Inside a RunGroup, the group prefetch already holds this
-    // destination's shared table — read it directly, no LRU traffic.
-    const std::vector<Weight>* pinned = nullptr;
-    for (const auto& gt : group_tails_) {
-      if (gt.first == dest) {
-        pinned = gt.second.get();
-        break;
-      }
-    }
-    if (pinned != nullptr) {
-      dest_dist = pinned;
-      if (exp != nullptr) {
-        exp->dest_tail_source = "group-pin";
-        ++exp->dest_tail.hits;
-      }
-    } else if (dest_tails_ != nullptr) {
+    if (dest_tails_ != nullptr) {
       bool computed = false;
       shared_tails = dest_tails_->GetOrCompute(dest,
                                                [&](std::vector<Weight>* out) {
@@ -881,81 +866,6 @@ void BssrEngine::ComputeDestTails(VertexId destination,
                 (*out)[static_cast<size_t>(v)] = d;
                 return VisitAction::kContinue;
               });
-}
-
-std::vector<Result<QueryResult>> BssrEngine::RunGroup(
-    std::span<const GroupQuery> items) {
-  std::vector<Result<QueryResult>> out;
-  out.reserve(items.size());
-  if (items.empty()) return out;
-
-  // One tail table per distinct destination, fetched through the shared
-  // provider (or computed) once and held until the group finishes. Run()
-  // reads group_tails_ first, so members never re-probe the LRU. The values
-  // are exactly what per-query GetOrCompute would have returned.
-  group_tails_.clear();
-  if (dest_tails_ != nullptr) {
-    for (const GroupQuery& item : items) {
-      if (item.query == nullptr || !item.query->destination) continue;
-      const VertexId dest = *item.query->destination;
-      bool held = false;
-      for (const auto& gt : group_tails_) {
-        if (gt.first == dest) {
-          held = true;
-          break;
-        }
-      }
-      if (held) continue;
-      group_tails_.emplace_back(
-          dest, dest_tails_->GetOrCompute(dest, [&](std::vector<Weight>* t) {
-            ComputeDestTails(dest, t);
-          }));
-    }
-  }
-
-  // Without an engine-lifetime cache, a transient group-scoped one makes
-  // the first member's forward search (and bucket upward search) serve the
-  // rest. Invalidate() at group start keeps it strictly group-scoped; the
-  // binding is established once (AttachSharedCache computes the warm-state
-  // checksum) and survives invalidation.
-  SharedQueryCache* const attached = xcache_;
-  if (attached == nullptr) {
-    if (group_cache_ == nullptr) {
-      group_cache_ = std::make_unique<SharedQueryCache>();
-      AttachSharedCache(group_cache_.get());
-    } else {
-      group_cache_->Invalidate();
-      xcache_ = group_cache_.get();
-    }
-  }
-
-  // Pin the group's canonical source so member inserts can never evict the
-  // shared entry mid-group. Victim choice only — results are unaffected.
-  xcache_->fwd_cache().PinSource(items.front().query != nullptr
-                                     ? items.front().query->start
-                                     : kInvalidVertex);
-
-  for (const GroupQuery& item : items) {
-    if (item.query == nullptr || item.options == nullptr) {
-      out.push_back(Result<QueryResult>(
-          Status::InvalidArgument("null group query")));
-      continue;
-    }
-    out.push_back(Run(*item.query, *item.options));
-    // Group context: every executed member leads its own flight (the
-    // batching front door detaches coalesced followers before RunGroup);
-    // the service layer overrides the batch id and follower copies.
-    Result<QueryResult>& r = out.back();
-    if (r.ok() && r->explain != nullptr) {
-      r->explain->group_size = static_cast<int64_t>(items.size());
-      r->explain->role = "leader";
-    }
-  }
-
-  xcache_->fwd_cache().UnpinSource();
-  if (attached == nullptr) xcache_ = nullptr;
-  group_tails_.clear();
-  return out;
 }
 
 }  // namespace skysr

@@ -19,8 +19,6 @@
 #define SKYSR_CORE_BSSR_ENGINE_H_
 
 #include <memory>
-#include <span>
-#include <utility>
 #include <vector>
 
 #include "cache/shared_query_cache.h"
@@ -46,8 +44,8 @@ struct QueryResult {
   std::vector<Route> routes;
   SearchStats stats;
   /// Decision attribution (src/obs/explain.h); null unless the query ran
-  /// with QueryOptions::explain. Shared so slow-query records and
-  /// coalesced-follower copies alias one instance instead of deep-copying.
+  /// with QueryOptions::explain. Shared so the slow-query log aliases the
+  /// caller's instance instead of deep-copying it.
   std::shared_ptr<QueryExplain> explain;
 };
 
@@ -72,36 +70,6 @@ class BssrEngine {
   /// Executes a SkySR query. Returns InvalidArgument for malformed queries.
   Result<QueryResult> Run(const Query& query,
                           const QueryOptions& options = QueryOptions());
-
-  /// One member of a co-scheduled query group (see RunGroup). Both pointers
-  /// are borrowed and must outlive the call.
-  struct GroupQuery {
-    const Query* query = nullptr;
-    const QueryOptions* options = nullptr;
-  };
-
-  /// Executes a group of co-scheduled queries — typically sharing one
-  /// canonical source (the batching front door groups by `Query::start`) —
-  /// with the group's warm state pinned across members instead of re-probed
-  /// per query:
-  ///
-  ///   - one DestTailProvider line per distinct destination, fetched (or
-  ///     computed once) up front and held for the whole group, so members
-  ///     read the shared table without per-query LRU traffic;
-  ///   - the group's first source pinned in the forward-search cache, so
-  ///     one FwdSearchCache fill (one bucket upward search) serves every
-  ///     member regardless of what the members themselves insert;
-  ///   - when no engine-lifetime SharedQueryCache is attached, a transient
-  ///     group-scoped cache stands in for the group's duration (invalidated
-  ///     at group start, so no state outlives the group). Members that opt
-  ///     out via QueryOptions::use_shared_cache still run cold.
-  ///
-  /// Results are bit-identical to calling Run() on each member in order —
-  /// sharing rides entirely on the warm-state bit-identity invariant
-  /// (cache/shared_query_cache.h) and the shared-tail invariant
-  /// (core/dest_tails.h); only work counters differ.
-  std::vector<Result<QueryResult>> RunGroup(
-      std::span<const GroupQuery> items);
 
   /// Optional shared destination-tail provider (see core/dest_tails.h);
   /// null keeps the per-query reverse Dijkstra. The provider must outlive
@@ -152,20 +120,13 @@ class BssrEngine {
   bool has_multi_category_poi_ = false;
 
   // Destination tails D(v, destination): the full-graph reverse Dijkstra
-  // shared by Run() and the group prefetch.
+  // behind both the local and the provider-backed tail paths.
   void ComputeDestTails(VertexId destination, std::vector<Weight>* out);
 
   // Destination queries on directed graphs need D(v, destination) = forward
   // distances in the reversed graph; built once on first use instead of per
   // query.
   std::unique_ptr<const Graph> reversed_;
-
-  // Group-scoped state (RunGroup): tail tables pinned for the group's
-  // duration (consulted by Run() before the provider), and the lazily
-  // created stand-in cache for engines without an attached SharedQueryCache.
-  std::vector<std::pair<VertexId, std::shared_ptr<const std::vector<Weight>>>>
-      group_tails_;
-  std::unique_ptr<SharedQueryCache> group_cache_;
 
   // Reusable per-query state (engine is single-threaded by design).
   QueryWorkspace ws_;

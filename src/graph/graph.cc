@@ -1,8 +1,11 @@
 #include "graph/graph.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <vector>
+
+#include "util/binary_io.h"
 
 namespace skysr {
 
@@ -48,24 +51,12 @@ int64_t Graph::MemoryBytes() const {
 
 namespace {
 
+using binary_io::IsCsrOffsets;
+using binary_io::ReadPod;
+using binary_io::ReadVec;
+using binary_io::WriteVec;
+
 constexpr char kMagic[8] = {'S', 'K', 'Y', 'S', 'R', 'G', '1', '\0'};
-
-template <typename T>
-bool WriteVec(FILE* f, const std::vector<T>& v) {
-  const uint64_t n = v.size();
-  if (std::fwrite(&n, sizeof(n), 1, f) != 1) return false;
-  if (n == 0) return true;
-  return std::fwrite(v.data(), sizeof(T), n, f) == n;
-}
-
-template <typename T>
-bool ReadVec(FILE* f, std::vector<T>* v) {
-  uint64_t n = 0;
-  if (std::fread(&n, sizeof(n), 1, f) != 1) return false;
-  v->resize(n);
-  if (n == 0) return true;
-  return std::fread(v->data(), sizeof(T), n, f) == n;
-}
 
 }  // namespace
 
@@ -103,22 +94,20 @@ Result<Graph> Graph::LoadBinary(const std::string& path) {
   bool ok = std::fread(magic, sizeof(magic), 1, f) == 1 &&
             std::memcmp(magic, kMagic, sizeof(kMagic)) == 0;
   uint8_t directed = 0;
-  ok = ok && std::fread(&directed, 1, 1, f) == 1;
+  ok = ok && ReadPod(f, &directed);
   g.directed_ = directed != 0;
-  ok = ok && std::fread(&g.num_edges_, sizeof(g.num_edges_), 1, f) == 1;
-  ok = ok && std::fread(&g.total_edge_weight_, sizeof(g.total_edge_weight_), 1,
-                        f) == 1;
+  ok = ok && ReadPod(f, &g.num_edges_) && ReadPod(f, &g.total_edge_weight_);
   ok = ok && ReadVec(f, &g.offsets_) && ReadVec(f, &g.adj_) &&
        ReadVec(f, &g.xs_) && ReadVec(f, &g.ys_) &&
        ReadVec(f, &g.poi_of_vertex_) && ReadVec(f, &g.poi_vertex_) &&
        ReadVec(f, &g.poi_cat_offsets_) && ReadVec(f, &g.poi_cats_);
   uint64_t nn = 0;
-  ok = ok && std::fread(&nn, sizeof(nn), 1, f) == 1;
+  ok = ok && ReadPod(f, &nn) && (nn == 0 || nn == g.poi_vertex_.size());
   if (ok) {
     g.poi_names_.resize(nn);
     for (uint64_t i = 0; ok && i < nn; ++i) {
       uint64_t len = 0;
-      ok = std::fread(&len, sizeof(len), 1, f) == 1;
+      ok = ReadPod(f, &len) && len <= binary_io::RemainingBytes(f);
       if (ok && len > 0) {
         g.poi_names_[i].resize(len);
         ok = std::fread(g.poi_names_[i].data(), 1, len, f) == len;
@@ -127,10 +116,60 @@ Result<Graph> Graph::LoadBinary(const std::string& path) {
   }
   std::fclose(f);
   if (!ok) return Status::IOError("corrupt or truncated snapshot: " + path);
-  if (g.offsets_.empty()) {
-    return Status::IOError("snapshot missing offsets: " + path);
+  if (!g.WellFormed()) {
+    return Status::IOError("snapshot fails structural validation: " + path);
   }
   return g;
+}
+
+bool Graph::WellFormed() const {
+  // Vertex and PoI ids are int32, so both counts must fit.
+  if (offsets_.empty() || offsets_.size() - 1 > INT32_MAX ||
+      poi_vertex_.size() > INT32_MAX) {
+    return false;
+  }
+  const auto n = static_cast<int64_t>(offsets_.size()) - 1;
+  const auto num_pois = static_cast<int64_t>(poi_vertex_.size());
+  if (!IsCsrOffsets(offsets_, adj_.size()) || num_edges_ < 0 ||
+      static_cast<uint64_t>(num_edges_) > adj_.size()) {
+    return false;
+  }
+  for (const Neighbor& nb : adj_) {
+    if (nb.to < 0 || nb.to >= n || !(nb.weight >= 0) ||
+        !std::isfinite(nb.weight)) {
+      return false;
+    }
+  }
+  if (xs_.size() != ys_.size() ||
+      (!xs_.empty() && xs_.size() != static_cast<size_t>(n))) {
+    return false;
+  }
+  // PoI placement: a bijection between the PoI ids and the vertices that
+  // host them, each PoI with at least one non-negative category.
+  if (poi_of_vertex_.size() != static_cast<size_t>(n) ||
+      poi_cat_offsets_.size() != poi_vertex_.size() + 1 ||
+      !IsCsrOffsets(poi_cat_offsets_, poi_cats_.size())) {
+    return false;
+  }
+  int64_t hosted = 0;
+  for (const PoiId p : poi_of_vertex_) {
+    if (p == kInvalidPoi) continue;
+    if (p < 0 || p >= num_pois) return false;
+    ++hosted;
+  }
+  if (hosted != num_pois) return false;
+  for (PoiId p = 0; p < num_pois; ++p) {
+    const VertexId v = poi_vertex_[static_cast<size_t>(p)];
+    if (v < 0 || v >= n || poi_of_vertex_[static_cast<size_t>(v)] != p ||
+        poi_cat_offsets_[static_cast<size_t>(p)] ==
+            poi_cat_offsets_[static_cast<size_t>(p) + 1]) {
+      return false;
+    }
+  }
+  for (const CategoryId c : poi_cats_) {
+    if (c < 0) return false;
+  }
+  return true;
 }
 
 }  // namespace skysr

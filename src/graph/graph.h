@@ -99,11 +99,17 @@ class Graph {
 
   /// Serializes the graph to a binary snapshot file.
   Status SaveBinary(const std::string& path) const;
-  /// Loads a graph from a binary snapshot produced by SaveBinary.
+  /// Loads a graph from a binary snapshot produced by SaveBinary. A
+  /// truncated or corrupt file yields IOError, never a malformed graph.
   static Result<Graph> LoadBinary(const std::string& path);
 
  private:
   friend class GraphBuilder;
+
+  /// Structural invariants every accessor relies on: CSR offsets, edge
+  /// targets and weights, coordinate and PoI array sizes, and the PoI <->
+  /// vertex bijection. Checked on every loaded snapshot.
+  bool WellFormed() const;
 
   std::vector<int64_t> offsets_;   // size n+1
   std::vector<Neighbor> adj_;      // size = directed edges stored

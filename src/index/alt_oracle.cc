@@ -4,7 +4,7 @@
 
 #include "graph/dijkstra.h"
 #include "graph/graph_builder.h"
-#include "index/index_io.h"
+#include "util/binary_io.h"
 #include "util/dary_heap.h"
 #include "util/logging.h"
 #include "util/timer.h"
@@ -156,20 +156,20 @@ int64_t AltOracle::MemoryBytes() const {
 }
 
 Status AltOracle::SavePayload(std::FILE* f) const {
-  if (!index_io::WriteVec(f, landmarks_)) {
+  if (!binary_io::WriteVec(f, landmarks_)) {
     return Status::IOError("short write of ALT index payload");
   }
   const uint8_t has_to = to_.empty() ? 0 : 1;
-  if (!index_io::WritePod(f, has_to)) {
+  if (!binary_io::WritePod(f, has_to)) {
     return Status::IOError("short write of ALT index payload");
   }
   for (const auto& v : from_) {
-    if (!index_io::WriteVec(f, v)) {
+    if (!binary_io::WriteVec(f, v)) {
       return Status::IOError("short write of ALT index payload");
     }
   }
   for (const auto& v : to_) {
-    if (!index_io::WriteVec(f, v)) {
+    if (!binary_io::WriteVec(f, v)) {
       return Status::IOError("short write of ALT index payload");
     }
   }
@@ -179,14 +179,14 @@ Status AltOracle::SavePayload(std::FILE* f) const {
 Result<AltOracle> AltOracle::LoadPayload(std::FILE* f, const Graph& g) {
   AltOracle alt(g);
   uint8_t has_to = 0;
-  if (!index_io::ReadVec(f, &alt.landmarks_) ||
-      !index_io::ReadPod(f, &has_to)) {
+  if (!binary_io::ReadVec(f, &alt.landmarks_) ||
+      !binary_io::ReadPod(f, &has_to)) {
     return Status::IOError("corrupt or truncated ALT index payload");
   }
   const auto read_matrix = [&](std::vector<std::vector<Weight>>* m) {
     m->resize(alt.landmarks_.size());
     for (auto& v : *m) {
-      if (!index_io::ReadVec(f, &v) ||
+      if (!binary_io::ReadVec(f, &v) ||
           v.size() != static_cast<size_t>(g.num_vertices())) {
         return false;
       }
@@ -195,6 +195,11 @@ Result<AltOracle> AltOracle::LoadPayload(std::FILE* f, const Graph& g) {
   };
   if (!read_matrix(&alt.from_) || (has_to != 0 && !read_matrix(&alt.to_))) {
     return Status::IOError("corrupt or truncated ALT index payload");
+  }
+  for (const VertexId l : alt.landmarks_) {
+    if (l < 0 || l >= g.num_vertices()) {
+      return Status::IOError("ALT index landmark out of range");
+    }
   }
   alt.build_stats_.num_landmarks = static_cast<int>(alt.landmarks_.size());
   return alt;

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <utility>
 
-#include "index/index_io.h"
 #include "obs/query_trace.h"
+#include "util/binary_io.h"
 #include "util/dary_heap.h"
 #include "util/logging.h"
 #include "util/timer.h"
@@ -677,12 +678,12 @@ int64_t ChOracle::MemoryBytes() const {
 
 Status ChOracle::SavePayload(std::FILE* f) const {
   static_assert(sizeof(ChEdge) == 16, "ChEdge must be padding-free");
-  if (!index_io::WriteVec(f, rank_) ||
-      !index_io::WriteVec(f, up_fwd_offsets_) ||
-      !index_io::WriteVec(f, up_fwd_edges_) ||
-      !index_io::WriteVec(f, up_bwd_offsets_) ||
-      !index_io::WriteVec(f, up_bwd_edges_) ||
-      !index_io::WritePod(f, num_shortcuts_)) {
+  if (!binary_io::WriteVec(f, rank_) ||
+      !binary_io::WriteVec(f, up_fwd_offsets_) ||
+      !binary_io::WriteVec(f, up_fwd_edges_) ||
+      !binary_io::WriteVec(f, up_bwd_offsets_) ||
+      !binary_io::WriteVec(f, up_bwd_edges_) ||
+      !binary_io::WritePod(f, num_shortcuts_)) {
     return Status::IOError("short write of CH index payload");
   }
   return Status::OK();
@@ -690,25 +691,67 @@ Status ChOracle::SavePayload(std::FILE* f) const {
 
 Result<ChOracle> ChOracle::LoadPayload(std::FILE* f, const Graph& g) {
   ChOracle ch(g);
-  if (!index_io::ReadVec(f, &ch.rank_) ||
-      !index_io::ReadVec(f, &ch.up_fwd_offsets_) ||
-      !index_io::ReadVec(f, &ch.up_fwd_edges_) ||
-      !index_io::ReadVec(f, &ch.up_bwd_offsets_) ||
-      !index_io::ReadVec(f, &ch.up_bwd_edges_) ||
-      !index_io::ReadPod(f, &ch.num_shortcuts_)) {
+  if (!binary_io::ReadVec(f, &ch.rank_) ||
+      !binary_io::ReadVec(f, &ch.up_fwd_offsets_) ||
+      !binary_io::ReadVec(f, &ch.up_fwd_edges_) ||
+      !binary_io::ReadVec(f, &ch.up_bwd_offsets_) ||
+      !binary_io::ReadVec(f, &ch.up_bwd_edges_) ||
+      !binary_io::ReadPod(f, &ch.num_shortcuts_)) {
     return Status::IOError("corrupt or truncated CH index payload");
   }
-  const auto n = static_cast<size_t>(g.num_vertices());
-  if (ch.rank_.size() != n || ch.up_fwd_offsets_.size() != n + 1 ||
-      ch.up_bwd_offsets_.size() != n + 1 ||
-      ch.up_fwd_offsets_.back() !=
-          static_cast<int64_t>(ch.up_fwd_edges_.size()) ||
-      ch.up_bwd_offsets_.back() !=
-          static_cast<int64_t>(ch.up_bwd_edges_.size())) {
+  if (!ch.WellFormed()) {
     return Status::IOError("CH index payload is inconsistent with the graph");
   }
   ch.MeasureSearchCost();
   return ch;
+}
+
+bool ChOracle::WellFormed() const {
+  const auto n = static_cast<size_t>(g_->num_vertices());
+  if (rank_.size() != n || up_fwd_offsets_.size() != n + 1 ||
+      up_bwd_offsets_.size() != n + 1 ||
+      !binary_io::IsCsrOffsets(up_fwd_offsets_, up_fwd_edges_.size()) ||
+      !binary_io::IsCsrOffsets(up_bwd_offsets_, up_bwd_edges_.size())) {
+    return false;
+  }
+  // The contraction order must be a permutation of [0, n).
+  std::vector<uint8_t> seen(n, 0);
+  for (const int32_t r : rank_) {
+    if (r < 0 || static_cast<size_t>(r) >= n || seen[static_cast<size_t>(r)]) {
+      return false;
+    }
+    seen[static_cast<size_t>(r)] = 1;
+  }
+  const auto rank = [&](VertexId v) { return rank_[static_cast<size_t>(v)]; };
+  const auto has_edge = [](std::span<const ChEdge> edges, VertexId to) {
+    for (const ChEdge& e : edges) {
+      if (e.to == to) return true;
+    }
+    return false;
+  };
+  // Every upward edge climbs in rank, and a shortcut's middle is ranked
+  // below both ends and owns both component edges. Unpacking recurses into
+  // edges owned by strictly lower-ranked vertices, so it terminates, and
+  // FrozenEdge always finds its component.
+  for (VertexId v = 0; v < static_cast<VertexId>(n); ++v) {
+    for (const bool fwd : {true, false}) {
+      for (const ChEdge& e : fwd ? UpFwd(v) : UpBwd(v)) {
+        if (e.to < 0 || static_cast<size_t>(e.to) >= n ||
+            rank(e.to) <= rank(v) || !(e.weight >= 0) ||
+            !std::isfinite(e.weight)) {
+          return false;
+        }
+        if (e.mid == kInvalidVertex) continue;
+        if (e.mid < 0 || static_cast<size_t>(e.mid) >= n ||
+            rank(e.mid) >= rank(v) ||
+            !has_edge(fwd ? UpBwd(e.mid) : UpFwd(e.mid), v) ||
+            !has_edge(fwd ? UpFwd(e.mid) : UpBwd(e.mid), e.to)) {
+          return false;
+        }
+      }
+    }
+  }
+  return true;
 }
 
 }  // namespace skysr

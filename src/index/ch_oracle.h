@@ -186,6 +186,11 @@ class ChOracle final : public DistanceOracle {
   /// Samples upward searches to estimate the per-endpoint query cost.
   void MeasureSearchCost();
 
+  /// Structural invariants of a loaded payload: CSR offsets, a rank
+  /// permutation, rank-increasing upward edges, and shortcut middles that
+  /// rank below both ends and own both component edges.
+  bool WellFormed() const;
+
   const Graph* g_;
   std::vector<int32_t> rank_;  // vertex -> contraction order (0 = first)
   std::vector<int64_t> up_fwd_offsets_;

@@ -5,6 +5,7 @@
 
 #include "index/alt_oracle.h"
 #include "index/ch_oracle.h"
+#include "util/binary_io.h"
 #include "util/rng.h"
 
 namespace skysr {
@@ -64,7 +65,7 @@ Status SaveOracleIndex(const DistanceOracle& oracle,
   const uint8_t kind = static_cast<uint8_t>(oracle.kind());
   const uint64_t checksum = GraphChecksum(oracle.graph());
   bool ok = std::fwrite(kIndexMagic, sizeof(kIndexMagic), 1, f) == 1 &&
-            index_io::WritePod(f, kind) && index_io::WritePod(f, checksum);
+            binary_io::WritePod(f, kind) && binary_io::WritePod(f, checksum);
   Status payload = Status::OK();
   if (ok) {
     if (oracle.kind() == OracleKind::kCh) {
@@ -88,7 +89,7 @@ Result<std::unique_ptr<DistanceOracle>> LoadOracleIndex(
   const bool header_ok =
       std::fread(magic, sizeof(magic), 1, f) == 1 &&
       std::memcmp(magic, kIndexMagic, sizeof(kIndexMagic)) == 0 &&
-      index_io::ReadPod(f, &kind_byte) && index_io::ReadPod(f, &checksum) &&
+      binary_io::ReadPod(f, &kind_byte) && binary_io::ReadPod(f, &checksum) &&
       (kind_byte == static_cast<uint8_t>(OracleKind::kCh) ||
        kind_byte == static_cast<uint8_t>(OracleKind::kAlt));
   if (!header_ok) {

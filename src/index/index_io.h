@@ -12,10 +12,8 @@
 #define SKYSR_INDEX_INDEX_IO_H_
 
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "graph/graph.h"
 #include "index/distance_oracle.h"
@@ -48,39 +46,6 @@ Result<std::unique_ptr<DistanceOracle>> LoadOracleIndex(
 
 /// Conventional file extension for an oracle kind ("chidx" / "altidx").
 const char* OracleIndexExtension(OracleKind kind);
-
-namespace index_io {
-
-// Low-level POD/vector framing shared by the oracle payload serializers.
-
-template <typename T>
-bool WritePod(std::FILE* f, const T& v) {
-  return std::fwrite(&v, sizeof(T), 1, f) == 1;
-}
-
-template <typename T>
-bool ReadPod(std::FILE* f, T* v) {
-  return std::fread(v, sizeof(T), 1, f) == 1;
-}
-
-template <typename T>
-bool WriteVec(std::FILE* f, const std::vector<T>& v) {
-  const uint64_t n = v.size();
-  if (!WritePod(f, n)) return false;
-  if (n == 0) return true;
-  return std::fwrite(v.data(), sizeof(T), n, f) == n;
-}
-
-template <typename T>
-bool ReadVec(std::FILE* f, std::vector<T>* v) {
-  uint64_t n = 0;
-  if (!ReadPod(f, &n)) return false;
-  v->resize(n);
-  if (n == 0) return true;
-  return std::fread(v->data(), sizeof(T), n, f) == n;
-}
-
-}  // namespace index_io
 
 }  // namespace skysr
 

@@ -56,13 +56,11 @@ std::string QueryExplain::ToTreeString() const {
           "│  └─ resume_slots: %" PRId64 " reuse / %" PRId64 " evict\n",
           resume_slots.hits, resume_slots.misses);
   Appendf(&out,
-          "├─ pruning: cand_pruned=%" PRId64 " = threshold %" PRId64
+          "└─ pruning: cand_pruned=%" PRId64 " = threshold %" PRId64
           " + prune-floor %" PRId64 " (qb_dominance=%" PRId64
           " simd_floor_skips=%" PRId64 ")\n",
           cand_pruned, pruned_threshold, pruned_floor, pruned_qb_dominance,
           simd_floor_skips);
-  Appendf(&out, "└─ batch: id=%" PRId64 " group=%" PRId64 " role=%s\n",
-          batch_id, group_size, role.c_str());
   return out;
 }
 
@@ -105,13 +103,9 @@ std::string QueryExplain::ToJson() const {
   Appendf(&out,
           "\"pruning\":{\"cand_pruned\":%" PRId64 ",\"threshold\":%" PRId64
           ",\"prune_floor\":%" PRId64 ",\"qb_dominance\":%" PRId64
-          ",\"simd_floor_skips\":%" PRId64 "},",
+          ",\"simd_floor_skips\":%" PRId64 "}}",
           cand_pruned, pruned_threshold, pruned_floor, pruned_qb_dominance,
           simd_floor_skips);
-  Appendf(&out,
-          "\"batch\":{\"id\":%" PRId64 ",\"group_size\":%" PRId64
-          ",\"role\":\"%s\"}}",
-          batch_id, group_size, role.c_str());
   return out;
 }
 

@@ -4,8 +4,7 @@
 // retriever cost model's inputs and verdict, which backend answered each
 // sequence position, what every cache layer contributed, how the pruned
 // candidates split across the three pruning layers (DESIGN.md §9 maps each
-// field to its paper mechanism), and — for served queries — the batch
-// context the scheduler placed the query in.
+// field to its paper mechanism).
 //
 // Discipline matches the tracing subsystem (query_trace.h): explain is
 // off by default (`QueryOptions::explain`), costs one branch per
@@ -16,8 +15,8 @@
 //
 // Rendering: ToTreeString() for humans (`skysr_cli query --explain`),
 // ToJson() for machines (parses with obs/mini_json.h; nightly publishes
-// EXPLAIN_scale.json). Attached to QueryResult as a shared_ptr so slow-query
-// records and coalesced-follower copies share one instance.
+// EXPLAIN_scale.json). Attached to QueryResult as a shared_ptr so the
+// slow-query log shares the caller's instance.
 
 #ifndef SKYSR_OBS_EXPLAIN_H_
 #define SKYSR_OBS_EXPLAIN_H_
@@ -62,7 +61,7 @@ struct QueryExplain {
   // --- Cache attribution, layer by layer. ---
   ExplainCacheLayer fwd_search;    // SharedQueryCache forward searches
   ExplainCacheLayer dest_tail;     // destination-tail table
-  std::string dest_tail_source = "none";  // group-pin|provider|local|none
+  std::string dest_tail_source = "none";  // provider|local|none
   ExplainCacheLayer result_cache;  // service result cache (service fills)
   ExplainCacheLayer resume_slots;  // resumable-slot reuses vs evictions
 
@@ -75,11 +74,6 @@ struct QueryExplain {
   int64_t pruned_qb_dominance = 0;
   int64_t simd_floor_skips = 0;
   int64_t cand_pruned = 0;
-
-  // --- Batch context (the serving layer fills these). ---
-  int64_t batch_id = -1;              // -1 = not served through a batch
-  int64_t group_size = 0;             // members in the RunGroup
-  std::string role = "unbatched";     // unbatched|leader|coalesced
 
   /// Human-readable tree (skysr_cli query --explain).
   std::string ToTreeString() const;

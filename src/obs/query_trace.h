@@ -45,18 +45,8 @@ namespace skysr {
 struct TraceEvent {
   int64_t start_ns = 0;
   int64_t dur_ns = 0;
-  /// Non-zero links this event into a Chrome flow (arrow between tracks):
-  /// the coalescing path tags a follower's queue-wait with kFlowStart and
-  /// the leader-side fanout with kFlowFinish under the same id, so the
-  /// exported timeline draws submitted -> executed arrows per follower.
-  uint64_t flow_id = 0;
   TracePhase phase = TracePhase::kQuery;
   uint8_t depth = 0;  // span-nesting depth at entry (root = 0)
-  uint8_t flow = 0;   // kFlowNone / kFlowStart / kFlowFinish
-
-  static constexpr uint8_t kFlowNone = 0;
-  static constexpr uint8_t kFlowStart = 1;
-  static constexpr uint8_t kFlowFinish = 2;
 };
 
 class QueryTrace {
@@ -89,16 +79,13 @@ class QueryTrace {
   /// timed regions (the service's queue-wait is measured by the task's own
   /// timer, not a live span).
   void Record(TracePhase phase, int64_t start_ns, int64_t dur_ns,
-              uint8_t depth, uint64_t flow_id = 0,
-              uint8_t flow = TraceEvent::kFlowNone) {
+              uint8_t depth) {
     if (!enabled_) return;
     TraceEvent& e = ring_[head_];
     e.start_ns = start_ns;
     e.dur_ns = dur_ns;
-    e.flow_id = flow_id;
     e.phase = phase;
     e.depth = depth;
-    e.flow = flow;
     head_ = head_ + 1 == ring_.size() ? 0 : head_ + 1;
     if (size_ < ring_.size()) {
       ++size_;

@@ -43,19 +43,6 @@ void AppendEvents(std::string* out, const QueryTrace& trace, int tid,
                   TracePhaseName(e.phase), ts_us,
                   static_cast<double>(e.dur_ns) / 1000.0, tid);
     *out += buf;
-    if (e.flow != TraceEvent::kFlowNone) {
-      // Flow arrow endpoints bind to the enclosing "X" slice at `ts`. The
-      // start anchors inside the follower's queue-wait; the finish uses
-      // bp:"e" so the arrow lands on the leader's fanout slice itself.
-      std::snprintf(buf, sizeof(buf),
-                    "{\"name\":\"coalesce\",\"cat\":\"skysr\",\"ph\":\"%s\","
-                    "\"id\":%" PRIu64 ",\"ts\":%.3f,\"pid\":1,\"tid\":%d%s}",
-                    e.flow == TraceEvent::kFlowStart ? "s" : "f", e.flow_id,
-                    ts_us, tid,
-                    e.flow == TraceEvent::kFlowStart ? "" : ",\"bp\":\"e\"");
-      *out += ',';
-      *out += buf;
-    }
   });
 }
 

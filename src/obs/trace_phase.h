@@ -31,12 +31,9 @@ enum class TracePhase : uint8_t {
   kQueueWait,       // service: submission -> worker pickup
   kCacheLookup,     // service: result-cache probe
   kExecute,         // service: engine.Run inside a worker
-  kBatchDrain,      // service: drain leader collecting + forming a batch
-  kGroupExecute,    // service: one BssrEngine::RunGroup over a source group
-  kCoalesceFanout,  // service: fanning a leader's result out to followers
 };
 
-inline constexpr int kNumTracePhases = 15;
+inline constexpr int kNumTracePhases = 12;
 
 /// Stable lowercase names, used by the Chrome trace export, the SearchStats
 /// dump and the bench JSON. Index = static_cast<int>(phase).
@@ -44,7 +41,6 @@ inline constexpr const char* kTracePhaseNames[kNumTracePhases] = {
     "query",     "nn_init",   "dest_tails",     "lower_bound",
     "oracle_table", "qb_drain", "expansion",    "retrieval",
     "skyline_insert", "queue_wait", "cache_lookup", "execute",
-    "batch_drain", "group_execute", "coalesce_fanout",
 };
 
 inline const char* TracePhaseName(TracePhase p) {

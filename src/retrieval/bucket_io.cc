@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "index/index_io.h"
+#include "util/binary_io.h"
 
 namespace skysr {
 namespace {
@@ -22,9 +23,9 @@ Status SaveBucketIndex(const CategoryBucketIndex& index,
   const uint64_t assign_sum = PoiAssignmentChecksum(index.graph());
   const uint64_t ch_sum = index.oracle().StructureChecksum();
   const bool ok = std::fwrite(kBucketMagic, sizeof(kBucketMagic), 1, f) == 1 &&
-                  index_io::WritePod(f, graph_sum) &&
-                  index_io::WritePod(f, assign_sum) &&
-                  index_io::WritePod(f, ch_sum);
+                  binary_io::WritePod(f, graph_sum) &&
+                  binary_io::WritePod(f, assign_sum) &&
+                  binary_io::WritePod(f, ch_sum);
   Status payload = Status::OK();
   if (ok) payload = index.SavePayload(f);
   std::fclose(f);
@@ -42,8 +43,8 @@ Result<CategoryBucketIndex> LoadBucketIndex(const std::string& path,
   const bool header_ok =
       std::fread(magic, sizeof(magic), 1, f) == 1 &&
       std::memcmp(magic, kBucketMagic, sizeof(kBucketMagic)) == 0 &&
-      index_io::ReadPod(f, &graph_sum) && index_io::ReadPod(f, &assign_sum) &&
-      index_io::ReadPod(f, &ch_sum);
+      binary_io::ReadPod(f, &graph_sum) && binary_io::ReadPod(f, &assign_sum) &&
+      binary_io::ReadPod(f, &ch_sum);
   if (!header_ok) {
     std::fclose(f);
     return Status::IOError("not a bucket-index file: " + path);

@@ -1,9 +1,10 @@
 #include "retrieval/category_buckets.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "index/distance_oracle.h"
-#include "index/index_io.h"
+#include "util/binary_io.h"
 #include "util/timer.h"
 
 namespace skysr {
@@ -59,14 +60,9 @@ void CategoryBucketIndex::BuildDerived() {
   build_side(/*fwd=*/false, &bwd_edge_woff_, &bwd_edge_weights_);
 }
 
-CategoryBucketIndex CategoryBucketIndex::Build(const Graph& g,
-                                               const ChOracle& ch) {
-  SKYSR_CHECK_MSG(&ch.graph() == &g,
-                  "bucket index must be built over the oracle's own graph");
-  WallTimer timer;
-  CategoryBucketIndex index(g, ch);
+void CategoryBucketIndex::BuildCategoryTables() {
+  const Graph& g = *g_;
   const int64_t num_pois = g.num_pois();
-
   // Distinct own-categories and the per-category PoI lists. A multi-category
   // PoI is bucketed once per distinct own-category (matchers filter per PoI,
   // scans dedupe per PoI).
@@ -76,21 +72,20 @@ CategoryBucketIndex CategoryBucketIndex::Build(const Graph& g,
       max_cat = std::max(max_cat, c);
     }
   }
-  index.cat_slot_.assign(static_cast<size_t>(max_cat) + 1, -1);
+  cat_slot_.assign(static_cast<size_t>(max_cat) + 1, -1);
   for (PoiId p = 0; p < num_pois; ++p) {
     for (const CategoryId c : g.PoiCategories(p)) {
-      if (index.cat_slot_[static_cast<size_t>(c)] < 0) {
-        index.cat_slot_[static_cast<size_t>(c)] = 0;  // mark present
-        index.categories_.push_back(c);
+      if (cat_slot_[static_cast<size_t>(c)] < 0) {
+        cat_slot_[static_cast<size_t>(c)] = 0;  // mark present
+        categories_.push_back(c);
       }
     }
   }
-  std::sort(index.categories_.begin(), index.categories_.end());
-  for (size_t s = 0; s < index.categories_.size(); ++s) {
-    index.cat_slot_[static_cast<size_t>(index.categories_[s])] =
-        static_cast<int32_t>(s);
+  std::sort(categories_.begin(), categories_.end());
+  for (size_t s = 0; s < categories_.size(); ++s) {
+    cat_slot_[static_cast<size_t>(categories_[s])] = static_cast<int32_t>(s);
   }
-  const size_t num_slots = index.categories_.size();
+  const size_t num_slots = categories_.size();
   std::vector<std::vector<PoiId>> cat_pois(num_slots);
   std::vector<CategoryId> seen;  // dedupe duplicate categories on one PoI
   for (PoiId p = 0; p < num_pois; ++p) {
@@ -98,16 +93,27 @@ CategoryBucketIndex CategoryBucketIndex::Build(const Graph& g,
     for (const CategoryId c : g.PoiCategories(p)) {
       if (std::find(seen.begin(), seen.end(), c) != seen.end()) continue;
       seen.push_back(c);
-      cat_pois[static_cast<size_t>(index.cat_slot_[static_cast<size_t>(c)])]
+      cat_pois[static_cast<size_t>(cat_slot_[static_cast<size_t>(c)])]
           .push_back(p);
     }
   }
-  index.cat_poi_offsets_.assign(num_slots + 1, 0);
+  cat_poi_offsets_.assign(num_slots + 1, 0);
   for (size_t s = 0; s < num_slots; ++s) {
-    index.cat_poi_offsets_[s + 1] =
-        index.cat_poi_offsets_[s] + static_cast<int64_t>(cat_pois[s].size());
-    for (const PoiId p : cat_pois[s]) index.cat_pois_.push_back(p);
+    cat_poi_offsets_[s + 1] =
+        cat_poi_offsets_[s] + static_cast<int64_t>(cat_pois[s].size());
+    for (const PoiId p : cat_pois[s]) cat_pois_.push_back(p);
   }
+}
+
+CategoryBucketIndex CategoryBucketIndex::Build(const Graph& g,
+                                               const ChOracle& ch) {
+  SKYSR_CHECK_MSG(&ch.graph() == &g,
+                  "bucket index must be built over the oracle's own graph");
+  WallTimer timer;
+  CategoryBucketIndex index(g, ch);
+  const int64_t num_pois = g.num_pois();
+
+  index.BuildCategoryTables();
 
   // One backward upward search per PoI; the vertex-sorted settle list
   // (with tree links) becomes the PoI's bucket. The vertex-major entry CSR
@@ -166,12 +172,12 @@ Status CategoryBucketIndex::SavePayload(std::FILE* f) const {
                 "BucketEntry must be padding-free");
   static_assert(sizeof(PoiBucketSettle) == 24,
                 "PoiBucketSettle must be padding-free");
-  if (!index_io::WriteVec(f, categories_) ||
-      !index_io::WriteVec(f, cat_slot_) ||
-      !index_io::WriteVec(f, cat_poi_offsets_) ||
-      !index_io::WriteVec(f, cat_pois_) ||
-      !index_io::WriteVec(f, poi_offsets_) ||
-      !index_io::WriteVec(f, settles_)) {
+  if (!binary_io::WriteVec(f, categories_) ||
+      !binary_io::WriteVec(f, cat_slot_) ||
+      !binary_io::WriteVec(f, cat_poi_offsets_) ||
+      !binary_io::WriteVec(f, cat_pois_) ||
+      !binary_io::WriteVec(f, poi_offsets_) ||
+      !binary_io::WriteVec(f, settles_)) {
     return Status::IOError("short write of bucket-index payload");
   }
   return Status::OK();
@@ -180,39 +186,29 @@ Status CategoryBucketIndex::SavePayload(std::FILE* f) const {
 Result<CategoryBucketIndex> CategoryBucketIndex::LoadPayload(
     std::FILE* f, const Graph& g, const ChOracle& ch) {
   CategoryBucketIndex index(g, ch);
-  if (!index_io::ReadVec(f, &index.categories_) ||
-      !index_io::ReadVec(f, &index.cat_slot_) ||
-      !index_io::ReadVec(f, &index.cat_poi_offsets_) ||
-      !index_io::ReadVec(f, &index.cat_pois_) ||
-      !index_io::ReadVec(f, &index.poi_offsets_) ||
-      !index_io::ReadVec(f, &index.settles_)) {
+  if (!binary_io::ReadVec(f, &index.categories_) ||
+      !binary_io::ReadVec(f, &index.cat_slot_) ||
+      !binary_io::ReadVec(f, &index.cat_poi_offsets_) ||
+      !binary_io::ReadVec(f, &index.cat_pois_) ||
+      !binary_io::ReadVec(f, &index.poi_offsets_) ||
+      !binary_io::ReadVec(f, &index.settles_)) {
     return Status::IOError("corrupt or truncated bucket-index payload");
   }
   // Structural validation: sizes, offset monotonicity, and every stored
   // index within range — a corrupt payload that passed the header
   // checksums must still fail loudly here, never read out of bounds at
-  // query time (ResumMeet walks parent links and raw edge indices).
-  const auto offsets_ok = [](const std::vector<int64_t>& offsets,
-                             int64_t total) {
-    if (offsets.empty() || offsets.front() != 0 ||
-        offsets.back() != total) {
-      return false;
-    }
-    for (size_t i = 1; i < offsets.size(); ++i) {
-      if (offsets[i] < offsets[i - 1]) return false;
-    }
-    return true;
-  };
-  bool ok =
-      index.cat_poi_offsets_.size() == index.categories_.size() + 1 &&
-      index.poi_offsets_.size() == static_cast<size_t>(g.num_pois()) + 1 &&
-      offsets_ok(index.cat_poi_offsets_,
-                 static_cast<int64_t>(index.cat_pois_.size())) &&
-      offsets_ok(index.poi_offsets_,
-                 static_cast<int64_t>(index.settles_.size()));
-  for (size_t i = 0; ok && i < index.cat_pois_.size(); ++i) {
-    ok = index.cat_pois_[i] >= 0 && index.cat_pois_[i] < g.num_pois();
-  }
+  // query time (ResumMeet walks parent links and raw edge indices). The
+  // category tables are a pure function of the (checksum-verified) PoI
+  // assignment, so they must equal a fresh derivation exactly.
+  CategoryBucketIndex derived(g, ch);
+  derived.BuildCategoryTables();
+  bool ok = index.categories_ == derived.categories_ &&
+            index.cat_slot_ == derived.cat_slot_ &&
+            index.cat_poi_offsets_ == derived.cat_poi_offsets_ &&
+            index.cat_pois_ == derived.cat_pois_ &&
+            index.poi_offsets_.size() ==
+                static_cast<size_t>(g.num_pois()) + 1 &&
+            binary_io::IsCsrOffsets(index.poi_offsets_, index.settles_.size());
   if (ok) {
     const int64_t num_bwd_edges = ch.NumUpBwdEdges();
     std::vector<uint8_t> visit;   // 0 unvisited / 1 on current chain / 2 ok
@@ -221,7 +217,8 @@ Result<CategoryBucketIndex> CategoryBucketIndex::LoadPayload(
       const std::span<const PoiBucketSettle> span = index.SettlesOf(p);
       for (size_t i = 0; ok && i < span.size(); ++i) {
         const PoiBucketSettle& s = span[i];
-        ok = s.vertex >= 0 && s.vertex < g.num_vertices() &&
+        ok = s.vertex >= 0 && s.vertex < g.num_vertices() && s.db >= 0 &&
+             std::isfinite(s.db) &&
              (i == 0 || span[i - 1].vertex < s.vertex) &&  // strictly sorted
              (s.parent == kInvalidVertex
                   ? s.edge == -1

@@ -163,6 +163,10 @@ class CategoryBucketIndex {
     return cat_slot_[static_cast<size_t>(c)];
   }
 
+  /// Fills the category tables (categories_, cat_slot_, cat_poi_offsets_,
+  /// cat_pois_) from the graph's PoI assignment.
+  void BuildCategoryTables();
+
   /// Builds the derived structures not worth persisting: the per-vertex
   /// entry CSR (an inversion of the per-PoI settle lists) and the per-edge
   /// unpack pools (bound to the checksum-verified CH build).

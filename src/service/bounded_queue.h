@@ -7,7 +7,6 @@
 #ifndef SKYSR_SERVICE_BOUNDED_QUEUE_H_
 #define SKYSR_SERVICE_BOUNDED_QUEUE_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <mutex>
@@ -61,34 +60,6 @@ class BoundedQueue {
     std::unique_lock<std::mutex> lock(mu_);
     not_empty_.wait(lock, [this] { return size_ > 0 || closed_; });
     if (size_ == 0) return std::nullopt;  // closed and drained
-    T item = Dequeue();
-    lock.unlock();
-    not_full_.notify_one();
-    return item;
-  }
-
-  /// Non-blocking pop: an item when one is immediately available, nullopt
-  /// when the queue is empty (closed or not). The micro-batch collector's
-  /// window=0 degenerate path.
-  std::optional<T> TryPop() {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (size_ == 0) return std::nullopt;
-    T item = Dequeue();
-    lock.unlock();
-    not_full_.notify_one();
-    return item;
-  }
-
-  /// Blocks until an item is available, the deadline passes, or the queue
-  /// is closed and drained. nullopt on timeout or closed-and-drained — the
-  /// caller distinguishes via closed() if it needs to.
-  template <typename Clock, typename Duration>
-  std::optional<T> PopUntil(
-      const std::chrono::time_point<Clock, Duration>& deadline) {
-    std::unique_lock<std::mutex> lock(mu_);
-    not_empty_.wait_until(lock, deadline,
-                          [this] { return size_ > 0 || closed_; });
-    if (size_ == 0) return std::nullopt;
     T item = Dequeue();
     lock.unlock();
     not_full_.notify_one();

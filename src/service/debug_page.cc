@@ -144,7 +144,6 @@ std::string DebugPageHtml(const MetricsSnapshot& s,
       ".sparkhead{margin-bottom:2px}\n"
       ".sparkbg{fill:#1a1a1a}\n"
       ".sparkline{fill:none;stroke:#6c6;stroke-width:1.5}\n"
-      ".bar{fill:#48c}\n"
       "pre{background:#1a1a1a;padding:6px;margin:4px 0;overflow-x:auto}\n"
       "</style></head><body>\n"
       "<h1>skysr service debug</h1>\n";
@@ -152,14 +151,14 @@ std::string DebugPageHtml(const MetricsSnapshot& s,
   // Headline counters.
   Appendf(&out,
           "<table><tr><th>uptime</th><th>submitted</th><th>completed</th>"
-          "<th>errors</th><th>rejected</th><th>coalesced</th>"
+          "<th>errors</th><th>rejected</th>"
           "<th>result cache</th><th>xcache fwd</th><th>queue</th></tr>"
           "<tr><td>%.1fs</td><td>%" PRId64 "</td><td>%" PRId64
-          "</td><td>%" PRId64 "</td><td>%" PRId64 "</td><td>%" PRId64
+          "</td><td>%" PRId64 "</td><td>%" PRId64
           "</td><td>%.0f%% of %" PRId64 "</td><td>%.0f%% of %" PRId64
           "</td><td>%" PRId64 "</td></tr></table>\n",
           s.uptime_seconds, s.submitted, s.completed, s.errors, s.rejected,
-          s.coalesced_queries, s.cache_hit_rate * 100,
+          s.cache_hit_rate * 100,
           s.cache_hits + s.cache_misses, s.xcache_fwd_hit_rate * 100,
           s.xcache_fwd_hits + s.xcache_fwd_misses, s.queue_depth);
 
@@ -177,36 +176,6 @@ std::string DebugPageHtml(const MetricsSnapshot& s,
             },
             "");
   out += "</div>\n";
-
-  // Batch-size histogram (bucket i = sizes [2^i, 2^(i+1))).
-  out += "<h2>batch sizes</h2>\n";
-  if (s.batches > 0) {
-    int64_t maxb = 1;
-    for (int64_t c : s.batch_size_bucket_counts) maxb = std::max(maxb, c);
-    constexpr int kBarW = 28;
-    constexpr int kBarH = 64;
-    Appendf(&out, "<svg width=\"%d\" height=\"%d\">",
-            (kBarW + 4) * MetricsSnapshot::kBatchSizeBuckets, kBarH + 16);
-    for (int i = 0; i < MetricsSnapshot::kBatchSizeBuckets; ++i) {
-      const int64_t c = s.batch_size_bucket_counts[static_cast<size_t>(i)];
-      const int h = static_cast<int>(
-          static_cast<double>(c) / static_cast<double>(maxb) * kBarH);
-      Appendf(&out,
-              "<rect x=\"%d\" y=\"%d\" width=\"%d\" height=\"%d\" "
-              "class=\"bar\"/>"
-              "<text x=\"%d\" y=\"%d\" fill=\"#888\" font-size=\"10\">"
-              "%d</text>",
-              i * (kBarW + 4), kBarH - h, kBarW, h, i * (kBarW + 4) + 8,
-              kBarH + 12, 1 << i);
-    }
-    out += "</svg>\n";
-    Appendf(&out,
-            "<div class=\"dim\">%" PRId64 " batches, mean size %.2f, %" PRId64
-            " batched queries</div>\n",
-            s.batches, s.batch_mean_size, s.batched_queries);
-  } else {
-    out += "<div class=\"dim\">no batches drained (unbatched mode?)</div>\n";
-  }
 
   // Slow queries, slowest first, with inline explains when present.
   Appendf(&out, "<h2>slow queries (top %zu)</h2>\n", s.slow_queries.size());

@@ -4,8 +4,7 @@
 // and refreshed by a <meta http-equiv="refresh"> tag.
 //
 // The page shows what an operator reaches for first: QPS / p50 / p99
-// sparklines over the sampled window, the batch-size histogram, the
-// aggregate counters, and the top-N slow queries — each with its inline
+// sparklines over the sampled window, the aggregate counters, and the top-N slow queries — each with its inline
 // EXPLAIN tree when the query ran with decision attribution enabled.
 //
 //   MetricsHistory history(/*capacity=*/120);

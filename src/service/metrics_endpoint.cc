@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -13,6 +14,11 @@
 namespace skysr {
 
 namespace {
+
+// Bounds every blocking recv/send on an accepted connection, so a client
+// that connects and then stalls frees the single serve thread (and lets
+// Stop() join it) instead of holding it forever.
+constexpr int kClientTimeoutMs = 1000;
 
 // Extracts the request path from an HTTP request line ("GET /p?q HTTP/1.1"
 // -> "/p"). Malformed lines map to "/" so ancient scrapers still land on
@@ -95,32 +101,42 @@ Status MetricsEndpoint::Start() {
     port_ = static_cast<int>(ntohs(bound.sin_port));
   }
   running_.store(true, std::memory_order_release);
-  thread_ = std::thread([this] { Serve(); });
+  // The serve thread gets its own copy of the fd: listen_fd_ is reset by
+  // Stop() and must not be read concurrently.
+  thread_ = std::thread([this, fd = listen_fd_] { Serve(fd); });
   return Status::OK();
 }
 
 void MetricsEndpoint::Stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
-  // shutdown() wakes the blocked accept(); close() reclaims the fd.
+  // shutdown() wakes the blocked accept(); the fd is closed only after the
+  // serve thread has exited, so it never accepts on a recycled fd number.
   ::shutdown(listen_fd_, SHUT_RDWR);
+  if (thread_.joinable()) thread_.join();
   ::close(listen_fd_);
   listen_fd_ = -1;
-  if (thread_.joinable()) thread_.join();
 }
 
-void MetricsEndpoint::Serve() {
+void MetricsEndpoint::Serve(int listen_fd) {
+  const timeval timeout{kClientTimeoutMs / 1000,
+                        (kClientTimeoutMs % 1000) * 1000};
   while (running_.load(std::memory_order_acquire)) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
-      return;  // listener closed by Stop(), or unrecoverable
+      return;  // listener shut down by Stop(), or unrecoverable
     }
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
     // Read the request line (one recv is enough for any GET we serve),
     // route on the path, respond, close.
     char req[1024];
     const ssize_t got = ::recv(fd, req, sizeof(req), 0);
-    const std::string path =
-        RequestPath(req, got > 0 ? static_cast<size_t>(got) : 0);
+    if (got <= 0) {  // hung up, or sent nothing before the timeout
+      ::close(fd);
+      continue;
+    }
+    const std::string path = RequestPath(req, static_cast<size_t>(got));
     const Route* route = FindRoute(path);
 
     std::string body;
@@ -144,10 +160,12 @@ void MetricsEndpoint::Serve() {
                   status_line, content_type, body.size());
     std::string response = header;
     response += body;
+    // MSG_NOSIGNAL: a scraper that hangs up early must cost one failed
+    // send, not a process-killing SIGPIPE.
     size_t sent = 0;
     while (sent < response.size()) {
-      const ssize_t n =
-          ::send(fd, response.data() + sent, response.size() - sent, 0);
+      const ssize_t n = ::send(fd, response.data() + sent,
+                               response.size() - sent, MSG_NOSIGNAL);
       if (n <= 0) break;
       sent += static_cast<size_t>(n);
     }

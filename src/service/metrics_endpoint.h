@@ -17,7 +17,9 @@
 //   ep.Stop();                         // idempotent; the dtor calls it too
 //
 // Providers are invoked on the listener thread, so they must be
-// thread-safe (ServiceMetrics snapshots are). Routes must be registered
+// thread-safe (ServiceMetrics snapshots are). Each connection's reads and
+// writes time out after a second, so a stalled client cannot hold the
+// listener, and a client that hangs up early never raises SIGPIPE. Routes must be registered
 // before Start() — the table is read without a lock while serving.
 
 #ifndef SKYSR_SERVICE_METRICS_ENDPOINT_H_
@@ -71,7 +73,7 @@ class MetricsEndpoint {
     std::function<std::string()> provider;
   };
 
-  void Serve();
+  void Serve(int listen_fd);
   const Route* FindRoute(const std::string& path) const;
 
   std::vector<Route> routes_;

@@ -108,15 +108,8 @@ std::string PrometheusText(const MetricsSnapshot& s) {
   Gauge(&out, "skysr_xcache_resident_bytes",
         "Shared-cache resident bytes across workers.",
         static_cast<double>(s.xcache_resident_bytes));
-  Counter(&out, "skysr_batches_total",
-          "Micro-batches drained from the submission queue.", s.batches);
-  Counter(&out, "skysr_batched_queries_total",
-          "Queries contained in drained micro-batches.", s.batched_queries);
-  Counter(&out, "skysr_coalesced_queries_total",
-          "Single-flight followers answered by an in-flight duplicate.",
-          s.coalesced_queries);
   Gauge(&out, "skysr_queue_depth",
-        "Submission-queue depth sampled at the last submit or drain.",
+        "Submission-queue depth sampled at the last submit.",
         static_cast<double>(s.queue_depth));
   Gauge(&out, "skysr_queue_wait_p99_ms",
         "99th-percentile submission-queue wait of dispatched queries.",

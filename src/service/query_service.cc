@@ -70,10 +70,6 @@ QueryService::QueryService(const Graph& graph, const CategoryForest& forest,
       worker_traces_.push_back(std::move(trace));
     }
   }
-  if (config_.max_batch > 1) {
-    scheduler_ = std::make_unique<BatchScheduler>(
-        &queue_, config_.max_batch, config_.batch_window_us, &metrics_);
-  }
   pool_.Start(num_threads_, [this](int i) { WorkerLoop(i); });
 }
 
@@ -130,16 +126,6 @@ void QueryService::WorkerLoop(int thread_index) {
     state.trace = worker_traces_[static_cast<size_t>(thread_index)].get();
     engine.AttachTrace(state.trace);
   }
-  if (scheduler_ != nullptr) {
-    // Batched path: pull whole source-groups formed by the scheduler and
-    // run them with the group's warm state pinned. NextGroup doubles as
-    // the drain leader when no group is ready, so no extra thread exists.
-    BatchScheduler::Group group;
-    while (scheduler_->NextGroup(&group, state.trace)) {
-      ExecuteGroup(state, group);
-    }
-    return;
-  }
   while (auto task = queue_.Pop()) {
     Execute(state, *task);
   }
@@ -192,6 +178,10 @@ void QueryService::Execute(WorkerState& state, ServingTask& task) {
     rec.query_id = qid;
     rec.explain = answered.explain;
     slow_log_.Offer(std::move(rec));
+    // The span must land before the caller can observe the answer: a
+    // caller that exports the traces once its results are in must find the
+    // worker's ring quiet.
+    execute_span.Close();
     task.promise.set_value(std::move(answered));
     return;
   }
@@ -225,8 +215,8 @@ void QueryService::Execute(WorkerState& state, ServingTask& task) {
     }
     if (!key.empty() && !result->stats.timed_out) {
       // Strip the explain from the cached copy: attribution describes THIS
-      // execution (role, batch, cache deltas) and would be stale — and
-      // wrong — replayed to a later hit.
+      // execution (backends, cache deltas) and would be stale — and wrong —
+      // replayed to a later hit.
       auto cached = std::make_shared<QueryResult>(*result);
       cached->explain = nullptr;
       cache_.Put(key, std::move(cached));
@@ -255,131 +245,8 @@ void QueryService::Execute(WorkerState& state, ServingTask& task) {
   } else {
     metrics_.RecordError();
   }
+  execute_span.Close();
   task.promise.set_value(std::move(result));
-}
-
-void QueryService::ExecuteGroup(WorkerState& state,
-                                BatchScheduler::Group& group) {
-  QueryTrace* const trace =
-      (state.trace != nullptr && state.trace->enabled()) ? state.trace
-                                                         : nullptr;
-  // Result-cache pass: answered members drop out of the engine group, but
-  // their flight (if keyed) still fans the cached result to any followers.
-  std::vector<size_t> miss;
-  miss.reserve(group.tasks.size());
-  for (size_t i = 0; i < group.tasks.size(); ++i) {
-    ServingTask& task = group.tasks[i];
-    const std::string& key = group.keys[i];
-    const double queue_wait_ms = task.enqueued.ElapsedMillis();
-    metrics_.RecordQueueWait(queue_wait_ms);
-    if (trace != nullptr) {
-      const int64_t wait_ns = static_cast<int64_t>(queue_wait_ms * 1e6);
-      trace->Record(TracePhase::kQueueWait, trace->NowNs() - wait_ns, wait_ns,
-                    /*depth=*/0);
-    }
-    std::shared_ptr<const QueryResult> hit;
-    if (!key.empty()) {
-      TraceSpan lookup_span(trace, TracePhase::kCacheLookup);
-      hit = cache_.Get(key);
-    }
-    if (hit != nullptr) {
-      metrics_.RecordCacheHit();
-      const int64_t qid =
-          query_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-      const double latency_ms = task.enqueued.ElapsedMillis();
-      metrics_.RecordCompleted(latency_ms,
-                               /*vertices_settled=*/0, /*edges_relaxed=*/0,
-                               static_cast<int64_t>(hit->routes.size()), qid);
-      Result<QueryResult> result{QueryResult(*hit)};
-      if (task.options.explain) {
-        result->explain = std::make_shared<QueryExplain>();
-        result->explain->result_cache.hits = 1;
-        result->explain->batch_id = group.batch_id;
-      }
-      SlowQueryRecord rec;
-      rec.key = key;
-      rec.latency_ms = latency_ms;
-      rec.queue_wait_ms = queue_wait_ms;
-      rec.cache_hit = true;
-      rec.routes = static_cast<int64_t>(hit->routes.size());
-      rec.query_id = qid;
-      rec.explain = result->explain;
-      slow_log_.Offer(std::move(rec));
-      scheduler_->CompleteFlight(key, result, trace);
-      task.promise.set_value(std::move(result));
-      continue;
-    }
-    if (!key.empty()) metrics_.RecordCacheMiss();
-    miss.push_back(i);
-  }
-  if (miss.empty()) return;
-
-  TraceSpan execute_span(trace, TracePhase::kGroupExecute);
-  WallTimer exec_timer;
-  std::vector<BssrEngine::GroupQuery> items;
-  items.reserve(miss.size());
-  for (size_t i : miss) {
-    items.push_back({&group.tasks[i].query, &group.tasks[i].options});
-  }
-  std::vector<Result<QueryResult>> results = state.engine->RunGroup(items);
-  const double group_execute_ms = exec_timer.ElapsedMillis();
-
-  // Shared-cache deltas are folded once per group (the engine interleaves
-  // members' cache traffic, so per-member attribution no longer exists);
-  // the totals stay exact.
-  if (state.xcache != nullptr) {
-    const SharedCacheCounters now = state.xcache->Counters();
-    const int64_t bytes = state.xcache->ResidentBytes();
-    metrics_.RecordXCache(now.fwd_hits - state.seen.fwd_hits,
-                          now.fwd_misses - state.seen.fwd_misses,
-                          now.fwd_evictions - state.seen.fwd_evictions,
-                          now.resume_reuses - state.seen.resume_reuses,
-                          now.resume_evictions - state.seen.resume_evictions,
-                          bytes - state.seen_bytes);
-    state.seen = now;
-    state.seen_bytes = bytes;
-  }
-
-  for (size_t j = 0; j < miss.size(); ++j) {
-    ServingTask& task = group.tasks[miss[j]];
-    std::string& key = group.keys[miss[j]];
-    Result<QueryResult>& result = results[j];
-    if (result.ok()) {
-      if (result->explain != nullptr) {
-        result->explain->batch_id = group.batch_id;
-        if (!key.empty()) result->explain->result_cache.misses = 1;
-      }
-      if (!key.empty() && !result->stats.timed_out) {
-        // Same explain-stripping as the unbatched path: cached copies must
-        // not replay this execution's attribution to later hits.
-        auto cached = std::make_shared<QueryResult>(*result);
-        cached->explain = nullptr;
-        cache_.Put(key, std::move(cached));
-      }
-      const int64_t qid =
-          query_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-      const double latency_ms = task.enqueued.ElapsedMillis();
-      metrics_.RecordCompleted(latency_ms, result->stats.vertices_settled,
-                               result->stats.edges_relaxed,
-                               static_cast<int64_t>(result->routes.size()),
-                               qid);
-      SlowQueryRecord rec;
-      rec.key = key;
-      rec.latency_ms = latency_ms;
-      rec.execute_ms = group_execute_ms;
-      rec.timed_out = result->stats.timed_out;
-      rec.vertices_settled = result->stats.vertices_settled;
-      rec.routes = static_cast<int64_t>(result->routes.size());
-      rec.phases = result->stats.phases;
-      rec.query_id = qid;
-      rec.explain = result->explain;
-      slow_log_.Offer(std::move(rec));
-    } else {
-      metrics_.RecordError();
-    }
-    scheduler_->CompleteFlight(key, result, trace);
-    task.promise.set_value(std::move(result));
-  }
 }
 
 std::future<Result<QueryResult>> QueryService::SubmitInternal(

@@ -37,7 +37,6 @@
 #include "graph/graph.h"
 #include "obs/query_trace.h"
 #include "retrieval/category_buckets.h"
-#include "service/batch_scheduler.h"
 #include "service/bounded_queue.h"
 #include "service/dest_tail_cache.h"
 #include "service/prometheus.h"
@@ -99,18 +98,6 @@ struct ServiceConfig {
   bool enable_tracing = false;
   /// Ring capacity (events) of each worker's trace.
   size_t trace_capacity = 4096;
-  /// Micro-batching front door (service/batch_scheduler.h): with
-  /// max_batch > 1 workers drain the queue in micro-batches, group
-  /// in-flight queries by canonical source (executed through
-  /// BssrEngine::RunGroup with the group's warm state pinned), and
-  /// single-flight-deduplicate identical canonical-key queries. 1 keeps
-  /// the one-task-at-a-time worker loop; results are bit-identical either
-  /// way.
-  size_t max_batch = 1;
-  /// How long (µs) the drain leader holds a micro-batch open after its
-  /// first task, waiting for it to fill; 0 collects only instantly
-  /// available tasks.
-  int64_t batch_window_us = 0;
 };
 
 /// A concurrent, cached front-end over per-thread BssrEngines.
@@ -183,6 +170,15 @@ class QueryService {
   const FwdSnapshot* warm_snapshot() const { return warm_snapshot_.get(); }
 
  private:
+  /// One enqueued query: the submission-queue element a worker pops and
+  /// executes.
+  struct ServingTask {
+    Query query;
+    QueryOptions options;
+    std::promise<Result<QueryResult>> promise;
+    WallTimer enqueued;  // measures end-to-end (queue + execute) latency
+  };
+
   /// One worker's per-thread context: its engine, optional warm cache and
   /// trace, and the cumulative shared-cache counters already folded into
   /// the service metrics (so Execute can fold exact per-query deltas and
@@ -197,7 +193,6 @@ class QueryService {
 
   void WorkerLoop(int thread_index);
   void Execute(WorkerState& state, ServingTask& task);
-  void ExecuteGroup(WorkerState& state, BatchScheduler::Group& group);
   std::future<Result<QueryResult>> SubmitInternal(Query query,
                                                   QueryOptions options,
                                                   bool blocking,
@@ -209,9 +204,6 @@ class QueryService {
   ServiceConfig config_;
 
   BoundedQueue<ServingTask> queue_;
-  // Non-null exactly when config_.max_batch > 1; workers then pull groups
-  // from it instead of popping the queue directly.
-  std::unique_ptr<BatchScheduler> scheduler_;
   LruResultCache cache_;
   DestTailLru dest_tails_;
   ServiceMetrics metrics_;

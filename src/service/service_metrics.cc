@@ -30,7 +30,6 @@ ServiceMetrics::ServiceMetrics() {
   for (auto& b : latency_exemplar_ids_) b.store(0, kRelaxed);
   for (auto& b : latency_exemplar_ms_) b.store(0, kRelaxed);
   for (auto& b : queue_wait_buckets_) b.store(0, kRelaxed);
-  for (auto& b : batch_size_buckets_) b.store(0, kRelaxed);
 }
 
 int ServiceMetrics::BucketOf(double latency_ms) {
@@ -81,18 +80,6 @@ void ServiceMetrics::RecordQueueWait(double wait_ms) {
   while (wait_ms > prev &&
          !queue_wait_max_ms_.compare_exchange_weak(prev, wait_ms, kRelaxed)) {
   }
-}
-
-void ServiceMetrics::RecordBatch(int64_t size) {
-  if (size <= 0) return;
-  batches_.fetch_add(1, kRelaxed);
-  batched_queries_.fetch_add(size, kRelaxed);
-  int bucket = 0;
-  for (int64_t s = size; s > 1 &&
-       bucket < MetricsSnapshot::kBatchSizeBuckets - 1; s >>= 1) {
-    ++bucket;
-  }
-  batch_size_buckets_[static_cast<size_t>(bucket)].fetch_add(1, kRelaxed);
 }
 
 void ServiceMetrics::RecordXCache(int64_t fwd_hits, int64_t fwd_misses,
@@ -183,16 +170,6 @@ MetricsSnapshot ServiceMetrics::Snapshot() const {
       s.queue_wait_count > 0 ? s.queue_wait_sum_ms / s.queue_wait_count : 0;
   s.queue_wait_max_ms = queue_wait_max_ms_.load(kRelaxed);
   s.queue_depth = queue_depth_.load(kRelaxed);
-
-  s.batches = batches_.load(kRelaxed);
-  s.batched_queries = batched_queries_.load(kRelaxed);
-  s.coalesced_queries = coalesced_queries_.load(kRelaxed);
-  s.batch_mean_size =
-      s.batches > 0 ? static_cast<double>(s.batched_queries) / s.batches : 0;
-  for (int i = 0; i < MetricsSnapshot::kBatchSizeBuckets; ++i) {
-    s.batch_size_bucket_counts[static_cast<size_t>(i)] =
-        batch_size_buckets_[static_cast<size_t>(i)].load(kRelaxed);
-  }
   return s;
 }
 
@@ -226,10 +203,6 @@ void ServiceMetrics::Reset() {
   queue_wait_sum_ms_.store(0, kRelaxed);
   queue_wait_max_ms_.store(0, kRelaxed);
   queue_depth_.store(0, kRelaxed);
-  batches_.store(0, kRelaxed);
-  batched_queries_.store(0, kRelaxed);
-  coalesced_queries_.store(0, kRelaxed);
-  for (auto& b : batch_size_buckets_) b.store(0, kRelaxed);
   uptime_.Reset();
 }
 
@@ -254,11 +227,6 @@ std::string MetricsSnapshot::ToString() const {
   out += FormatLine("queue wait p50", queue_wait_p50_ms, "ms");
   out += FormatLine("queue wait p99", queue_wait_p99_ms, "ms");
   out += FormatLine("queue wait max", queue_wait_max_ms, "ms");
-  if (batches > 0) {
-    out += FormatLine("batches", batches);
-    out += FormatLine("batch mean size", batch_mean_size, "queries");
-    out += FormatLine("coalesced", coalesced_queries);
-  }
   out += FormatLine("vertices settled", vertices_settled);
   out += FormatLine("edges relaxed", edges_relaxed);
   out += FormatLine("routes found", routes_found);

@@ -73,8 +73,7 @@ struct MetricsSnapshot {
   std::array<double, LatencyHistogram::kNumBuckets> latency_exemplar_ms{};
 
   // Submission-queue wait of dispatched queries (same histogram geometry as
-  // latency), plus the queue depth sampled at the last submit/drain — the
-  // batching observables that used to exist only inside trace phases.
+  // latency), plus the queue depth sampled at the last submit.
   int64_t queue_wait_count = 0;
   double queue_wait_p50_ms = 0;
   double queue_wait_p99_ms = 0;
@@ -84,15 +83,6 @@ struct MetricsSnapshot {
   std::array<int64_t, LatencyHistogram::kNumBuckets>
       queue_wait_bucket_counts{};
   int64_t queue_depth = 0;  // sampled gauge, not a cumulative count
-
-  // Micro-batching front door (service/batch_scheduler.h). batch-size
-  // bucket i counts batches of size in [2^i, 2^(i+1)) (last bucket open).
-  static constexpr int kBatchSizeBuckets = 8;
-  int64_t batches = 0;            // micro-batches drained from the queue
-  int64_t batched_queries = 0;    // queries those batches contained
-  int64_t coalesced_queries = 0;  // single-flight followers (never executed)
-  double batch_mean_size = 0;     // batched_queries / batches
-  std::array<int64_t, kBatchSizeBuckets> batch_size_bucket_counts{};
 
   // Aggregated engine effort across all executed (non-cached) queries.
   int64_t vertices_settled = 0;
@@ -143,16 +133,9 @@ class ServiceMetrics {
   /// Records one dispatched query's submission-queue wait.
   void RecordQueueWait(double wait_ms);
 
-  /// Samples the submission-queue depth (called at submit and at batch
-  /// drain; a gauge, so the last writer wins).
+  /// Samples the submission-queue depth (called at submit; a gauge, so the
+  /// last writer wins).
   void SampleQueueDepth(int64_t depth) { queue_depth_.store(depth, kRelaxed); }
-
-  /// Records one drained micro-batch of `size` queries.
-  void RecordBatch(int64_t size);
-
-  /// Records one single-flight follower: an in-flight duplicate that will
-  /// be answered by its primary's execution instead of running itself.
-  void RecordCoalesced() { coalesced_queries_.fetch_add(1, kRelaxed); }
 
   /// Folds one worker's shared-cache counter DELTAS in (workers call this
   /// after each executed query with cumulative-counter differences, so the
@@ -214,12 +197,6 @@ class ServiceMetrics {
   std::atomic<double> queue_wait_sum_ms_{0};
   std::atomic<double> queue_wait_max_ms_{0};
   std::atomic<int64_t> queue_depth_{0};
-
-  std::atomic<int64_t> batches_{0};
-  std::atomic<int64_t> batched_queries_{0};
-  std::atomic<int64_t> coalesced_queries_{0};
-  std::array<std::atomic<int64_t>, MetricsSnapshot::kBatchSizeBuckets>
-      batch_size_buckets_;
 
   WallTimer uptime_;
 };

@@ -1,9 +1,8 @@
 // Tests for per-query decision attribution (obs/explain.h) and its serving
 // integrations: explain-off bit-identity, the pruning-share invariant
 // (threshold + floor == cand_pruned), JSON round-trip through mini_json,
-// RunGroup role stamping, OpenMetrics latency exemplars, the batched-path
-// trace flow events, endpoint routing (404 + extra routes), and the /debug
-// dashboard renderer.
+// OpenMetrics latency exemplars, result-cache hit attribution, endpoint
+// routing (404 + extra routes), and the /debug dashboard renderer.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -19,13 +18,9 @@
 #include "core/bssr_engine.h"
 #include "obs/explain.h"
 #include "obs/mini_json.h"
-#include "obs/query_trace.h"
-#include "obs/trace_export.h"
-#include "service/batch_scheduler.h"
 #include "service/debug_page.h"
 #include "service/metrics_endpoint.h"
 #include "service/query_service.h"
-#include "service/result_cache.h"
 #include "service/service_metrics.h"
 #include "tests/test_util.h"
 #include "workload/dataset.h"
@@ -149,9 +144,6 @@ TEST(ExplainTest, JsonRoundTripsThroughMiniJson) {
   ASSERT_NE(positions, nullptr);
   ASSERT_TRUE(positions->is_array());
   EXPECT_EQ(positions->array.size(), r->explain->positions.size());
-  const JsonValue* batch = parsed->Find("batch");
-  ASSERT_NE(batch, nullptr);
-  EXPECT_EQ(batch->StringOr("role", ""), "unbatched");
 }
 
 TEST(ExplainTest, TreeStringShowsPlanCachesAndPruningShares) {
@@ -167,50 +159,6 @@ TEST(ExplainTest, TreeStringShowsPlanCachesAndPruningShares) {
   EXPECT_NE(tree.find("caches"), std::string::npos);
   EXPECT_NE(tree.find("pruning"), std::string::npos);
   EXPECT_NE(tree.find("cand_pruned="), std::string::npos);
-  EXPECT_NE(tree.find("unbatched"), std::string::npos);
-}
-
-TEST(ExplainTest, RunGroupStampsLeaderRoleAndStaysBitIdentical) {
-  const testing::TinyDataset tiny =
-      testing::MakeTinyDataset(11, /*n=*/32, /*extra_edges=*/24,
-                               /*num_pois=*/16);
-  Dataset ds;
-  ds.name = "explain-group";
-  ds.graph = tiny.graph;
-  ds.forest = tiny.forest;
-  QueryGenParams qp;
-  qp.count = 4;
-  qp.sequence_size = 2;
-  qp.seed = 9;
-  const auto queries = GenerateQueries(ds, qp);
-
-  QueryOptions plain_opts;
-  QueryOptions explain_opts;
-  explain_opts.explain = true;
-
-  BssrEngine reference(ds.graph, ds.forest);
-  std::vector<BssrEngine::GroupQuery> plain_group;
-  for (const Query& q : queries) plain_group.push_back({&q, &plain_opts});
-  const auto expected = reference.RunGroup(plain_group);
-
-  BssrEngine engine(ds.graph, ds.forest);
-  std::vector<BssrEngine::GroupQuery> group;
-  for (const Query& q : queries) group.push_back({&q, &explain_opts});
-  const auto results = engine.RunGroup(group);
-
-  ASSERT_EQ(results.size(), expected.size());
-  for (size_t i = 0; i < results.size(); ++i) {
-    ASSERT_TRUE(results[i].ok());
-    ASSERT_TRUE(expected[i].ok());
-    ASSERT_EQ(results[i]->routes.size(), expected[i]->routes.size());
-    for (size_t j = 0; j < results[i]->routes.size(); ++j) {
-      EXPECT_EQ(results[i]->routes[j].pois, expected[i]->routes[j].pois);
-    }
-    ASSERT_NE(results[i]->explain, nullptr);
-    EXPECT_EQ(results[i]->explain->role, "leader");
-    EXPECT_EQ(results[i]->explain->group_size,
-              static_cast<int64_t>(queries.size()));
-  }
 }
 
 // -------------------------------------------------------------- exemplars --
@@ -243,176 +191,6 @@ TEST(ExemplarTest, LastWriterWinsPerBucket) {
   const std::string text = m.ToPrometheus();
   EXPECT_NE(text.find("trace_id=\"q9\""), std::string::npos);
   EXPECT_EQ(text.find("trace_id=\"q3\""), std::string::npos);
-}
-
-// ------------------------------------------------------- batched tracing --
-
-TEST(BatchedTraceTest, CoalescedFollowersGetFlowLinkedEvents) {
-  const testing::TinyDataset tiny = testing::MakeTinyDataset(7);
-  Query dup = TinyQuery(tiny);
-  Query other = TinyQuery(tiny);
-  other.start = 1;  // different canonical source -> its own group
-
-  QueryOptions opts;
-  BoundedQueue<ServingTask> queue(16);
-  ServiceMetrics metrics;
-  BatchScheduler scheduler(&queue, /*max_batch=*/8, /*batch_window_us=*/0,
-                           &metrics);
-  QueryTrace trace(256);
-  trace.set_enabled(true);
-
-  std::vector<std::future<Result<QueryResult>>> follower_futures;
-  const auto push = [&](const Query& q) {
-    ServingTask task;
-    task.query = q;
-    task.options = opts;
-    follower_futures.push_back(task.promise.get_future());
-    ASSERT_TRUE(queue.Push(std::move(task)));
-  };
-  push(dup);
-  push(dup);
-  push(dup);
-  push(other);
-
-  // One drain forms the groups: 2 identical followers coalesce onto the
-  // first flight, leaving two single-task groups (distinct sources).
-  BatchScheduler::Group g1;
-  ASSERT_TRUE(scheduler.NextGroup(&g1, &trace));
-  BatchScheduler::Group g2;
-  ASSERT_TRUE(scheduler.NextGroup(&g2, &trace));
-  EXPECT_EQ(g1.tasks.size() + g2.tasks.size(), 2u);
-  EXPECT_EQ(g1.batch_id, g2.batch_id);
-  EXPECT_GE(g1.batch_id, 0);
-  EXPECT_EQ(metrics.Snapshot().coalesced_queries, 2);
-
-  // The drain leader recorded the drain span plus one flow-start
-  // queue-wait per coalesced follower.
-  int batch_drains = 0, queue_waits = 0, fanouts = 0;
-  std::vector<uint64_t> start_ids, finish_ids;
-  const auto recount = [&] {
-    batch_drains = queue_waits = fanouts = 0;
-    start_ids.clear();
-    finish_ids.clear();
-    trace.ForEachEvent([&](const TraceEvent& e) {
-      if (e.phase == TracePhase::kBatchDrain) ++batch_drains;
-      if (e.phase == TracePhase::kQueueWait) {
-        ++queue_waits;
-        EXPECT_EQ(e.flow, TraceEvent::kFlowStart);
-        EXPECT_NE(e.flow_id, 0u);
-        start_ids.push_back(e.flow_id);
-      }
-      if (e.phase == TracePhase::kCoalesceFanout) {
-        ++fanouts;
-        EXPECT_EQ(e.flow, TraceEvent::kFlowFinish);
-        finish_ids.push_back(e.flow_id);
-      }
-    });
-  };
-  recount();
-  EXPECT_EQ(batch_drains, 1);
-  EXPECT_EQ(queue_waits, 2);
-  EXPECT_EQ(fanouts, 0);
-
-  // Completing the duplicated flight fans out to both followers with
-  // flow-finish events under the formation-time ids.
-  const std::string dup_key = CanonicalQueryKey(dup, opts);
-  ASSERT_FALSE(dup_key.empty());
-  QueryResult answer;
-  answer.explain = std::make_shared<QueryExplain>();
-  answer.explain->role = "leader";
-  scheduler.CompleteFlight(dup_key, Result<QueryResult>(std::move(answer)),
-                           &trace);
-  const std::string other_key = CanonicalQueryKey(other, opts);
-  scheduler.CompleteFlight(other_key, Result<QueryResult>(QueryResult()),
-                           &trace);
-  recount();
-  EXPECT_EQ(fanouts, 2);
-  ASSERT_EQ(start_ids.size(), finish_ids.size());
-  EXPECT_EQ(start_ids, finish_ids);
-
-  // Followers received deep-copied explains re-marked as coalesced.
-  int followers_answered = 0;
-  for (auto& f : follower_futures) {
-    if (f.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
-      continue;
-    }
-    Result<QueryResult> r = f.get();
-    ASSERT_TRUE(r.ok());
-    if (r->explain != nullptr) {
-      EXPECT_EQ(r->explain->role, "coalesced");
-      ++followers_answered;
-    }
-  }
-  EXPECT_EQ(followers_answered, 2);
-
-  // The Chrome export draws the links: one "s" and one "f" flow event per
-  // coalesced follower.
-  const std::string json = TraceToChromeJson(trace, "worker-0");
-  auto parsed = ParseJson(json);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  int flow_starts = 0, flow_finishes = 0;
-  for (const JsonValue& e : parsed->Find("traceEvents")->array) {
-    const std::string ph(e.StringOr("ph", ""));
-    if (ph == "s") ++flow_starts;
-    if (ph == "f") ++flow_finishes;
-  }
-  EXPECT_EQ(flow_starts, 2);
-  EXPECT_EQ(flow_finishes, 2);
-
-  queue.Close();
-  BatchScheduler::Group rest;
-  while (scheduler.NextGroup(&rest)) {
-    for (size_t i = 0; i < rest.tasks.size(); ++i) {
-      scheduler.CompleteFlight(rest.keys[i], Result<QueryResult>(QueryResult()));
-      rest.tasks[i].promise.set_value(Result<QueryResult>(QueryResult()));
-    }
-  }
-}
-
-// Every submitted query must be visible in the batched service's metrics
-// and results: completed + coalesced == submitted, and every result that
-// executed carries batch-context attribution.
-TEST(BatchedTraceTest, BatchedServiceAccountsForEverySubmission) {
-  const testing::TinyDataset tiny =
-      testing::MakeTinyDataset(11, /*n=*/32, /*extra_edges=*/24,
-                               /*num_pois=*/16);
-  Dataset ds;
-  ds.name = "batched-explain";
-  ds.graph = tiny.graph;
-  ds.forest = tiny.forest;
-  QueryGenParams qp;
-  qp.count = 12;
-  qp.sequence_size = 2;
-  qp.seed = 3;
-  auto queries = GenerateQueries(ds, qp);
-  // Duplicate sources so groups actually form.
-  for (size_t i = 0; i < queries.size(); ++i) {
-    queries[i].start = queries[i % 3].start;
-  }
-
-  ServiceConfig cfg;
-  cfg.num_threads = 2;
-  cfg.max_batch = 4;
-  cfg.enable_tracing = true;
-  cfg.cache_capacity = 0;  // keep every execution on the engine path
-  cfg.default_options.explain = true;
-  QueryService service(ds.graph, ds.forest, cfg);
-  const auto results = service.RunBatch(queries);
-  for (const auto& r : results) {
-    ASSERT_TRUE(r.ok());
-    ASSERT_NE(r->explain, nullptr);
-    EXPECT_GE(r->explain->batch_id, 0);
-    EXPECT_TRUE(r->explain->role == "leader" ||
-                r->explain->role == "coalesced")
-        << r->explain->role;
-  }
-  const MetricsSnapshot m = service.Metrics();
-  EXPECT_EQ(m.completed + m.coalesced_queries,
-            static_cast<int64_t>(queries.size()));
-  service.Shutdown();
-  const std::string traces = service.WorkerTracesToJson();
-  EXPECT_NE(traces.find("\"group_execute\""), std::string::npos);
-  EXPECT_NE(traces.find("\"batch_drain\""), std::string::npos);
 }
 
 TEST(ServiceExplainTest, ResultCacheHitSynthesizesAttribution) {
@@ -517,10 +295,6 @@ TEST(DebugPageTest, HistoryComputesIntervalQpsAndPageRenders) {
   slow.query_id = 42;
   slow.explain = std::make_shared<QueryExplain>();
   s.slow_queries.push_back(slow);
-  s.batches = 3;
-  s.batched_queries = 9;
-  s.batch_mean_size = 3;
-  s.batch_size_bucket_counts[1] = 3;
 
   const std::string html = DebugPageHtml(s, history, /*refresh_seconds=*/0);
   EXPECT_EQ(html.find("http-equiv"), std::string::npos);  // refresh disabled

@@ -7,12 +7,16 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <future>
 #include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -44,6 +48,16 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return operator new(size); }
+// The nothrow forms must come from the same malloc/free pair: the library
+// ones would hand std::stable_sort's temporary buffer a block that the
+// replaced operator delete then frees with the wrong deallocator.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size ? size : 1);
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return operator new(size, tag);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
@@ -304,9 +318,9 @@ TEST(PrometheusTest, GoldenTextFormat) {
   expect_has("skysr_query_latency_ms_count 4\n");
 }
 
-// Queue-depth gauge, queue-wait p99 + histogram, and the batching counters
-// must all appear in the exposition without tracing on.
-TEST(PrometheusTest, QueueAndBatchMetricsExposed) {
+// Queue-depth gauge and queue-wait p99 + histogram must appear in the
+// exposition without tracing on.
+TEST(PrometheusTest, QueueMetricsExposed) {
   MetricsSnapshot s;
   s.completed = 4;
   s.queue_depth = 17;
@@ -315,9 +329,6 @@ TEST(PrometheusTest, QueueAndBatchMetricsExposed) {
   s.queue_wait_sum_ms = 4.25;
   s.queue_wait_bucket_counts[0] = 1;
   s.queue_wait_bucket_counts[2] = 2;
-  s.batches = 5;
-  s.batched_queries = 20;
-  s.coalesced_queries = 6;
 
   const std::string text = PrometheusText(s);
   const auto expect_has = [&](const char* needle) {
@@ -332,19 +343,13 @@ TEST(PrometheusTest, QueueAndBatchMetricsExposed) {
   expect_has("skysr_queue_wait_ms_bucket{le=\"+Inf\"} 3\n");
   expect_has("skysr_queue_wait_ms_sum 4.25\n");
   expect_has("skysr_queue_wait_ms_count 3\n");
-  expect_has("skysr_batches_total 5\n");
-  expect_has("skysr_batched_queries_total 20\n");
-  expect_has("skysr_coalesced_queries_total 6\n");
 }
 
-TEST(PrometheusTest, ServiceMetricsRecordsQueueWaitAndBatches) {
+TEST(PrometheusTest, ServiceMetricsRecordsQueueWait) {
   ServiceMetrics m;
   m.RecordQueueWait(1.0);
   m.RecordQueueWait(100.0);
   m.SampleQueueDepth(9);
-  m.RecordBatch(4);
-  m.RecordBatch(1);
-  m.RecordCoalesced();
 
   const MetricsSnapshot s = m.Snapshot();
   EXPECT_EQ(s.queue_wait_count, 2);
@@ -353,24 +358,15 @@ TEST(PrometheusTest, ServiceMetricsRecordsQueueWaitAndBatches) {
   EXPECT_DOUBLE_EQ(s.queue_wait_max_ms, 100.0);
   EXPECT_NEAR(s.queue_wait_mean_ms, 50.5, 1e-9);
   EXPECT_EQ(s.queue_depth, 9);
-  EXPECT_EQ(s.batches, 2);
-  EXPECT_EQ(s.batched_queries, 5);
-  EXPECT_EQ(s.coalesced_queries, 1);
-  EXPECT_DOUBLE_EQ(s.batch_mean_size, 2.5);
-  // Size 4 lands in bucket 2 ([4,8)), size 1 in bucket 0.
-  EXPECT_EQ(s.batch_size_bucket_counts[0], 1);
-  EXPECT_EQ(s.batch_size_bucket_counts[2], 1);
 
   const std::string text = m.ToPrometheus();
   EXPECT_NE(text.find("skysr_queue_depth 9\n"), std::string::npos);
   EXPECT_NE(text.find("skysr_queue_wait_ms_count 2\n"), std::string::npos);
-  EXPECT_NE(text.find("skysr_batches_total 2\n"), std::string::npos);
 
   m.Reset();
   const MetricsSnapshot zero = m.Snapshot();
   EXPECT_EQ(zero.queue_wait_count, 0);
   EXPECT_EQ(zero.queue_depth, 0);
-  EXPECT_EQ(zero.batches, 0);
 }
 
 TEST(PrometheusTest, ServiceMetricsExposesRecordedCounts) {
@@ -488,6 +484,94 @@ TEST(MetricsEndpointTest, ServesProviderTextOverHttp) {
   EXPECT_NE(response.find("200 OK"), std::string::npos);
   EXPECT_NE(response.find("text/plain; version=0.0.4"), std::string::npos);
   EXPECT_NE(response.find("skysr_up 1\n"), std::string::npos);
+}
+
+// Connects to the endpoint on loopback; the client side gives up on any
+// read or write after five seconds, so a wedged endpoint fails a test
+// instead of hanging it.
+int ConnectLoopback(int port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  const timeval timeout{5, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+void SendRequest(int fd, const std::string& path) {
+  const std::string req = "GET " + path + " HTTP/1.0\r\n\r\n";
+  EXPECT_EQ(::send(fd, req.data(), req.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(req.size()));
+}
+
+std::string Fetch(int port, const std::string& path) {
+  const int fd = ConnectLoopback(port);
+  EXPECT_GE(fd, 0);
+  if (fd < 0) return {};
+  SendRequest(fd, path);
+  std::string response;
+  char buf[4096];
+  ssize_t n;
+  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
+    response.append(buf, static_cast<size_t>(n));
+  }
+  ::close(fd);
+  return response;
+}
+
+// A scraper that hangs up before reading its response must not take the
+// process down with SIGPIPE. The body is far larger than the socket
+// buffers and the provider is slow, so the endpoint is still sending when
+// the closed peer resets the connection.
+TEST(MetricsEndpointTest, ClientHangupDuringSendKeepsServing) {
+  MetricsEndpoint ep(0);
+  ep.AddRoute("/big", "text/plain", [] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    return std::string(size_t{8} << 20, 'x');
+  });
+  ep.AddRoute("/small", "text/plain", [] { return std::string("ok\n"); });
+  ASSERT_TRUE(ep.Start().ok());
+  for (int i = 0; i < 3; ++i) {
+    const int fd = ConnectLoopback(ep.port());
+    ASSERT_GE(fd, 0);
+    SendRequest(fd, "/big");
+    ::close(fd);  // gone before the provider returns
+  }
+  EXPECT_NE(Fetch(ep.port(), "/small").find("ok\n"), std::string::npos);
+  ep.Stop();
+}
+
+// A client that connects and never sends a request must not hold the only
+// serve thread: a later scrape is still answered, and Stop() returns.
+TEST(MetricsEndpointTest, IdleClientDoesNotWedgeServeThread) {
+  MetricsEndpoint ep(0, [] { return std::string("skysr_up 1\n"); });
+  ASSERT_TRUE(ep.Start().ok());
+  const int idle = ConnectLoopback(ep.port());
+  ASSERT_GE(idle, 0);
+  // Let the serve thread accept the idle connection first.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_NE(Fetch(ep.port(), "/metrics").find("skysr_up 1\n"),
+            std::string::npos);
+
+  std::promise<void> stopped;
+  std::future<void> done = stopped.get_future();
+  std::thread stopper([&] {
+    ep.Stop();
+    stopped.set_value();
+  });
+  const bool returned =
+      done.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+  ::close(idle);  // unblocks a wedged serve thread so the test can finish
+  stopper.join();
+  EXPECT_TRUE(returned) << "Stop() blocked behind an idle client";
 }
 
 // -------------------------------------------------------------- mini json --

@@ -1,14 +1,19 @@
 // Tests for the concurrent QueryService subsystem: the bounded MPMC queue,
 // the canonical-key LRU result cache, service metrics, multi-threaded
-// determinism against the sequential engine, and a concurrency smoke test.
+// determinism against the sequential engine across the serving axes, a
+// concurrency smoke test, and shutdown racing in-flight work.
 
 #include <algorithm>
 #include <atomic>
+#include <future>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "index/ch_oracle.h"
+#include "retrieval/category_buckets.h"
 #include "service/bounded_queue.h"
 #include "service/query_service.h"
 #include "service/result_cache.h"
@@ -125,7 +130,7 @@ TEST(ResultCacheTest, CanonicalKeyIsOrderInsensitive) {
 // Regression: semantically identical predicate spellings must canonicalize
 // to one key. "+Food,Cafe" and "Cafe,+Food" parse to the same lists (term
 // order is prefix-independent), and a repeated term matches exactly what a
-// single occurrence matches — so reordering AND duplication must coalesce
+// single occurrence matches — so reordering AND duplication must collapse
 // to one cache entry.
 TEST(ResultCacheTest, KeyNormalizesEquivalentPredicateSpellings) {
   const QueryOptions opts;
@@ -316,28 +321,60 @@ void ExpectExactlyEqual(const std::vector<Route>& a,
   }
 }
 
+// The service must match the sequential engine across the serving axes:
+// oracle (none vs CH with bucket tables) x retriever x cross-query cache,
+// each with the result cache off and on.
 TEST(QueryServiceTest, MultiThreadedBatchMatchesSequentialEngine) {
   const Dataset ds = ServiceTestDataset();
-  const auto queries = ServiceTestQueries(ds, 32);
-
-  BssrEngine engine(ds.graph, ds.forest);
-  std::vector<std::vector<Route>> expected;
-  for (const Query& q : queries) {
-    auto r = engine.Run(q);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    expected.push_back(r->routes);
+  auto queries = ServiceTestQueries(ds, 32);
+  // Repeated sources exercise the workers' forward-search caches.
+  for (size_t i = 0; i < 8; ++i) {
+    Query q = queries[i + 8];
+    q.start = queries[i % 4].start;
+    queries.push_back(q);
   }
 
-  for (const size_t cache_capacity : {size_t{0}, size_t{256}}) {
-    ServiceConfig cfg;
-    cfg.num_threads = 4;
-    cfg.cache_capacity = cache_capacity;
-    QueryService service(ds.graph, ds.forest, cfg);
-    const auto results = service.RunBatch(queries);
-    ASSERT_EQ(results.size(), queries.size());
-    for (size_t i = 0; i < results.size(); ++i) {
-      ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
-      ExpectExactlyEqual(results[i]->routes, expected[i]);
+  const auto ch = std::make_unique<ChOracle>(ChOracle::Build(ds.graph));
+  const CategoryBucketIndex buckets =
+      CategoryBucketIndex::Build(ds.graph, *ch);
+  struct Axis {
+    const DistanceOracle* oracle;
+    const CategoryBucketIndex* buckets;
+    RetrieverKind retriever;
+    bool xcache;
+  };
+  const std::vector<Axis> axes = {
+      {nullptr, nullptr, RetrieverKind::kAuto, false},
+      {nullptr, nullptr, RetrieverKind::kAuto, true},
+      {ch.get(), &buckets, RetrieverKind::kAuto, true},
+      {ch.get(), &buckets, RetrieverKind::kSettle, false},
+  };
+
+  for (const Axis& axis : axes) {
+    QueryOptions options;
+    options.retriever = axis.retriever;
+    BssrEngine engine(ds.graph, ds.forest, axis.oracle, axis.buckets);
+    std::vector<std::vector<Route>> expected;
+    for (const Query& q : queries) {
+      auto r = engine.Run(q, options);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      expected.push_back(r->routes);
+    }
+
+    for (const size_t cache_capacity : {size_t{0}, size_t{256}}) {
+      ServiceConfig cfg;
+      cfg.num_threads = 4;
+      cfg.cache_capacity = cache_capacity;
+      cfg.oracle = axis.oracle;
+      cfg.buckets = axis.buckets;
+      cfg.shared_query_cache = axis.xcache;
+      QueryService service(ds.graph, ds.forest, cfg);
+      const auto results = service.RunBatch(queries, options);
+      ASSERT_EQ(results.size(), queries.size());
+      for (size_t i = 0; i < results.size(); ++i) {
+        ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
+        ExpectExactlyEqual(results[i]->routes, expected[i]);
+      }
     }
   }
 }
@@ -428,6 +465,50 @@ TEST(QueryServiceTest, SubmitAfterShutdownFailsFast) {
   EXPECT_FALSE(r.ok());
   EXPECT_FALSE(service.TrySubmit(queries[0]).has_value());
   EXPECT_EQ(service.Metrics().rejected, 2);
+}
+
+// Shutdown racing a submitting client must resolve every future: work
+// accepted before the queue closed is drained and answered, later
+// submissions are refused at once, and nothing is left with a broken
+// promise.
+TEST(QueryServiceTest, ShutdownDrainsInFlightWork) {
+  const Dataset ds = ServiceTestDataset();
+  const auto queries = ServiceTestQueries(ds, 8);
+  constexpr int kRacing = 64;
+
+  ServiceConfig cfg;
+  cfg.num_threads = 2;
+  cfg.queue_capacity = 4;  // the client blocks on a full queue mid-race
+  QueryService service(ds.graph, ds.forest, cfg);
+  std::vector<std::future<Result<QueryResult>>> queued;
+  for (const Query& q : queries) queued.push_back(service.Submit(q));
+
+  std::vector<std::future<Result<QueryResult>>> racing;
+  std::thread client([&] {
+    for (int i = 0; i < kRacing; ++i) {
+      racing.push_back(service.Submit(queries[i % queries.size()]));
+    }
+  });
+  service.Shutdown();
+  client.join();
+
+  int answered = 0;
+  for (auto& f : queued) {
+    auto r = f.get();  // must not throw broken_promise
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    answered += r.ok() ? 1 : 0;
+  }
+  int refused = 0;
+  for (auto& f : racing) {
+    auto r = f.get();
+    answered += r.ok() ? 1 : 0;
+    refused += r.ok() ? 0 : 1;
+  }
+  const MetricsSnapshot m = service.Metrics();
+  EXPECT_EQ(m.completed, answered);
+  EXPECT_EQ(m.rejected, refused);
+  EXPECT_EQ(m.submitted + m.rejected,
+            static_cast<int64_t>(queries.size()) + kRacing);
 }
 
 TEST(QueryServiceTest, WorkloadFileRoundTrip) {

@@ -59,7 +59,6 @@
 //             [--cache N] [--queue N] [--oracle flat|ch|alt] [--index FILE]
 //             [--retriever auto|settle|bucket|resume] [--buckets FILE|build]
 //             [--xcache on|off] [--prewarm N] [--slow-queries N]
-//             [--max-batch N] [--batch-window US]
 //             [--arrival asap|poisson:<qps>|burst:<size>:<gap_ms>]
 //             [--stats-interval SEC] [--metrics-out FILE] [--metrics-port P]
 //             [--trace] [--trace-out FILE]
@@ -73,21 +72,16 @@
 //       cross-query caches; --prewarm bounds the PoI vertices snapshotted
 //       before the workers start (default 256). Results are bit-identical
 //       with the cache on or off.
-//       Micro-batching: --max-batch N (default 1 = off) drains the queue
-//       in micro-batches of up to N, grouping in-flight queries by source
-//       and single-flight-deduplicating identical ones; --batch-window US
-//       holds a draining batch open that long waiting for it to fill.
 //       --arrival paces the replay open-loop (asap floods, poisson:<qps>
 //       draws exponential gaps, burst:<size>:<gap_ms> sends bursts) so
-//       queue depth and batch fill reflect an offered load rather than
-//       lock-step batches. Results are bit-identical batched or not.
+//       queue depth reflects an offered load rather than lock-step batches.
 //       Observability: --stats-interval prints a one-line progress summary
 //       every SEC seconds while the replay runs; --metrics-out writes the
 //       final metrics in Prometheus text format; --metrics-port serves the
 //       exposition live on 127.0.0.1:P/metrics for the run's duration,
 //       along with a self-refreshing HTML dashboard on /debug (QPS/latency
-//       sparklines, batch-size histogram, slow queries with inline
-//       explains) and liveness probes on /healthz and /readyz;
+//       sparklines, slow queries with inline explains) and liveness
+//       probes on /healthz and /readyz;
 //       --trace enables per-worker phase tracing and --trace-out (implies
 //       --trace) writes the merged worker timelines as Chrome trace JSON.
 //       --explain runs every query with decision attribution enabled;
@@ -151,6 +145,17 @@ Result<Dataset> LoadDataDir(const std::string& dir) {
   SKYSR_ASSIGN_OR_RETURN(Graph graph, Graph::LoadBinary(dir + "/graph.bin"));
   SKYSR_ASSIGN_OR_RETURN(CategoryForest forest,
                          LoadForestFile(dir + "/taxonomy.txt"));
+  // The snapshot's category ids index the taxonomy; an id the taxonomy
+  // does not define means the two files do not belong together.
+  for (PoiId p = 0; p < graph.num_pois(); ++p) {
+    for (const CategoryId c : graph.PoiCategories(p)) {
+      if (!forest.Valid(c)) {
+        return Status::IOError(dir + "/graph.bin names category " +
+                               std::to_string(c) +
+                               ", which taxonomy.txt does not define");
+      }
+    }
+  }
   Dataset ds;
   ds.name = dir;
   ds.graph = std::move(graph);
@@ -789,8 +794,7 @@ int CmdBatch(const std::map<std::string, std::string>& flags) {
     std::fprintf(stderr,
                  "batch needs --data DIR --queries FILE [--threads N] "
                  "[--repeat R] [--cache N] [--queue N] [--xcache on|off] "
-                 "[--prewarm N] [--slow-queries N] [--max-batch N] "
-                 "[--batch-window US] [--arrival SPEC] "
+                 "[--prewarm N] [--slow-queries N] [--arrival SPEC] "
                  "[--stats-interval SEC] [--metrics-out FILE] "
                  "[--metrics-port P] [--trace] [--trace-out FILE]\n");
     return 2;
@@ -837,14 +841,6 @@ int CmdBatch(const std::map<std::string, std::string>& flags) {
       cfg.trace_capacity =
           static_cast<size_t>(std::atoll(flags.at("trace-capacity").c_str()));
     }
-  }
-  if (flags.count("max-batch")) {
-    cfg.max_batch = static_cast<size_t>(
-        std::max<long long>(1, std::atoll(flags.at("max-batch").c_str())));
-  }
-  if (flags.count("batch-window")) {
-    cfg.batch_window_us =
-        std::max<int64_t>(0, std::atoll(flags.at("batch-window").c_str()));
   }
   if (flags.count("explain") || flags.count("explain-out")) {
     cfg.default_options.explain = true;
@@ -906,8 +902,8 @@ int CmdBatch(const std::map<std::string, std::string>& flags) {
   WallTimer timer;
   if (flags.count("arrival")) {
     // Open-loop replay: submissions leave the client on the arrival
-    // model's clock regardless of completion, so queue depth and
-    // micro-batch fill reflect the offered load.
+    // model's clock regardless of completion, so queue depth reflects the
+    // offered load.
     for (int r = 0; r < repeat; ++r) {
       ArrivalPacer pacer(flags.at("arrival"));
       if (!pacer.ok()) {
