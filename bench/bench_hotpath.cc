@@ -118,7 +118,6 @@ struct WorkCounters {
   int64_t dequeued = 0;
   int64_t mdijkstra_runs = 0;
   int64_t cache_hits = 0;
-  int64_t log_replays = 0;
   int64_t cand_examined = 0;
   int64_t cand_simd_skipped = 0;
   int64_t dom_pruned = 0;
@@ -217,7 +216,6 @@ FamilyResult RunFamily(const Scenario& sc, const BenchConfig& config,
     out.counters.dequeued += r->stats.routes_dequeued;
     out.counters.mdijkstra_runs += r->stats.mdijkstra_runs;
     out.counters.cache_hits += r->stats.mdijkstra_cache_hits;
-    out.counters.log_replays += r->stats.settle_log_replays;
     out.counters.cand_examined += r->stats.cand_examined;
     out.counters.cand_simd_skipped += r->stats.cand_simd_skipped;
     out.counters.dom_pruned += r->stats.qb_dominance_pruned;
@@ -254,13 +252,13 @@ FamilyResult RunFamily(const Scenario& sc, const BenchConfig& config,
 /// Canonical text form of the golden counters; a byte-for-byte comparison is
 /// the whole check.
 std::string GoldenText(const std::vector<FamilyResult>& families) {
-  std::string out = "skysr hotpath golden counters v3\n";
+  std::string out = "skysr hotpath golden counters v4\n";
   for (const FamilyResult& f : families) {
     char buf[448];
     std::snprintf(buf, sizeof(buf),
                   "%s/%s queries=%lld settled=%lld relaxed=%lld "
                   "enqueued=%lld dequeued=%lld runs=%lld cache_hits=%lld "
-                  "log_replays=%lld cand_examined=%lld simd_skipped=%lld "
+                  "cand_examined=%lld simd_skipped=%lld "
                   "dom_pruned=%lld skyline=%lld "
                   "bucket_runs=%lld resume_runs=%lld fwd_searches=%lld "
                   "fwd_reuses=%lld bucket_cands=%lld\n",
@@ -272,7 +270,6 @@ std::string GoldenText(const std::vector<FamilyResult>& families) {
                   static_cast<long long>(f.counters.dequeued),
                   static_cast<long long>(f.counters.mdijkstra_runs),
                   static_cast<long long>(f.counters.cache_hits),
-                  static_cast<long long>(f.counters.log_replays),
                   static_cast<long long>(f.counters.cand_examined),
                   static_cast<long long>(f.counters.cand_simd_skipped),
                   static_cast<long long>(f.counters.dom_pruned),
@@ -518,7 +515,6 @@ int Main(int argc, char** argv) {
     json.Field("dequeued", f.counters.dequeued);
     json.Field("mdijkstra_runs", f.counters.mdijkstra_runs);
     json.Field("cache_hits", f.counters.cache_hits);
-    json.Field("settle_log_replays", f.counters.log_replays);
     json.Field("cand_examined", f.counters.cand_examined);
     json.Field("cand_simd_skipped", f.counters.cand_simd_skipped);
     json.Field("qb_dominance_pruned", f.counters.dom_pruned);

@@ -1,7 +1,7 @@
 // Index-layer benchmark: oracle build cost, point-to-point distance-query
 // speedup over flat Dijkstra, and CH bucket many-to-many throughput, per
-// scenario graph family. Every timed query is also verified bit-equal
-// across oracles, so the bench doubles as a large-graph exactness check.
+// scenario graph family. Every timed query is also verified bit-equal to
+// flat Dijkstra, so the bench doubles as a large-graph exactness check.
 //
 // Emits a human table plus machine-readable BENCH_index.json (written to
 // the working directory, override with SKYSR_BENCH_JSON_OUT) so the perf
@@ -63,8 +63,7 @@ void Run() {
   std::printf("index-layer bench: |V|~%lld per family, %d p2p pairs\n\n",
               static_cast<long long>(vertices), num_pairs);
   bench::TablePrinter table({"family", "|V|", "ch build ms", "shortcuts",
-                             "alt build ms", "flat us/q", "ch us/q",
-                             "alt us/q", "ch speedup", "alt speedup",
+                             "flat us/q", "ch us/q", "ch speedup",
                              "m2m ch speedup"});
   bench::JsonWriter json;
   json.BeginObject();
@@ -81,10 +80,6 @@ void Run() {
         std::unique_ptr<DistanceOracle>(MakeOracle(OracleKind::kCh, g));
     const auto& ch_stats =
         static_cast<const ChOracle&>(*ch).build_stats();
-    const auto alt =
-        std::unique_ptr<DistanceOracle>(MakeOracle(OracleKind::kAlt, g));
-    const auto& alt_stats =
-        static_cast<const AltOracle&>(*alt).build_stats();
     const FlatOracle flat(g);
     OracleWorkspace ws;
 
@@ -107,15 +102,10 @@ void Run() {
     const P2pTiming ch_t = TimePairs(
         pairs, reference,
         [&](VertexId s, VertexId t) { return ch->Distance(s, t, ws); });
-    const P2pTiming alt_t = TimePairs(
-        pairs, reference,
-        [&](VertexId s, VertexId t) { return alt->Distance(s, t, ws); });
-    if (ch_t.mismatches != 0 || alt_t.mismatches != 0) {
-      std::fprintf(stderr,
-                   "!! %s: %lld CH / %lld ALT mismatches vs flat Dijkstra\n",
+    if (ch_t.mismatches != 0) {
+      std::fprintf(stderr, "!! %s: %lld CH mismatches vs flat Dijkstra\n",
                    GraphFamilyName(family),
-                   static_cast<long long>(ch_t.mismatches),
-                   static_cast<long long>(alt_t.mismatches));
+                   static_cast<long long>(ch_t.mismatches));
     }
 
     // Many-to-many: an NNinit/lower-bound-shaped table (few sources, many
@@ -151,19 +141,13 @@ void Run() {
     const double ch_speedup = ch_t.total_ms > 0
                                   ? flat_t.total_ms / ch_t.total_ms
                                   : 0.0;
-    const double alt_speedup = alt_t.total_ms > 0
-                                   ? flat_t.total_ms / alt_t.total_ms
-                                   : 0.0;
     const double m2m_speedup = m2m_ch_ms > 0 ? m2m_flat_ms / m2m_ch_ms : 0.0;
     table.AddRow({GraphFamilyName(family), bench::FmtInt(g.num_vertices()),
                   bench::Fmt("%.0f", ch_stats.build_ms),
                   bench::FmtInt(ch_stats.shortcuts_added),
-                  bench::Fmt("%.0f", alt_stats.build_ms),
                   bench::Fmt("%.1f", flat_t.total_ms * us_per),
                   bench::Fmt("%.1f", ch_t.total_ms * us_per),
-                  bench::Fmt("%.1f", alt_t.total_ms * us_per),
                   bench::Fmt("%.1fx", ch_speedup),
-                  bench::Fmt("%.1fx", alt_speedup),
                   bench::Fmt("%.1fx", m2m_speedup)});
 
     json.BeginObject();
@@ -173,18 +157,13 @@ void Run() {
     json.Field("ch_build_ms", ch_stats.build_ms);
     json.Field("ch_shortcuts", ch_stats.shortcuts_added);
     json.Field("ch_memory_bytes", ch->MemoryBytes());
-    json.Field("alt_build_ms", alt_stats.build_ms);
-    json.Field("alt_memory_bytes", alt->MemoryBytes());
     json.Field("p2p_flat_ms", flat_t.total_ms);
     json.Field("p2p_ch_ms", ch_t.total_ms);
-    json.Field("p2p_alt_ms", alt_t.total_ms);
     json.Field("p2p_speedup_ch", ch_speedup);
-    json.Field("p2p_speedup_alt", alt_speedup);
     json.Field("m2m_flat_ms", m2m_flat_ms);
     json.Field("m2m_ch_ms", m2m_ch_ms);
     json.Field("m2m_speedup_ch", m2m_speedup);
-    json.Field("mismatches",
-               ch_t.mismatches + alt_t.mismatches + m2m_mismatches);
+    json.Field("mismatches", ch_t.mismatches + m2m_mismatches);
     json.EndObject();
   }
   json.EndArray();

@@ -4,7 +4,7 @@
 // across sequence sizes, plus the skyline-size profile of each family.
 //
 // Knobs: SKYSR_BENCH_SCALE (vertex-count multiplier), SKYSR_BENCH_QUERIES,
-//        SKYSR_ORACLE (flat|ch|alt — back the engine with an index-layer
+//        SKYSR_ORACLE (flat|ch — back the engine with an index-layer
 //        distance oracle), SKYSR_XCACHE (on|1 — attach an engine-lifetime
 //        SharedQueryCache so warm cross-query state carries across the
 //        sweep; per-config cache counters land in the JSON). Emits
@@ -72,8 +72,8 @@ void Run() {
     const Scenario sc = MakeScenario(BenchSpec(family, vertices,
                                                /*seed=*/2026));
     // With the cache axis on and a CH oracle, also build the bucket tables:
-    // the auto retriever only engages the cacheable bucket/resume backends
-    // when they exist, so this is what makes the counters below non-zero.
+    // the auto retriever only engages the cacheable bucket backend when they
+    // exist, so this is what makes the forward-search counters non-zero.
     std::unique_ptr<ChOracle> ch;
     std::unique_ptr<CategoryBucketIndex> buckets;
     std::unique_ptr<DistanceOracle> oracle;

@@ -32,7 +32,7 @@ struct OsrResult {
 
 /// D(v, destination) provider for the OSR engines. Without an index it
 /// precomputes one full (reverse) single-source Dijkstra — the classic
-/// behavior; with a CH/ALT oracle it answers lazily per vertex, so an
+/// behavior; with a CH oracle it answers lazily per vertex, so an
 /// engine that only ever needs a handful of tails (PNE touches one per
 /// candidate completion) skips the whole-graph sweep.
 class DestTail {

@@ -258,11 +258,9 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
   SkylineSet& skyline = ws_.skyline;
   RouteArena& arena = ws_.arena;
   MdijkstraCache& cache = ws_.cache;
-  SettleLog& slog = ws_.settle_log;
   skyline.Clear();
   arena.Clear();
   cache.Clear();
-  slog.Clear();
   ws_.qb_dom.Clear();
   ws_.prune_floors.Clear();
   ws_.bucket_scan.Clear();
@@ -295,10 +293,12 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
   // deferred-Lemma-5.5 mode, where the traversal is matcher-independent and
   // an expansion is exactly "all matching PoIs within the budget radius, in
   // (dist, vertex) order" — a query the bucket tables answer without
-  // settling road vertices. Every backend is bit-identical (the
-  // differential harness sweeps them); the plan is purely a speed choice,
-  // and it is a pure function of the query so work counters stay
-  // deterministic.
+  // settling road vertices, and one suspended search per source answers for
+  // every position. There, every expansion the bucket plan leaves to a
+  // graph search runs on a resumable slot, whatever the retriever kind.
+  // Every backend is bit-identical (the differential harness sweeps them);
+  // the plan is purely a speed choice, and it is a pure function of the
+  // query so work counters stay deterministic.
   const RetrieverKind rk = options.retriever;
   const bool bucket_backend =
       needs_deferred_lemma55 && buckets_ != nullptr &&
@@ -307,10 +307,7 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
         RetrieverCostModel::PreferBucket(oracle_->ApproxSearchSettles(),
                                          buckets_->SettleDensity(),
                                          g_->num_vertices())));
-  const bool resume_backend =
-      needs_deferred_lemma55 &&
-      (rk == RetrieverKind::kResume ||
-       (rk == RetrieverKind::kAuto && buckets_ != nullptr));
+  const bool resume_backend = needs_deferred_lemma55;
   std::optional<BucketRetriever> bucket;
   if (bucket_backend) bucket.emplace(*buckets_);
 
@@ -333,8 +330,8 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
   if (options.use_initial_search) {
     TraceSpan nn_span(trace, TracePhase::kNnInit);
     // The bucket tables also serve NNinit's table hops (and warm the
-    // per-query forward-search cache the bulk search reuses); kSettle and
-    // kResume reproduce the pre-bucket paths exactly.
+    // per-query forward-search cache the bulk search reuses); kSettle
+    // reproduces the pre-bucket paths exactly.
     const bool nn_buckets =
         buckets_ != nullptr && (rk == RetrieverKind::kAuto ||
                                 rk == RetrieverKind::kBucket);
@@ -672,8 +669,8 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
 
     // Resumable backend: one suspended search per hot source serves every
     // position; a budget beyond the suspended coverage extends the search
-    // incrementally instead of re-settling its prefix. Falls through to the
-    // classic path when the slot pool is at capacity.
+    // incrementally instead of re-settling its prefix. Falls through to a
+    // fresh search when the per-query slot pool is at capacity.
     ResumableSlot* slot = nullptr;
     if (resume_backend) slot = resume_pool.FindOrCreate(*g_, src);
     if (slot != nullptr) {
@@ -695,49 +692,6 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
       return;
     }
 
-    if (options.use_cache) {
-      // Cross-position reuse: in deferred-Lemma-5.5 mode the traversal from
-      // `src` is matcher-independent, so a settle sequence recorded by ANY
-      // position's search replays for this one — a linear scan instead of a
-      // Dijkstra (see settle_log.h for the exactness argument).
-      if (needs_deferred_lemma55) {
-        const SettleLog::Entry* log = slog.Find(src);
-        if (log != nullptr && (log->meta.exhausted ||
-                               log->meta.covered_radius >= budget())) {
-          ++stats.settle_log_replays;
-          if (exp != nullptr) {
-            ++exp->positions[static_cast<size_t>(m)].settle_log_replays;
-          }
-          CandidateSoA& pool = cache.pool();
-          const size_t pool_offset = pool.size();
-          Weight break_dist = kInfWeight;
-          bool stopped = false;
-          for (const SettleRecord& rec : slog.RecordsOf(*log)) {
-            if (rec.dist >= budget()) {
-              break_dist = rec.dist;
-              stopped = true;
-              break;
-            }
-            const double sim = matcher.SimOfVertex(rec.vertex);
-            if (sim > 0) {
-              const ExpansionCandidate cand{rec.vertex, rec.dist, sim};
-              pool.push_back(cand);
-              consume_filtered(cand);
-            }
-          }
-          // The replay can never prove more coverage than the log itself:
-          // a relax-refusal-capped log has finite coverage with no breaking
-          // record, so consuming it fully is NOT exhaustion.
-          const Weight covered =
-              stopped ? std::min(break_dist, log->meta.covered_radius)
-                      : log->meta.covered_radius;
-          cache.Commit(src, m, pool_offset,
-                       ExpansionOutcome{covered, covered == kInfWeight});
-          return;
-        }
-      }
-    }
-
     ++stats.mdijkstra_runs;
     if (exp != nullptr) {
       ++exp->positions[static_cast<size_t>(m)].fresh_searches;
@@ -745,41 +699,19 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
     TraceSpan retrieval_span(trace, TracePhase::kRetrieval);
     DijkstraRunStats run_stats;
     // Candidates stream into the cache's shared pool (no per-expansion
-    // vector); with caching off, nothing is collected at all. The settle
-    // sequence is recorded for cross-position replay in deferred mode.
+    // vector); with caching off, nothing is collected at all.
     CandidateSoA* out = options.use_cache ? &cache.pool() : nullptr;
     const size_t pool_offset = options.use_cache ? cache.pool().size() : 0;
-    std::vector<SettleRecord>* slog_out =
-        (options.use_cache && needs_deferred_lemma55) ? &slog.pool()
-                                                      : nullptr;
-    const size_t slog_offset = slog_out != nullptr ? slog_out->size() : 0;
     const ExpansionOutcome outcome =
         RunExpansionInto(*g_, matcher, src, budget, !needs_deferred_lemma55,
-                         ws_.expansion, out, consume_filtered, &run_stats,
-                         slog_out);
+                         ws_.expansion, out, consume_filtered, &run_stats);
     stats.vertices_settled += run_stats.settled;
     stats.edges_relaxed += run_stats.relaxed;
     stats.weight_sum += run_stats.weight_sum;
     if (stats.mdijkstra_runs == 1) {
       stats.first_search_weight_sum = run_stats.weight_sum;
     }
-    if (options.use_cache) {
-      cache.Commit(src, m, pool_offset, outcome);
-      if (slog_out != nullptr) {
-        // Keep log coverage monotone: a rebuild whose budget collapsed
-        // mid-search (skyline tightened) can cover LESS than the entry it
-        // would replace; the higher-coverage log is still valid for every
-        // future replay, so keep it (the new records stay orphaned in the
-        // pool until Clear, bounded by the search work just done).
-        const SettleLog::Entry* prev = slog.Find(src);
-        const bool improves =
-            prev == nullptr ||
-            (!prev->meta.exhausted &&
-             (outcome.exhausted ||
-              outcome.covered_radius > prev->meta.covered_radius));
-        if (improves) slog.Commit(src, slog_offset, outcome);
-      }
-    }
+    if (options.use_cache) cache.Commit(src, m, pool_offset, outcome);
   };
 
   // Algorithm 1: seed with the first expansion, then drain Q_b. The
@@ -820,7 +752,7 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
   stats.logical_peak_bytes =
       arena.MemoryBytes() +
       static_cast<int64_t>(qb.peak_size() * sizeof(QbEntry)) +
-      skyline.MemoryBytes() + cache.MemoryBytes() + slog.MemoryBytes() +
+      skyline.MemoryBytes() + cache.MemoryBytes() +
       ws_.qb_dom.MemoryBytes() + ws_.prune_floors.MemoryBytes();
 
   if (exp != nullptr) {

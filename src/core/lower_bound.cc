@@ -147,7 +147,6 @@ LowerBounds ComputeLowerBoundsWithOracle(
   }
   LowerBoundScratch local;
   if (scratch == nullptr) scratch = &local;
-  const bool table_based = oracle.SupportsFastTable();
 
   // Ball membership D(v_q, v) < radius via one radius-truncated Dijkstra —
   // it settles only the ball, and the flat fallback legs additionally need
@@ -169,26 +168,21 @@ LowerBounds ComputeLowerBoundsWithOracle(
     return !have_ball || ball_dist.Get(v) < radius;
   };
 
-  // Oracle legs pay per endpoint (CH: one upward search of its
-  // self-measured ApproxSearchSettles() size) or per pair (ALT: landmark
-  // lookups), while the classic alternative — a ball-restricted
-  // multi-source Dijkstra — costs one pass over the ball, whose size the
-  // truncated search above just measured. So the oracle only gets a leg
-  // when its cost undercuts that pass; dense legs (or tiny balls) use the
-  // classic search. Every flavor yields valid bounds, so the switch (and
-  // the QueryOptions::oracle_candidate_cap override) is purely a matter of
-  // speed.
+  // Oracle legs pay per endpoint (one CH upward search of its
+  // self-measured ApproxSearchSettles() size), while the classic
+  // alternative — a ball-restricted multi-source Dijkstra — costs one pass
+  // over the ball, whose size the truncated search above just measured. So
+  // the oracle only gets a leg when its cost undercuts that pass; dense legs
+  // (or tiny balls) use the classic search. Every flavor yields valid
+  // bounds, so the switch (and the QueryOptions::oracle_candidate_cap
+  // override) is purely a matter of speed.
   const auto ball_vertices = static_cast<size_t>(
       have_ball ? ball_stats.settled : g.num_vertices());
-  const size_t max_table_endpoints =  // CH: |S| + |T| per leg
+  const size_t max_table_endpoints =  // |S| + |T| per leg
       oracle_candidate_cap < 0
           ? ball_vertices /
                 (2 * static_cast<size_t>(std::max<int64_t>(
                          1, oracle.ApproxSearchSettles())))
-          : static_cast<size_t>(oracle_candidate_cap);
-  const size_t max_bound_pairs =  // ALT: |S| * |T| per leg
-      oracle_candidate_cap < 0
-          ? std::max<size_t>(256, 16 * ball_vertices)
           : static_cast<size_t>(oracle_candidate_cap);
 
   DijkstraRunStats leg_stats;
@@ -201,8 +195,7 @@ LowerBounds ComputeLowerBoundsWithOracle(
   std::vector<PoiId>& perf_target_pois = scratch->perf_target_pois;
   std::vector<SourceSeed>& seeds = scratch->seeds;
   std::vector<Weight>& table = scratch->table;
-  const bool bucket_legs =
-      table_based && bucket_server != nullptr && bucket_scan != nullptr;
+  const bool bucket_legs = bucket_server != nullptr && bucket_scan != nullptr;
   for (int i = 0; i + 1 < k; ++i) {
     sources.clear();
     for (PoiId p = 0; p < g.num_pois(); ++p) {
@@ -221,14 +214,9 @@ LowerBounds ComputeLowerBoundsWithOracle(
     perf_targets.clear();
     sem_target_pois.clear();
     perf_target_pois.clear();
-    bool oracle_leg =
-        table_based ? sources.size() < max_table_endpoints
-                    : sources.size() <= max_bound_pairs;
+    bool oracle_leg = sources.size() < max_table_endpoints;
     const size_t target_budget =
-        !oracle_leg ? 0
-        : table_based
-            ? max_table_endpoints - sources.size()
-            : std::max<size_t>(1, max_bound_pairs / sources.size());
+        oracle_leg ? max_table_endpoints - sources.size() : 0;
     for (PoiId p = 0; oracle_leg && p < g.num_pois(); ++p) {
       const VertexId v = g.VertexOfPoi(p);
       if (!in_ball(v)) continue;
@@ -240,18 +228,14 @@ LowerBounds ComputeLowerBoundsWithOracle(
         perf_targets.push_back(v);
         perf_target_pois.push_back(p);
       }
-      if (table_based
-              ? sem_targets.size() + perf_targets.size() > target_budget
-              : std::max(sem_targets.size(), perf_targets.size()) >
-                    target_budget) {
+      if (sem_targets.size() + perf_targets.size() > target_budget) {
         oracle_leg = false;
       }
     }
 
     if (oracle_leg) {
-      // CH: exact minima over the in-ball pairs (unrestricted distances,
-      // <= the ball-restricted flat values). ALT: pure landmark triangle
-      // bounds — no graph search at all.
+      // Exact minima over the in-ball pairs (unrestricted distances, <= the
+      // ball-restricted flat values).
       const auto min_pair = [&](std::span<const VertexId> targets,
                                 std::span<const PoiId> target_pois) -> Weight {
         if (targets.empty()) return kInfWeight;
@@ -269,16 +253,10 @@ LowerBounds ComputeLowerBoundsWithOracle(
                               bucket_server->ExactDistanceTo(p, *bucket_scan));
             }
           }
-        } else if (table_based) {
+        } else {
           table.assign(sources.size() * targets.size(), kInfWeight);
           oracle.Table(sources, targets, oracle_ws, table.data());
           for (const Weight w : table) best = std::min(best, w);
-        } else {
-          for (const VertexId s : sources) {
-            for (const VertexId t : targets) {
-              best = std::min(best, oracle.LowerBound(s, t));
-            }
-          }
         }
         return best;
       };

@@ -73,13 +73,12 @@ LowerBounds ComputeLowerBounds(const Graph& g,
                                SearchStats* stats,
                                LowerBoundScratch* scratch = nullptr);
 
-/// Index-backed variant. Sparse legs are answered by the oracle — CH: an
-/// exact many-to-many minimum over the in-ball PoI pairs (unrestricted
-/// distances, so <= the ball-restricted flat values); ALT: pure landmark
-/// triangle bounds, no graph search at all — while dense legs fall back to
-/// the classic ball-restricted multi-source Dijkstra, which is cheaper
-/// there. Every flavor produces provable leg lower bounds, possibly weaker
-/// than the flat ones, and any admissible bound leaves the skyline
+/// Index-backed variant. Sparse legs are answered by the oracle's exact
+/// many-to-many Table() minimum over the in-ball PoI pairs (unrestricted
+/// distances, so <= the ball-restricted flat values), while dense legs fall
+/// back to the classic ball-restricted multi-source Dijkstra, which is
+/// cheaper there. Every flavor produces provable leg lower bounds, possibly
+/// weaker than the flat ones, and any admissible bound leaves the skyline
 /// bit-identical — the property the no-lower-bound ablation already
 /// certifies and the differential harness re-verifies per oracle.
 /// `oracle_candidate_cap` follows QueryOptions::oracle_candidate_cap

@@ -65,9 +65,9 @@ struct ExpansionOutcome {
   bool exhausted = false;
 };
 
-/// One settled vertex of an expansion search, in settle order. Recorded
-/// (including the budget-breaking settle) when the caller wants to replay
-/// the traversal for another sequence position (see core/settle_log.h).
+/// One settled vertex of an expansion search, in settle order. Resumable
+/// slots (retrieval/resumable_retriever.h) log these to replay a traversal
+/// for another sequence position.
 struct SettleRecord {
   VertexId vertex;
   Weight dist;
@@ -87,11 +87,6 @@ struct ExpansionScratch {
 /// emitted candidate in non-decreasing distance order. When `out` is
 /// non-null every emitted candidate is also appended to it (cache fill into
 /// the SoA pool); null skips collection entirely (cache-off ablations).
-/// When `settle_log`
-/// is non-null every settle — including the budget-breaking one — is
-/// appended to it so the traversal can later be replayed for other
-/// positions (sound only without Lemma 5.5 cuts; the engine passes it only
-/// in deferred mode).
 ///
 /// Both callbacks are taken by forwarding reference and invoked directly —
 /// a stateful budget functor passed as an lvalue keeps its memo across the
@@ -104,9 +99,7 @@ ExpansionOutcome RunExpansionInto(const Graph& g,
                                   ExpansionScratch& scratch,
                                   CandidateSoA* out,
                                   OnCandidate&& on_candidate,
-                                  DijkstraRunStats* stats_out,
-                                  std::vector<SettleRecord>* settle_log =
-                                      nullptr) {
+                                  DijkstraRunStats* stats_out) {
   ExpansionOutcome outcome;
   Weight break_dist = kInfWeight;
   bool stopped = false;
@@ -133,7 +126,6 @@ ExpansionOutcome RunExpansionInto(const Graph& g,
   DijkstraRunStats stats = RunDijkstraBounded(
       g, std::span<const SourceSeed>(&seed, 1), scratch.ws,
       [&](VertexId v, Weight d, VertexId parent) {
-        if (settle_log != nullptr) settle_log->push_back(SettleRecord{v, d});
         // Lemma 5.3: distances are non-decreasing and the budget is
         // non-increasing, so the first settle past the budget ends the
         // search.

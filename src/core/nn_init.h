@@ -50,9 +50,9 @@ struct NnInitScratch {
 /// with a small candidate set is answered by one 1 x candidates distance
 /// table instead of a graph Dijkstra; candidates are then replayed in
 /// (distance, vertex) order — the Dijkstra settle order — so the seeded
-/// routes are bit-identical either way. Dense-candidate hops, a null, flat
-/// or ALT oracle keep the classic early-exit Dijkstra chain, which is
-/// cheaper there.
+/// routes are bit-identical either way. Dense-candidate hops and a null or
+/// flat oracle keep the classic early-exit Dijkstra chain, which is cheaper
+/// there.
 /// `oracle_candidate_cap` follows QueryOptions::oracle_candidate_cap
 /// (-1 = graph-size heuristic). `scratch` (optional) supplies reusable
 /// buffers; null falls back to function-local storage.

@@ -25,7 +25,6 @@
 #include "core/nn_init.h"
 #include "core/query.h"
 #include "core/route.h"
-#include "core/settle_log.h"
 #include "core/skyline_set.h"
 #include "graph/dijkstra_workspace.h"
 #include "index/distance_oracle.h"
@@ -169,7 +168,6 @@ struct QueryWorkspace {
   RouteArena arena;
   QbQueue qb;
   MdijkstraCache cache;
-  SettleLog settle_log;
   // Per-(vertex, position, PoI-set) dominance records over enqueued partial
   // routes; see qb_dominance.h for the exactness argument.
   QbDominanceStore qb_dom;

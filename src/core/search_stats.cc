@@ -9,7 +9,7 @@ std::string SearchStats::ToString() const {
   std::snprintf(
       buf, sizeof(buf),
       "elapsed=%.3fms%s skyline=%lld\n"
-      "searches: runs=%lld cache_hits=%lld reruns=%lld log_replays=%lld "
+      "searches: runs=%lld cache_hits=%lld reruns=%lld "
       "settled=%lld relaxed=%lld weight_sum=%.4f first_weight_sum=%.4f\n"
       "candidates: examined=%lld pruned=%lld (th=%lld floor=%lld) "
       "dup_rejected=%lld simd_skipped=%lld\n"
@@ -25,7 +25,6 @@ std::string SearchStats::ToString() const {
       static_cast<long long>(mdijkstra_runs),
       static_cast<long long>(mdijkstra_cache_hits),
       static_cast<long long>(cache_reruns),
-      static_cast<long long>(settle_log_replays),
       static_cast<long long>(vertices_settled),
       static_cast<long long>(edges_relaxed), weight_sum,
       first_search_weight_sum, static_cast<long long>(cand_examined),

@@ -24,7 +24,6 @@ struct SearchStats {
   int64_t mdijkstra_runs = 0;        // expansion searches actually executed
   int64_t mdijkstra_cache_hits = 0;  // expansions served from cache
   int64_t cache_reruns = 0;          // cache entries rebuilt with larger radius
-  int64_t settle_log_replays = 0;    // candidate lists built by log replay
   int64_t vertices_settled = 0;      // all searches of this query
   int64_t edges_relaxed = 0;
 

@@ -10,8 +10,6 @@ const char* OracleKindName(OracleKind kind) {
       return "flat";
     case OracleKind::kCh:
       return "ch";
-    case OracleKind::kAlt:
-      return "alt";
   }
   return "?";
 }
@@ -19,7 +17,6 @@ const char* OracleKindName(OracleKind kind) {
 std::optional<OracleKind> ParseOracleKind(std::string_view name) {
   if (name == "flat") return OracleKind::kFlat;
   if (name == "ch") return OracleKind::kCh;
-  if (name == "alt") return OracleKind::kAlt;
   return std::nullopt;
 }
 
@@ -32,11 +29,6 @@ void DistanceOracle::Table(std::span<const VertexId> sources,
       out[i * targets.size() + j] = Distance(sources[i], targets[j], ws);
     }
   }
-}
-
-Weight DistanceOracle::LowerBound(VertexId /*source*/,
-                                  VertexId /*target*/) const {
-  return 0;
 }
 
 }  // namespace skysr

@@ -4,30 +4,24 @@
 //
 // An oracle is an immutable, preprocessed view of one Graph that answers
 // exact point-to-point shortest-path distances and many-to-many distance
-// tables, plus (optionally) cheap admissible lower bounds. Three
-// implementations exist:
+// tables. Two implementations exist:
 //
 //   FlatOracle  graph Dijkstra, no preprocessing (the default; identical to
 //               the pre-index code paths)
 //   ChOracle    contraction hierarchies: edge-difference node ordering,
 //               shortcut insertion, bidirectional upward query, bucket-based
 //               many-to-many
-//   AltOracle   ALT landmarks: farthest-selection landmarks whose distance
-//               vectors give triangle-inequality lower bounds and an exact
-//               A* distance query
 //
 // Exactness contract (load-bearing — the differential harness demands
 // bit-identical skylines across oracles): Distance() and Table() return the
 // SAME double a reference graph Dijkstra would return, not merely a value
 // within floating-point noise of it. ChOracle achieves this by unpacking the
 // winning up-down path into original edges and re-summing source->target in
-// path order (the association order Dijkstra's relaxations use); AltOracle's
-// A* accumulates g-values in path order by construction. When several
-// distinct shortest paths exist, their path-order sums coincide for exact
-// (integer-valued) weights and differ with probability zero for continuously
-// distributed weights; randomized tests in tests/index_test.cc assert the
-// equality across all scenario graph families. LowerBound() is merely
-// admissible (<= the true distance), never exact.
+// path order (the association order Dijkstra's relaxations use). When
+// several distinct shortest paths exist, their path-order sums coincide for
+// exact (integer-valued) weights and differ with probability zero for
+// continuously distributed weights; randomized tests in tests/index_test.cc
+// assert the equality across all scenario graph families.
 //
 // Thread safety: oracles are immutable after construction; all query methods
 // are const and take a caller-owned OracleWorkspace. Share one oracle across
@@ -50,14 +44,15 @@
 
 namespace skysr {
 
-/// Which oracle implementation backs a DistanceOracle.
+/// Which oracle implementation backs a DistanceOracle. The numeric value is
+/// the kind byte of saved index headers (index_io.h), so it never changes:
+/// kCh stays 1, and 2 (a retired landmark index) is rejected on load.
 enum class OracleKind {
-  kFlat,
-  kCh,
-  kAlt,
+  kFlat = 0,
+  kCh = 1,
 };
 
-/// "flat" / "ch" / "alt".
+/// "flat" / "ch".
 const char* OracleKindName(OracleKind kind);
 /// Inverse of OracleKindName; nullopt for unknown names.
 std::optional<OracleKind> ParseOracleKind(std::string_view name);
@@ -109,13 +104,12 @@ class QueryTrace;  // src/obs/query_trace.h — forward-declared to keep the
 /// Per-thread scratch for oracle queries, reusable across calls. The members
 /// cover the needs of every implementation (flat keeps a plain Dijkstra
 /// workspace; CH runs two upward searches and remembers the relaxed CSR edge
-/// per vertex for path unpacking; ALT uses `fwd` for its A*).
+/// per vertex for path unpacking).
 struct OracleWorkspace {
   DijkstraWorkspace fwd;
   DijkstraWorkspace bwd;
   StampedArray<int32_t> fwd_edge;  // CSR edge index that set fwd dist
   StampedArray<int32_t> bwd_edge;
-  StampedArray<Weight> heur;  // per-target heuristic cache (ALT's A*)
   DaryHeap<OracleHeapItem> heap;   // search frontier (CH upward searches)
   DaryHeap<OracleHeapItem> heap2;  // opposite side of bidirectional queries
   ChTableScratch table;
@@ -147,11 +141,6 @@ class DistanceOracle {
   virtual void Table(std::span<const VertexId> sources,
                      std::span<const VertexId> targets, OracleWorkspace& ws,
                      Weight* out) const;
-
-  /// Admissible lower bound on Distance(source, target), O(1), no workspace.
-  /// The default 0 is always sound; AltOracle returns landmark triangle
-  /// bounds. Consumers may prune with it but must never treat it as exact.
-  virtual Weight LowerBound(VertexId source, VertexId target) const;
 
   /// True when Table() beats looping Distance() (ChOracle's bucket search).
   /// Consumers with a cheaper specialized plan for flat oracles (e.g.

@@ -2,8 +2,8 @@
 
 #include <bit>
 #include <cstring>
+#include <string>
 
-#include "index/alt_oracle.h"
 #include "index/ch_oracle.h"
 #include "util/binary_io.h"
 #include "util/rng.h"
@@ -57,8 +57,7 @@ Status SaveOracleIndex(const DistanceOracle& oracle,
                        const std::string& path) {
   if (oracle.kind() == OracleKind::kFlat) {
     return Status::InvalidArgument(
-        "the flat oracle has no index to save; build one with --oracle ch "
-        "or --oracle alt");
+        "the flat oracle has no index to save; build one with --oracle ch");
   }
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) return Status::IOError("cannot open for write: " + path);
@@ -67,13 +66,7 @@ Status SaveOracleIndex(const DistanceOracle& oracle,
   bool ok = std::fwrite(kIndexMagic, sizeof(kIndexMagic), 1, f) == 1 &&
             binary_io::WritePod(f, kind) && binary_io::WritePod(f, checksum);
   Status payload = Status::OK();
-  if (ok) {
-    if (oracle.kind() == OracleKind::kCh) {
-      payload = static_cast<const ChOracle&>(oracle).SavePayload(f);
-    } else {
-      payload = static_cast<const AltOracle&>(oracle).SavePayload(f);
-    }
-  }
+  if (ok) payload = static_cast<const ChOracle&>(oracle).SavePayload(f);
   std::fclose(f);
   if (!ok) return Status::IOError("short write: " + path);
   return payload;
@@ -89,12 +82,17 @@ Result<std::unique_ptr<DistanceOracle>> LoadOracleIndex(
   const bool header_ok =
       std::fread(magic, sizeof(magic), 1, f) == 1 &&
       std::memcmp(magic, kIndexMagic, sizeof(kIndexMagic)) == 0 &&
-      binary_io::ReadPod(f, &kind_byte) && binary_io::ReadPod(f, &checksum) &&
-      (kind_byte == static_cast<uint8_t>(OracleKind::kCh) ||
-       kind_byte == static_cast<uint8_t>(OracleKind::kAlt));
+      binary_io::ReadPod(f, &kind_byte) && binary_io::ReadPod(f, &checksum);
   if (!header_ok) {
     std::fclose(f);
     return Status::IOError("not an oracle index file: " + path);
+  }
+  if (kind_byte != static_cast<uint8_t>(OracleKind::kCh)) {
+    std::fclose(f);
+    return Status::IOError("unsupported oracle index kind " +
+                           std::to_string(kind_byte) + " in " + path +
+                           "; only CH indexes load, rebuild it with "
+                           "`skysr_cli index build`");
   }
   if (checksum != GraphChecksum(g)) {
     std::fclose(f);
@@ -103,27 +101,17 @@ Result<std::unique_ptr<DistanceOracle>> LoadOracleIndex(
         " was built for a different graph (checksum mismatch); rebuild it "
         "against this dataset with `skysr_cli index build`");
   }
-  const auto kind = static_cast<OracleKind>(kind_byte);
-  if (kind == OracleKind::kCh) {
-    auto loaded = ChOracle::LoadPayload(f, g);
-    std::fclose(f);
-    if (!loaded.ok()) return loaded.status();
-    return std::unique_ptr<DistanceOracle>(
-        new ChOracle(std::move(loaded).ValueOrDie()));
-  }
-  auto loaded = AltOracle::LoadPayload(f, g);
+  auto loaded = ChOracle::LoadPayload(f, g);
   std::fclose(f);
   if (!loaded.ok()) return loaded.status();
   return std::unique_ptr<DistanceOracle>(
-      new AltOracle(std::move(loaded).ValueOrDie()));
+      new ChOracle(std::move(loaded).ValueOrDie()));
 }
 
 const char* OracleIndexExtension(OracleKind kind) {
   switch (kind) {
     case OracleKind::kCh:
       return "chidx";
-    case OracleKind::kAlt:
-      return "altidx";
     case OracleKind::kFlat:
       break;
   }

@@ -1,8 +1,8 @@
 // Binary persistence for built distance-oracle indexes, in the style of
 // Graph::SaveBinary (graph/io): a magic + kind + graph-checksum header
-// followed by an oracle-specific payload. Files conventionally carry the
-// `.chidx` (CH) / `.altidx` (ALT) extension; both are covered by
-// LoadOracleIndex, which sniffs the kind from the header.
+// followed by the CH payload. Files conventionally carry the `.chidx`
+// extension; LoadOracleIndex checks the kind byte in the header and rejects
+// anything but CH.
 //
 // The header embeds a checksum of the graph the index was built for;
 // loading against any other graph fails with an explicit "rebuild the
@@ -44,7 +44,7 @@ Status SaveOracleIndex(const DistanceOracle& oracle, const std::string& path);
 Result<std::unique_ptr<DistanceOracle>> LoadOracleIndex(
     const std::string& path, const Graph& g);
 
-/// Conventional file extension for an oracle kind ("chidx" / "altidx").
+/// Conventional file extension for an oracle kind ("chidx").
 const char* OracleIndexExtension(OracleKind kind);
 
 }  // namespace skysr

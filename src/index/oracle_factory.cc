@@ -10,8 +10,6 @@ std::unique_ptr<DistanceOracle> MakeOracle(OracleKind kind, const Graph& g) {
       return std::make_unique<FlatOracle>(g);
     case OracleKind::kCh:
       return std::make_unique<ChOracle>(ChOracle::Build(g));
-    case OracleKind::kAlt:
-      return std::make_unique<AltOracle>(AltOracle::Build(g));
   }
   return std::make_unique<FlatOracle>(g);
 }

@@ -8,7 +8,6 @@
 #include <memory>
 #include <string>
 
-#include "index/alt_oracle.h"
 #include "index/ch_oracle.h"
 #include "index/distance_oracle.h"
 #include "index/flat_oracle.h"
@@ -18,10 +17,10 @@
 namespace skysr {
 
 /// Builds an oracle of the given kind over `g` (which must outlive it).
-/// kFlat is free; kCh and kAlt preprocess the graph.
+/// kFlat is free; kCh preprocesses the graph.
 std::unique_ptr<DistanceOracle> MakeOracle(OracleKind kind, const Graph& g);
 
-/// Reads SKYSR_ORACLE from the environment ("flat" / "ch" / "alt");
+/// Reads SKYSR_ORACLE from the environment ("flat" / "ch");
 /// `def` when unset, nullopt when set to an unknown name.
 std::optional<OracleKind> OracleKindFromEnv(OracleKind def);
 

@@ -35,10 +35,9 @@ std::string QueryExplain::ToTreeString() const {
     const ExplainPositionBackends& p = positions[m];
     Appendf(&out,
             "│  %s─ [%zu] fresh=%" PRId64 " cache_replay=%" PRId64
-            " log_replay=%" PRId64 " bucket=%" PRId64 " resume=%" PRId64 "\n",
+            " bucket=%" PRId64 " resume=%" PRId64 "\n",
             m + 1 == positions.size() ? "└" : "├", m, p.fresh_searches,
-            p.cache_replays, p.settle_log_replays, p.bucket_runs,
-            p.resume_runs);
+            p.cache_replays, p.bucket_runs, p.resume_runs);
   }
   out += "├─ caches\n";
   Appendf(&out,
@@ -81,10 +80,8 @@ std::string QueryExplain::ToJson() const {
     if (m != 0) out += ',';
     Appendf(&out,
             "{\"fresh\":%" PRId64 ",\"cache_replay\":%" PRId64
-            ",\"log_replay\":%" PRId64 ",\"bucket\":%" PRId64
-            ",\"resume\":%" PRId64 "}",
-            p.fresh_searches, p.cache_replays, p.settle_log_replays,
-            p.bucket_runs, p.resume_runs);
+            ",\"bucket\":%" PRId64 ",\"resume\":%" PRId64 "}",
+            p.fresh_searches, p.cache_replays, p.bucket_runs, p.resume_runs);
   }
   out += "],\"caches\":{";
   const auto layer = [&](const char* name, const ExplainCacheLayer& l,

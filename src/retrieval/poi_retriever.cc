@@ -1,38 +1,20 @@
 #include "retrieval/poi_retriever.h"
 
-#include <cstdlib>
-#include <utility>
-#include <vector>
-
 namespace skysr {
-
-int64_t RetrieverCostModel::ScanHandicap() {
-  static const int64_t handicap = [] {
-    const char* v = std::getenv("SKYSR_BUCKET_HANDICAP");
-    if (v != nullptr) {
-      const long long parsed = std::atoll(v);
-      if (parsed > 0) return static_cast<int64_t>(parsed);
-    }
-    return kScanHandicap;
-  }();
-  return handicap;
-}
-
 namespace {
 
 class SettleBackend final : public PoiRetriever {
  public:
   explicit SettleBackend(const Graph& g) : g_(&g) {}
-  RetrieverKind kind() const override { return RetrieverKind::kSettle; }
 
   ExpansionOutcome Retrieve(
       const PositionMatcher& matcher, VertexId source,
       const std::function<Weight()>& budget_fn,
       const std::function<void(const ExpansionCandidate&)>& on_candidate)
       override {
-    return SettleRetriever::RetrieveInto(*g_, matcher, source, budget_fn,
-                                         /*apply_lemma55=*/false, scratch_,
-                                         nullptr, on_candidate, nullptr);
+    return RunExpansionInto(*g_, matcher, source, budget_fn,
+                            /*apply_lemma55=*/false, scratch_, nullptr,
+                            on_candidate, nullptr);
   }
 
  private:
@@ -44,7 +26,6 @@ class BucketBackend final : public PoiRetriever {
  public:
   explicit BucketBackend(const CategoryBucketIndex& index)
       : retriever_(index) {}
-  RetrieverKind kind() const override { return RetrieverKind::kBucket; }
 
   ExpansionOutcome Retrieve(
       const PositionMatcher& matcher, VertexId source,
@@ -71,7 +52,6 @@ class BucketBackend final : public PoiRetriever {
 class ResumableBackend final : public PoiRetriever {
  public:
   explicit ResumableBackend(const Graph& g) : g_(&g) { pool_.Reset(); }
-  RetrieverKind kind() const override { return RetrieverKind::kResume; }
 
   ExpansionOutcome Retrieve(
       const PositionMatcher& matcher, VertexId source,
@@ -81,9 +61,9 @@ class ResumableBackend final : public PoiRetriever {
     ResumableSlot* slot = pool_.FindOrCreate(*g_, source);
     if (slot == nullptr) {  // pool full: classic search, no suspension
       ExpansionScratch scratch;
-      return SettleRetriever::RetrieveInto(*g_, matcher, source, budget_fn,
-                                           /*apply_lemma55=*/false, scratch,
-                                           nullptr, on_candidate, nullptr);
+      return RunExpansionInto(*g_, matcher, source, budget_fn,
+                              /*apply_lemma55=*/false, scratch, nullptr,
+                              on_candidate, nullptr);
     }
     return RetrieveResumable(*g_, matcher, *slot, budget_fn, on_candidate,
                              nullptr, nullptr);

@@ -6,16 +6,17 @@
 // Three backends, all bit-identical in results (the differential harness
 // sweeps retriever x oracle x all 16 QueryOptions ablations):
 //
-//   SettleRetriever     the classic settle-loop expansion (settle_retriever)
-//                       — exact fallback, the only backend valid under
-//                       Lemma 5.5 traversal cuts
+//   RunExpansionInto    the classic settle-loop expansion
+//                       (core/modified_dijkstra.h) — exact fallback, the
+//                       only backend valid under Lemma 5.5 traversal cuts
 //   BucketRetriever     precomputed per-category CH target buckets
 //                       (category_buckets + bucket_retriever) — answers
 //                       deferred-mode expansions without settling road
 //                       vertices; wins grow with graph size
 //   ResumableRetriever  flat suspend/resume settle state per hot source
-//                       (resumable_retriever) — turns cache/settle-log
-//                       rebuilds into incremental extensions
+//                       (resumable_retriever) — one suspended search serves
+//                       every position, and a larger budget extends it
+//                       instead of rebuilding it
 //
 // BssrEngine calls the backends' monomorphized primitives directly (the
 // budget functor and candidate consumer inline into each loop; see
@@ -36,7 +37,6 @@
 #include "retrieval/category_buckets.h"
 #include "retrieval/resumable_retriever.h"
 #include "retrieval/retriever_kind.h"
-#include "retrieval/settle_retriever.h"
 
 namespace skysr {
 
@@ -54,18 +54,14 @@ struct RetrieverCostModel {
   /// buckets engage where upward spaces are small relative to the graph
   /// (road-like CH hierarchies, growing with |V|) and stay off where the
   /// hierarchy degenerates (expander-like graphs whose upward spaces and
-  /// hub buckets balloon). The SKYSR_BUCKET_HANDICAP env var overrides the
-  /// multiplier for tuning experiments (work counters remain deterministic
-  /// per setting).
+  /// hub buckets balloon).
   static constexpr int64_t kScanHandicap = 2;
-
-  static int64_t ScanHandicap();
 
   static bool PreferBucket(int64_t fwd_settles, double settle_density,
                            int64_t num_vertices) {
     const double scan_cost =
         static_cast<double>(fwd_settles) * (1.0 + 2.0 * settle_density);
-    return scan_cost * static_cast<double>(ScanHandicap()) <=
+    return scan_cost * static_cast<double>(kScanHandicap) <=
            static_cast<double>(num_vertices);
   }
 
@@ -89,7 +85,6 @@ struct RetrieverCostModel {
 class PoiRetriever {
  public:
   virtual ~PoiRetriever() = default;
-  virtual RetrieverKind kind() const = 0;
 
   /// Streams every PoI matching `matcher` from `source` in non-decreasing
   /// (dist, vertex) order, re-evaluating `budget_fn` between emissions

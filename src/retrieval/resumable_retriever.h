@@ -1,16 +1,17 @@
 // Resumable expansion state: flat-array suspend/resume Dijkstra per hot
-// source, the incremental replacement for settle-log rebuilds.
+// source — the engine's graph-search backend in deferred-Lemma-5.5 mode.
 //
 // In deferred-Lemma-5.5 mode the expansion traversal from a source depends
 // only on the source (never on the position's matcher), so one suspended
-// search serves every position. Where the settle log (core/settle_log.h)
-// must REBUILD from scratch whenever a later budget exceeds an entry's
-// covered radius — re-settling the whole prefix — a resumable slot keeps the
-// search's live frontier (heap) and its epoch-stamped flat workspace, so a
-// larger budget just continues popping. The suspension point is read off the
-// heap top BEFORE settling: the log therefore contains exactly the settles a
-// fresh search would emit below any budget it has seen, and the covered
-// radius is the next settle's distance (the tightest sound bound).
+// search serves every position: its settle log replays, filtered through
+// each position's matcher, as a branch-predictable array scan. Where a
+// fresh search must re-settle the whole prefix whenever a later budget
+// exceeds the covered radius, a resumable slot keeps the search's live
+// frontier (heap) and its epoch-stamped flat workspace, so a larger budget
+// just continues popping. The suspension point is read off the heap top
+// BEFORE settling: the log therefore contains exactly the settles a fresh
+// search would emit below any budget it has seen, and the covered radius is
+// the next settle's distance (the tightest sound bound).
 //
 // Bit-exactness: the settle order (distance, vertex-id tie-break) and the
 // relaxation arithmetic are identical to graph/dijkstra_runner.h. The one
@@ -180,7 +181,7 @@ class ResumablePool {
 
 /// Serves one expansion from a resumable slot: replays the logged settle
 /// prefix through `matcher` (budget re-checked between records, exactly
-/// like a settle-log replay), then — if the budget is not yet reached —
+/// like a cache replay), then — if the budget is not yet reached —
 /// resumes the suspended Dijkstra, settling and logging new vertices until
 /// the next settle would reach the budget. Emissions are bit-identical to a
 /// fresh matcher-filtered search under the same budget trajectory. Emitted

@@ -15,19 +15,16 @@ namespace skysr {
 /// of them; the knob trades nothing but speed.
 enum class RetrieverKind {
   /// Per-expansion cost model: category-bucket scans where the candidate
-  /// set is sparse enough to beat a graph search, resumable settle state
-  /// otherwise; falls back to the classic settle loop whenever the bucket
-  /// tables are absent. The production default.
+  /// set is sparse enough to beat a graph search, graph searches otherwise.
+  /// The production default.
   kAuto,
-  /// The classic settle-loop expansion (extracted as SettleRetriever) —
-  /// exactly the pre-retrieval code paths.
+  /// Never use the bucket tables: every expansion is a graph search (the
+  /// classic settle loop, or a resumable slot in deferred-Lemma-5.5 mode).
   kSettle,
   /// Force the category-bucket tables for every eligible expansion
   /// (deferred-Lemma-5.5 mode with tables attached); the differential
   /// harness uses this to pin the bucket paths.
   kBucket,
-  /// Force resumable suspend/resume settle state for eligible expansions.
-  kResume,
 };
 
 inline const char* RetrieverKindName(RetrieverKind kind) {
@@ -38,8 +35,6 @@ inline const char* RetrieverKindName(RetrieverKind kind) {
       return "settle";
     case RetrieverKind::kBucket:
       return "bucket";
-    case RetrieverKind::kResume:
-      return "resume";
   }
   return "auto";
 }
@@ -48,7 +43,6 @@ inline std::optional<RetrieverKind> ParseRetrieverKind(std::string_view name) {
   if (name == "auto") return RetrieverKind::kAuto;
   if (name == "settle") return RetrieverKind::kSettle;
   if (name == "bucket") return RetrieverKind::kBucket;
-  if (name == "resume") return RetrieverKind::kResume;
   return std::nullopt;
 }
 

@@ -65,16 +65,14 @@ struct DiffCheckParams {
   /// per kind (indexes built per scenario graph) and every skyline must be
   /// bit-identical to brute force regardless of the oracle answering the
   /// NNinit / lower-bound distance work.
-  std::vector<OracleKind> oracle_kinds = {OracleKind::kFlat, OracleKind::kCh,
-                                          OracleKind::kAlt};
+  std::vector<OracleKind> oracle_kinds = {OracleKind::kFlat, OracleKind::kCh};
   /// PoI-retrieval sweep: the ablation grid additionally runs once per
   /// retriever kind per oracle. CH engines carry per-scenario bucket
-  /// tables, so kBucket/kAuto pin the bucket scans there; on flat/ALT
-  /// engines the forced kinds exercise the documented fallbacks. Every
-  /// combination must stay bit-identical to brute force.
+  /// tables, so kBucket/kAuto pin the bucket scans there; on flat engines
+  /// the forced kinds exercise the documented fallbacks. Every combination
+  /// must stay bit-identical to brute force.
   std::vector<RetrieverKind> retriever_kinds = {
-      RetrieverKind::kAuto, RetrieverKind::kSettle, RetrieverKind::kBucket,
-      RetrieverKind::kResume};
+      RetrieverKind::kAuto, RetrieverKind::kSettle, RetrieverKind::kBucket};
 };
 
 /// One disagreement, with everything needed to reproduce it.

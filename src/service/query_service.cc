@@ -96,7 +96,7 @@ std::string QueryService::WorkerTracesToJson() const {
 void QueryService::WorkerLoop(int thread_index) {
   // One engine per worker: the whole point of the service layer. The engine
   // owns a QueryWorkspace (skyline, arena, bulk queue, flat cache +
-  // candidate pool, settle log, every sub-search scratch) that lives for
+  // candidate pool, resumable slots, every sub-search scratch) that lives for
   // this worker's lifetime, so sustained batch/serve traffic runs
   // allocation-free in steady state — capacities grow to the hardest query
   // drawn and stay; results are bit-identical to a fresh engine per query.

@@ -1,6 +1,6 @@
 // Length-prefixed POD framing shared by every binary file the library
-// persists: graph snapshots (graph.bin), oracle indexes (.chidx/.altidx)
-// and category-bucket tables (.cbkt).
+// persists: graph snapshots (graph.bin), oracle indexes (.chidx) and
+// category-bucket tables (.cbkt).
 //
 // Readers treat the file as hostile: a vector's element count is checked
 // against the bytes left in the file before anything is allocated, so a

@@ -2,9 +2,9 @@
 // shared append-only pool, with O(1) whole-table clear via epoch stamping.
 //
 // This is the storage shape behind the per-query caches of the BSSR hot
-// path (the §5.3.4 candidate cache, the settle log): entries are written
-// once per key per round, read many times, and the whole structure resets
-// between rounds. Neither the table nor the pool shrinks on Clear(), so a
+// path (the §5.3.4 candidate cache, the Q_b dominance store): entries are
+// written once per key per round, read many times, and the whole structure
+// resets between rounds. Neither the table nor the pool shrinks on Clear(), so a
 // steady-state round allocates nothing. Replacing an entry orphans its old
 // span until the next Clear(); orphaned bytes are bounded by the work that
 // produced them.

@@ -15,12 +15,12 @@
 #include "core/nn_init.h"
 #include "core/query.h"
 #include "core/route.h"
-#include "core/settle_log.h"
 #include "core/skyline_set.h"
 #include "core/threshold.h"
 #include "graph/graph_builder.h"
 #include "tests/test_util.h"
 #include "util/rng.h"
+#include "util/stamped_span_table.h"
 
 namespace skysr {
 namespace {
@@ -432,22 +432,22 @@ TEST(RouteArenaTest, ContainsWithSignatureCollisions) {
   EXPECT_EQ(buf, (std::vector<PoiId>{3, 67}));
 }
 
-TEST(SettleLogTest, CommitFindAndStampedClear) {
-  SettleLog log;
-  EXPECT_EQ(log.Find(7), nullptr);
-  const size_t off = log.pool().size();
-  log.pool().push_back(SettleRecord{7, 0.0});
-  log.pool().push_back(SettleRecord{9, 2.5});
-  log.Commit(7, off, ExpansionOutcome{2.5, false});
-  const SettleLog::Entry* e = log.Find(7);
+TEST(StampedSpanTableTest, CommitFindAndStampedClear) {
+  StampedSpanTable<SettleRecord, ExpansionOutcome> table;
+  EXPECT_EQ(table.Find(7), nullptr);
+  const size_t off = table.pool().size();
+  table.pool().push_back(SettleRecord{7, 0.0});
+  table.pool().push_back(SettleRecord{9, 2.5});
+  table.Commit(7, off, ExpansionOutcome{2.5, false});
+  const auto* e = table.Find(7);
   ASSERT_NE(e, nullptr);
   EXPECT_EQ(e->meta.covered_radius, 2.5);
   EXPECT_FALSE(e->meta.exhausted);
-  ASSERT_EQ(log.RecordsOf(*e).size(), 2u);
-  EXPECT_EQ(log.RecordsOf(*e)[1].vertex, 9);
-  log.Clear();
-  EXPECT_EQ(log.Find(7), nullptr);
-  EXPECT_EQ(log.size(), 0);
+  ASSERT_EQ(table.SpanOf(*e).size(), 2u);
+  EXPECT_EQ(table.SpanOf(*e)[1].vertex, 9);
+  table.Clear();
+  EXPECT_EQ(table.Find(7), nullptr);
+  EXPECT_EQ(table.size(), 0);
 }
 
 TEST(ThresholdPolicyTest, EmptySkylineNeverPrunes) {

@@ -28,13 +28,11 @@ int EnvInstances(int def) {
   return n > 0 ? n : def;
 }
 
-// SKYSR_ORACLE=ch|alt restricts the sweep to {flat, that kind} (the CI
-// index-enabled job variant) and SKYSR_ORACLE=flat to the classic
-// flat-only run; unset (or an unknown name) keeps the full flat/ch/alt
-// sweep.
+// SKYSR_ORACLE=ch restricts the sweep to {flat, ch} (the CI index-enabled
+// job variant) and SKYSR_ORACLE=flat to the classic flat-only run; unset
+// (or an unknown name) keeps the full flat/ch sweep.
 std::vector<OracleKind> EnvOracleSweep() {
-  const std::vector<OracleKind> all = {OracleKind::kFlat, OracleKind::kCh,
-                                       OracleKind::kAlt};
+  const std::vector<OracleKind> all = {OracleKind::kFlat, OracleKind::kCh};
   const char* v = std::getenv("SKYSR_ORACLE");
   if (v == nullptr || *v == '\0') return all;
   const auto kind = ParseOracleKind(v);
@@ -65,13 +63,12 @@ bool EnvQbDominance() {
   return !(std::string_view(v) == "off" || std::string_view(v) == "0");
 }
 
-// SKYSR_RETRIEVER=settle|bucket|resume|auto restricts the retriever sweep
-// to {settle, that kind} (settle is the exact reference backend); unset (or
-// an unknown name) keeps the full auto/settle/bucket/resume sweep.
+// SKYSR_RETRIEVER=settle|bucket|auto restricts the retriever sweep to
+// {settle, that kind} (settle is the exact reference backend); unset (or an
+// unknown name) keeps the full auto/settle/bucket sweep.
 std::vector<RetrieverKind> EnvRetrieverSweep() {
   const std::vector<RetrieverKind> all = {
-      RetrieverKind::kAuto, RetrieverKind::kSettle, RetrieverKind::kBucket,
-      RetrieverKind::kResume};
+      RetrieverKind::kAuto, RetrieverKind::kSettle, RetrieverKind::kBucket};
   const char* v = std::getenv("SKYSR_RETRIEVER");
   if (v == nullptr || *v == '\0') return all;
   const auto kind = ParseRetrieverKind(v);
@@ -130,7 +127,7 @@ TEST(DifferentialTest, SuiteCoversAllFamiliesAndWorkloadShapes) {
 }
 
 // Workspace-reuse determinism: the engine's QueryWorkspace (skyline, arena,
-// Q_b, flat cache + candidate pool, settle log, bucket scan state,
+// Q_b, flat cache + candidate pool, bucket scan state,
 // resumable slots, every scratch) persists across queries; 100 sequential
 // mixed queries on ONE engine must be bit-identical — routes, scores and
 // PoI witnesses — to running each query on a freshly constructed engine.

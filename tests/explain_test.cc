@@ -102,8 +102,8 @@ TEST(ExplainTest, PruningSharesSumToCandPruned) {
     ASSERT_EQ(e.positions.size(), q.sequence.size());
     int64_t attributed = 0;
     for (const ExplainPositionBackends& p : e.positions) {
-      attributed += p.cache_replays + p.settle_log_replays + p.bucket_runs +
-                    p.resume_runs + p.fresh_searches;
+      attributed += p.cache_replays + p.bucket_runs + p.resume_runs +
+                    p.fresh_searches;
     }
     EXPECT_GT(attributed, 0);
   }

@@ -1,9 +1,9 @@
-// Distance-oracle index layer tests (tier1): randomized CH/ALT correctness
+// Distance-oracle index layer tests (tier1): randomized CH correctness
 // against plain Dijkstra over all three scenario graph families, the
-// bit-equality contract of distance_oracle.h, many-to-many tables, landmark
-// lower-bound admissibility, index save/load round-trips, the
-// graph-checksum mismatch guard, and oracle-backed engine / service /
-// OSR-baseline integration (kind selectable via SKYSR_ORACLE).
+// bit-equality contract of distance_oracle.h, many-to-many tables, index
+// save/load round-trips, the graph-checksum mismatch guard, and
+// oracle-backed engine / service / OSR-baseline integration (kind
+// selectable via SKYSR_ORACLE).
 
 #include <algorithm>
 #include <cstdio>
@@ -53,15 +53,14 @@ class IndexFamilyTest
     : public ::testing::TestWithParam<std::tuple<GraphFamily, WeightModel>> {
 };
 
-// The exactness contract: CH and ALT return the very double a reference
-// Dijkstra computes, across every scenario graph family and weight model
-// (unit weights maximize ties, continuous weights exercise rounding).
-TEST_P(IndexFamilyTest, ChAndAltMatchDijkstraBitwise) {
+// The exactness contract: CH returns the very double a reference Dijkstra
+// computes, across every scenario graph family and weight model (unit
+// weights maximize ties, continuous weights exercise rounding).
+TEST_P(IndexFamilyTest, ChMatchesDijkstraBitwise) {
   const auto [family, weights] = GetParam();
   const Graph g = MakeScenarioGraph(
       FamilyParams(family, 400, weights, 7 + static_cast<uint64_t>(family)));
   const ChOracle ch = ChOracle::Build(g);
-  const AltOracle alt = AltOracle::Build(g);
   OracleWorkspace ws;
 
   for (const auto& [s, t] : RandomPairs(g.num_vertices(), 120, 99)) {
@@ -69,11 +68,6 @@ TEST_P(IndexFamilyTest, ChAndAltMatchDijkstraBitwise) {
     const Weight want = ref.dist[static_cast<size_t>(t)];
     EXPECT_EQ(ch.Distance(s, t, ws), want)
         << GraphFamilyName(family) << " CH mismatch " << s << "->" << t;
-    EXPECT_EQ(alt.Distance(s, t, ws), want)
-        << GraphFamilyName(family) << " ALT mismatch " << s << "->" << t;
-    EXPECT_LE(alt.LowerBound(s, t), want)
-        << GraphFamilyName(family) << " inadmissible ALT bound " << s << "->"
-        << t;
   }
 }
 
@@ -163,41 +157,30 @@ TEST(ChOracleTest, DisconnectedAndDirectedGraphs) {
   db.AddEdge(0, 3, 1.25);
   const Graph dg = db.Build().ValueOrDie();
   const ChOracle dch = ChOracle::Build(dg);
-  const AltOracle dalt = AltOracle::Build(dg, 3);
   for (VertexId s = 0; s < 4; ++s) {
     const DistanceField ref = SingleSourceDistances(dg, s);
     for (VertexId t = 0; t < 4; ++t) {
       EXPECT_EQ(dch.Distance(s, t, ws), ref.dist[static_cast<size_t>(t)])
           << "directed CH " << s << "->" << t;
-      EXPECT_EQ(dalt.Distance(s, t, ws), ref.dist[static_cast<size_t>(t)])
-          << "directed ALT " << s << "->" << t;
     }
   }
 }
 
-TEST(IndexIoTest, SaveLoadRoundTripsBothOracles) {
+TEST(IndexIoTest, SaveLoadRoundTripsChOracle) {
   const Graph g = MakeScenarioGraph(
       FamilyParams(GraphFamily::kCluster, 250, WeightModel::kUniform, 11));
   const std::string ch_path = ::testing::TempDir() + "/roundtrip.chidx";
-  const std::string alt_path = ::testing::TempDir() + "/roundtrip.altidx";
 
   const ChOracle built_ch = ChOracle::Build(g);
   ASSERT_TRUE(SaveOracleIndex(built_ch, ch_path).ok());
-  const AltOracle built_alt = AltOracle::Build(g);
-  ASSERT_TRUE(SaveOracleIndex(built_alt, alt_path).ok());
 
   auto ch = LoadOracleIndex(ch_path, g);
   ASSERT_TRUE(ch.ok()) << ch.status().ToString();
   EXPECT_EQ((*ch)->kind(), OracleKind::kCh);
-  auto alt = LoadOracleIndex(alt_path, g);
-  ASSERT_TRUE(alt.ok()) << alt.status().ToString();
-  EXPECT_EQ((*alt)->kind(), OracleKind::kAlt);
 
   OracleWorkspace ws;
   for (const auto& [s, t] : RandomPairs(g.num_vertices(), 40, 17)) {
-    const Weight want = (*ch)->Distance(s, t, ws);
-    EXPECT_EQ(built_ch.Distance(s, t, ws), want);
-    EXPECT_EQ((*alt)->Distance(s, t, ws), want);
+    EXPECT_EQ(built_ch.Distance(s, t, ws), (*ch)->Distance(s, t, ws));
   }
 
   EXPECT_FALSE(SaveOracleIndex(FlatOracle(g), ch_path).ok());
@@ -302,14 +285,18 @@ TEST(OracleEngineTest, OsrDestinationTailsMatchWithOracle) {
 TEST(OracleFactoryTest, KindsParseAndBuild) {
   EXPECT_EQ(ParseOracleKind("flat"), OracleKind::kFlat);
   EXPECT_EQ(ParseOracleKind("ch"), OracleKind::kCh);
-  EXPECT_EQ(ParseOracleKind("alt"), OracleKind::kAlt);
+  // The retired landmark oracle's name no longer parses.
+  EXPECT_FALSE(ParseOracleKind("alt").has_value());
   EXPECT_FALSE(ParseOracleKind("dijkstra").has_value());
   EXPECT_STREQ(OracleKindName(OracleKind::kCh), "ch");
+  // Resumable slots are not a retriever kind of their own: "settle" runs
+  // deferred expansions on them.
+  EXPECT_EQ(ParseRetrieverKind("settle"), RetrieverKind::kSettle);
+  EXPECT_FALSE(ParseRetrieverKind("resume").has_value());
 
   const Graph g = MakeScenarioGraph(
       FamilyParams(GraphFamily::kSmallWorld, 100, WeightModel::kUnit, 4));
-  for (const OracleKind kind :
-       {OracleKind::kFlat, OracleKind::kCh, OracleKind::kAlt}) {
+  for (const OracleKind kind : {OracleKind::kFlat, OracleKind::kCh}) {
     const auto oracle = MakeOracle(kind, g);
     ASSERT_NE(oracle, nullptr);
     EXPECT_EQ(oracle->kind(), kind);

@@ -147,6 +147,27 @@ TEST(LoaderMutationTest, ChOracleIndex) {
   });
 }
 
+// The header's kind byte (right after the 8-byte magic) names the oracle.
+// Only CH (1) loads: flat (0) has no index and 2 is the retired landmark
+// index, so a valid CH payload behind either byte is still rejected.
+TEST(LoaderMutationTest, OracleIndexRejectsNonChKinds) {
+  const SavedFiles files;
+  const Graph& g = files.scenario.dataset.graph;
+  const Bytes bytes = ReadFile(files.ch_path);
+  ASSERT_GT(bytes.size(), 8u);
+  ASSERT_EQ(bytes[8], 1);
+  for (const char kind : {0, 2}) {
+    Bytes mutated = bytes;
+    mutated[8] = kind;
+    WriteFile(files.scratch_path, mutated.data(), mutated.size());
+    const auto loaded = LoadOracleIndex(files.scratch_path, g);
+    ASSERT_FALSE(loaded.ok()) << "kind byte " << static_cast<int>(kind);
+    EXPECT_NE(loaded.status().ToString().find("unsupported oracle index kind"),
+              std::string::npos)
+        << loaded.status().ToString();
+  }
+}
+
 TEST(LoaderMutationTest, CategoryBucketTables) {
   const SavedFiles files;
   const Dataset& ds = files.scenario.dataset;

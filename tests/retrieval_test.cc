@@ -258,7 +258,7 @@ TEST(RetrievalEngineTest, BitIdenticalAcrossRetrieverKinds) {
       ASSERT_TRUE(ref.ok());
       for (const RetrieverKind kind :
            {RetrieverKind::kAuto, RetrieverKind::kSettle,
-            RetrieverKind::kBucket, RetrieverKind::kResume}) {
+            RetrieverKind::kBucket}) {
         QueryOptions kopts;
         kopts.retriever = kind;
         const auto got = indexed.Run(q, kopts);

@@ -228,9 +228,11 @@ TEST(XCacheServingTest, ColdAndWarmRepliesAreBitIdentical) {
   }
 }
 
-// Same replay pinned to the resumable backend: suspended searches persist
-// across queries (reuses counted), results stay bit-identical, and the
-// per-request opt-out reproduces cacheless behavior on the same engine.
+// Same replay pinned to the resumable backend (the settle retriever keeps
+// the bucket tables out of deferred expansions, so every one runs on a
+// slot): suspended searches persist across queries (reuses counted),
+// results stay bit-identical, and the per-request opt-out reproduces
+// cacheless behavior on the same engine.
 TEST(XCacheServingTest, PersistentResumableSlotsStayBitIdentical) {
   const Scenario sc = MakeScenario(ServingSpec(GraphFamily::kCluster, 932));
   const Graph& g = sc.dataset.graph;
@@ -243,7 +245,7 @@ TEST(XCacheServingTest, PersistentResumableSlotsStayBitIdentical) {
   serving.AttachSharedCache(&cache);
 
   QueryOptions opts;
-  opts.retriever = RetrieverKind::kResume;
+  opts.retriever = RetrieverKind::kSettle;
   for (int round = 0; round < 2; ++round) {
     for (const Query& q : sc.queries) {
       const auto want = baseline.Run(q, opts);

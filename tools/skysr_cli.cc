@@ -17,12 +17,10 @@
 //   skysr_cli info --data DIR
 //       Prints dataset statistics.
 //
-//   skysr_cli index build --data DIR [--oracle ch|alt] [--landmarks N]
-//             [--out FILE] [--no-buckets]
-//       Preprocesses the dataset's graph into a distance-oracle index
-//       (contraction hierarchies by default, ALT landmarks with
-//       --oracle alt) and saves it (default DIR/index.chidx|.altidx). For
-//       CH it additionally builds the category-bucket tables of the PoI
+//   skysr_cli index build --data DIR [--out FILE] [--no-buckets]
+//       Preprocesses the dataset's graph into a contraction-hierarchies
+//       distance-oracle index and saves it (default DIR/index.chidx). It
+//       additionally builds the category-bucket tables of the PoI
 //       retrieval subsystem and saves them alongside (DIR/index.cbkt;
 //       --no-buckets skips). Index files embed checksums of the graph (and,
 //       for buckets, the PoI assignment and the CH build); loading against
@@ -35,8 +33,8 @@
 //   skysr_cli query --data DIR --start V --categories "A;B;C"
 //             [--dest V] [--no-init] [--no-lb] [--no-cache]
 //             [--queue distance] [--budget SECONDS]
-//             [--oracle flat|ch|alt] [--index FILE]
-//             [--retriever auto|settle|bucket|resume] [--buckets FILE|build]
+//             [--oracle flat|ch] [--index FILE]
+//             [--retriever auto|settle|bucket] [--buckets FILE|build]
 //             [--trace-out FILE] [--trace-capacity N]
 //             [--explain] [--explain-out FILE]
 //       Runs one SkySR query (category names as in taxonomy.txt) and prints
@@ -56,8 +54,8 @@
 //       with --out, also writes the batch to a replayable workload file.
 //
 //   skysr_cli batch --data DIR --queries FILE [--threads N] [--repeat R]
-//             [--cache N] [--queue N] [--oracle flat|ch|alt] [--index FILE]
-//             [--retriever auto|settle|bucket|resume] [--buckets FILE|build]
+//             [--cache N] [--queue N] [--oracle flat|ch] [--index FILE]
+//             [--retriever auto|settle|bucket] [--buckets FILE|build]
 //             [--xcache on|off] [--prewarm N] [--slow-queries N]
 //             [--arrival asap|poisson:<qps>|burst:<size>:<gap_ms>]
 //             [--stats-interval SEC] [--metrics-out FILE] [--metrics-port P]
@@ -165,7 +163,7 @@ Result<Dataset> LoadDataDir(const std::string& dir) {
 
 /// Resolves --oracle/--index into a ready oracle over `graph` (null for the
 /// default flat behavior): --index loads a saved file (checksum-verified),
-/// --oracle ch|alt builds the index in memory.
+/// --oracle ch builds the index in memory.
 Result<std::unique_ptr<DistanceOracle>> ResolveOracle(
     const std::map<std::string, std::string>& flags, const Graph& graph) {
   if (flags.count("index")) {
@@ -189,16 +187,13 @@ Result<std::unique_ptr<DistanceOracle>> ResolveOracle(
   if (!flags.count("oracle")) {
     return std::unique_ptr<DistanceOracle>();
   }
-  const auto kind = ParseOracleKind(flags.at("oracle"));
-  if (!kind.has_value()) {
-    return Status::InvalidArgument("unknown --oracle " + flags.at("oracle") +
-                                   " (flat|ch|alt)");
-  }
-  if (*kind == OracleKind::kFlat) return std::unique_ptr<DistanceOracle>();
+  // The name was validated by CheckBackendFlags.
+  const OracleKind kind = *ParseOracleKind(flags.at("oracle"));
+  if (kind == OracleKind::kFlat) return std::unique_ptr<DistanceOracle>();
   WallTimer timer;
-  std::unique_ptr<DistanceOracle> oracle = MakeOracle(*kind, graph);
+  std::unique_ptr<DistanceOracle> oracle = MakeOracle(kind, graph);
   std::printf("built %s oracle in %.1f ms (%.2f MiB)\n",
-              OracleKindName(*kind), timer.ElapsedMillis(),
+              OracleKindName(kind), timer.ElapsedMillis(),
               static_cast<double>(oracle->MemoryBytes()) / (1 << 20));
   return oracle;
 }
@@ -237,19 +232,29 @@ Result<std::optional<CategoryBucketIndex>> ResolveBuckets(
   return std::optional<CategoryBucketIndex>(std::move(loaded));
 }
 
-/// Applies --retriever to query options; false (with a message) on an
-/// unknown name.
-bool ApplyRetrieverFlag(const std::map<std::string, std::string>& flags,
-                        QueryOptions* opts) {
-  if (!flags.count("retriever")) return true;
-  const auto kind = ParseRetrieverKind(flags.at("retriever"));
-  if (!kind.has_value()) {
-    std::fprintf(stderr, "unknown --retriever %s (auto|settle|bucket|resume)\n",
+/// Validates the --oracle and --retriever names before any work starts;
+/// false (with the allowed values) on an unknown one.
+bool CheckBackendFlags(const std::map<std::string, std::string>& flags) {
+  if (flags.count("oracle") && !ParseOracleKind(flags.at("oracle"))) {
+    std::fprintf(stderr, "unknown --oracle %s (flat|ch)\n",
+                 flags.at("oracle").c_str());
+    return false;
+  }
+  if (flags.count("retriever") &&
+      !ParseRetrieverKind(flags.at("retriever"))) {
+    std::fprintf(stderr, "unknown --retriever %s (auto|settle|bucket)\n",
                  flags.at("retriever").c_str());
     return false;
   }
-  opts->retriever = *kind;
   return true;
+}
+
+/// Applies --retriever (validated by CheckBackendFlags) to query options.
+void ApplyRetrieverFlag(const std::map<std::string, std::string>& flags,
+                        QueryOptions* opts) {
+  if (flags.count("retriever")) {
+    opts->retriever = *ParseRetrieverKind(flags.at("retriever"));
+  }
 }
 
 bool WriteTextFile(const std::string& path, const std::string& content) {
@@ -328,9 +333,6 @@ void PrintOracleStats(const DistanceOracle& oracle) {
     std::printf("shortcuts: %lld\nupward edges: %lld\n",
                 static_cast<long long>(ch.num_shortcuts()),
                 static_cast<long long>(ch.num_upward_edges()));
-  } else if (oracle.kind() == OracleKind::kAlt) {
-    const auto& alt = static_cast<const AltOracle&>(oracle);
-    std::printf("landmarks: %zu\n", alt.landmarks().size());
   }
 }
 
@@ -339,8 +341,8 @@ int CmdIndex(int argc, char** argv,
   const std::string sub = argc > 2 ? argv[2] : "";
   if (sub != "build" && sub != "stats") {
     std::fprintf(stderr,
-                 "usage: skysr_cli index build --data DIR [--oracle ch|alt] "
-                 "[--landmarks N] [--out FILE]\n"
+                 "usage: skysr_cli index build --data DIR [--out FILE] "
+                 "[--no-buckets]\n"
                  "       skysr_cli index stats --data DIR --index FILE\n");
     return 2;
   }
@@ -383,39 +385,30 @@ int CmdIndex(int argc, char** argv,
     return 0;
   }
 
-  const std::string kind_name =
-      flags.count("oracle") ? flags.at("oracle") : std::string("ch");
-  const auto kind = ParseOracleKind(kind_name);
-  if (!kind.has_value() || *kind == OracleKind::kFlat) {
-    std::fprintf(stderr, "index build needs --oracle ch or --oracle alt\n");
+  if (flags.count("oracle") && flags.at("oracle") != "ch") {
+    std::fprintf(stderr, "index build builds a CH index only (--oracle ch)\n");
     return 2;
   }
   WallTimer timer;
-  std::unique_ptr<DistanceOracle> oracle;
-  if (*kind == OracleKind::kAlt && flags.count("landmarks")) {
-    oracle = std::make_unique<AltOracle>(AltOracle::Build(
-        ds->graph, std::atoi(flags.at("landmarks").c_str())));
-  } else {
-    oracle = MakeOracle(*kind, ds->graph);
-  }
+  const ChOracle oracle = ChOracle::Build(ds->graph);
   const double build_ms = timer.ElapsedMillis();
   const std::string out =
       flags.count("out") ? flags.at("out")
                          : flags.at("data") + "/index." +
-                               OracleIndexExtension(*kind);
-  if (Status st = SaveOracleIndex(*oracle, out); !st.ok()) {
+                               OracleIndexExtension(OracleKind::kCh);
+  if (Status st = SaveOracleIndex(oracle, out); !st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 1;
   }
-  std::printf("built %s index in %.1f ms, wrote %s\n", kind_name.c_str(),
-              build_ms, out.c_str());
-  PrintOracleStats(*oracle);
+  std::printf("built ch index in %.1f ms, wrote %s\n", build_ms,
+              out.c_str());
+  PrintOracleStats(oracle);
 
-  // CH builds also get the PoI-retrieval bucket tables, persisted alongside
-  // the .chidx (same dataset binding, plus assignment + CH checksums).
-  if (*kind == OracleKind::kCh && !flags.count("no-buckets")) {
-    const CategoryBucketIndex buckets = CategoryBucketIndex::Build(
-        ds->graph, static_cast<const ChOracle&>(*oracle));
+  // The PoI-retrieval bucket tables are persisted alongside the .chidx
+  // (same dataset binding, plus assignment + CH checksums).
+  if (!flags.count("no-buckets")) {
+    const CategoryBucketIndex buckets =
+        CategoryBucketIndex::Build(ds->graph, oracle);
     const std::string bucket_out =
         flags.count("out")
             ? flags.at("out") + "." + BucketIndexExtension()
@@ -537,7 +530,7 @@ int CmdGen(const std::map<std::string, std::string>& flags) {
       sc.queries.size());
   std::printf(
       "replay: skysr_cli batch --data %s --queries %s/workload.txt "
-      "[--oracle ch|alt]\n",
+      "[--oracle ch]\n",
       out.c_str(), out.c_str());
   return 0;
 }
@@ -584,6 +577,7 @@ int CmdQuery(const std::map<std::string, std::string>& flags) {
                  "query needs --data DIR --start V --categories \"A;B;C\"\n");
     return 2;
   }
+  if (!CheckBackendFlags(flags)) return 2;
   auto ds = LoadDataDir(flags.at("data"));
   if (!ds.ok()) {
     std::fprintf(stderr, "%s\n", ds.status().ToString().c_str());
@@ -619,7 +613,7 @@ int CmdQuery(const std::map<std::string, std::string>& flags) {
     opts.explain = true;
   }
 
-  if (!ApplyRetrieverFlag(flags, &opts)) return 2;
+  ApplyRetrieverFlag(flags, &opts);
 
   auto oracle = ResolveOracle(flags, ds->graph);
   if (!oracle.ok()) {
@@ -799,6 +793,7 @@ int CmdBatch(const std::map<std::string, std::string>& flags) {
                  "[--metrics-port P] [--trace] [--trace-out FILE]\n");
     return 2;
   }
+  if (!CheckBackendFlags(flags)) return 2;
   auto ds = LoadDataDir(flags.at("data"));
   if (!ds.ok()) {
     std::fprintf(stderr, "%s\n", ds.status().ToString().c_str());
@@ -846,7 +841,7 @@ int CmdBatch(const std::map<std::string, std::string>& flags) {
     cfg.default_options.explain = true;
   }
 
-  if (!ApplyRetrieverFlag(flags, &cfg.default_options)) return 2;
+  ApplyRetrieverFlag(flags, &cfg.default_options);
 
   auto oracle = ResolveOracle(flags, ds->graph);
   if (!oracle.ok()) {
