@@ -1,7 +1,7 @@
-// Index-layer benchmark: oracle build cost, point-to-point distance-query
-// speedup over flat Dijkstra, and CH bucket many-to-many throughput, per
-// scenario graph family. Every timed query is also verified bit-equal to
-// flat Dijkstra, so the bench doubles as a large-graph exactness check.
+// Index-layer benchmark: CH build cost and point-to-point distance-query
+// speedup over flat Dijkstra, per scenario graph family. Every timed query
+// is also verified bit-equal to a plain graph Dijkstra, so the bench
+// doubles as a large-graph exactness check.
 //
 // Emits a human table plus machine-readable BENCH_index.json (written to
 // the working directory, override with SKYSR_BENCH_JSON_OUT) so the perf
@@ -18,7 +18,8 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "index/oracle_factory.h"
+#include "graph/dijkstra.h"
+#include "index/ch_oracle.h"
 #include "scenario/scenario.h"
 #include "util/rng.h"
 #include "util/timer.h"
@@ -63,8 +64,7 @@ void Run() {
   std::printf("index-layer bench: |V|~%lld per family, %d p2p pairs\n\n",
               static_cast<long long>(vertices), num_pairs);
   bench::TablePrinter table({"family", "|V|", "ch build ms", "shortcuts",
-                             "flat us/q", "ch us/q", "ch speedup",
-                             "m2m ch speedup"});
+                             "flat us/q", "ch us/q", "ch speedup"});
   bench::JsonWriter json;
   json.BeginObject();
   json.Field("bench", "index");
@@ -76,12 +76,20 @@ void Run() {
   for (GraphFamily family : {GraphFamily::kGrid, GraphFamily::kCluster,
                              GraphFamily::kSmallWorld}) {
     const Graph g = BenchGraph(family, vertices);
-    const auto ch =
-        std::unique_ptr<DistanceOracle>(MakeOracle(OracleKind::kCh, g));
-    const auto& ch_stats =
-        static_cast<const ChOracle&>(*ch).build_stats();
-    const FlatOracle flat(g);
+    const ChOracle ch = ChOracle::Build(g);
+    const ChOracle::BuildStats& ch_stats = ch.build_stats();
     OracleWorkspace ws;
+    DijkstraWorkspace dws;
+    // The flat side: an early-exit graph Dijkstra on a reused workspace.
+    const auto flat_distance = [&](VertexId s, VertexId t) {
+      Weight found = kInfWeight;
+      RunDijkstra(g, s, dws, [&](VertexId v, Weight d, VertexId) {
+        if (v != t) return VisitAction::kContinue;
+        found = d;
+        return VisitAction::kStop;
+      });
+      return found;
+    };
 
     Rng rng(42);
     std::vector<std::pair<VertexId, VertexId>> pairs;
@@ -93,62 +101,29 @@ void Run() {
     std::vector<Weight> reference;
     reference.reserve(pairs.size());
     for (const auto& [s, t] : pairs) {
-      reference.push_back(flat.Distance(s, t, ws));
+      reference.push_back(PointToPointDistance(g, s, t));
     }
 
-    const P2pTiming flat_t = TimePairs(
-        pairs, reference,
-        [&](VertexId s, VertexId t) { return flat.Distance(s, t, ws); });
+    const P2pTiming flat_t = TimePairs(pairs, reference, flat_distance);
     const P2pTiming ch_t = TimePairs(
         pairs, reference,
-        [&](VertexId s, VertexId t) { return ch->Distance(s, t, ws); });
+        [&](VertexId s, VertexId t) { return ch.Distance(s, t, ws); });
     if (ch_t.mismatches != 0) {
       std::fprintf(stderr, "!! %s: %lld CH mismatches vs flat Dijkstra\n",
                    GraphFamilyName(family),
                    static_cast<long long>(ch_t.mismatches));
     }
 
-    // Many-to-many: an NNinit/lower-bound-shaped table (few sources, many
-    // targets).
-    std::vector<VertexId> m2m_sources, m2m_targets;
-    for (int i = 0; i < 8; ++i) {
-      m2m_sources.push_back(
-          static_cast<VertexId>(rng.UniformInt(0, g.num_vertices() - 1)));
-    }
-    for (int j = 0; j < 128; ++j) {
-      m2m_targets.push_back(
-          static_cast<VertexId>(rng.UniformInt(0, g.num_vertices() - 1)));
-    }
-    std::vector<Weight> m2m_flat(m2m_sources.size() * m2m_targets.size());
-    std::vector<Weight> m2m_ch(m2m_flat.size());
-    WallTimer m2m_flat_timer;
-    flat.Table(m2m_sources, m2m_targets, ws, m2m_flat.data());
-    const double m2m_flat_ms = m2m_flat_timer.ElapsedMillis();
-    WallTimer m2m_ch_timer;
-    ch->Table(m2m_sources, m2m_targets, ws, m2m_ch.data());
-    const double m2m_ch_ms = m2m_ch_timer.ElapsedMillis();
-    int64_t m2m_mismatches = 0;
-    for (size_t i = 0; i < m2m_flat.size(); ++i) {
-      if (m2m_flat[i] != m2m_ch[i]) ++m2m_mismatches;
-    }
-    if (m2m_mismatches != 0) {
-      std::fprintf(stderr, "!! %s: %lld m2m mismatches\n",
-                   GraphFamilyName(family),
-                   static_cast<long long>(m2m_mismatches));
-    }
-
     const double us_per = 1000.0 / num_pairs;
     const double ch_speedup = ch_t.total_ms > 0
                                   ? flat_t.total_ms / ch_t.total_ms
                                   : 0.0;
-    const double m2m_speedup = m2m_ch_ms > 0 ? m2m_flat_ms / m2m_ch_ms : 0.0;
     table.AddRow({GraphFamilyName(family), bench::FmtInt(g.num_vertices()),
                   bench::Fmt("%.0f", ch_stats.build_ms),
                   bench::FmtInt(ch_stats.shortcuts_added),
                   bench::Fmt("%.1f", flat_t.total_ms * us_per),
                   bench::Fmt("%.1f", ch_t.total_ms * us_per),
-                  bench::Fmt("%.1fx", ch_speedup),
-                  bench::Fmt("%.1fx", m2m_speedup)});
+                  bench::Fmt("%.1fx", ch_speedup)});
 
     json.BeginObject();
     json.Field("family", GraphFamilyName(family));
@@ -156,14 +131,11 @@ void Run() {
     json.Field("edges", g.num_edges());
     json.Field("ch_build_ms", ch_stats.build_ms);
     json.Field("ch_shortcuts", ch_stats.shortcuts_added);
-    json.Field("ch_memory_bytes", ch->MemoryBytes());
+    json.Field("ch_memory_bytes", ch.MemoryBytes());
     json.Field("p2p_flat_ms", flat_t.total_ms);
     json.Field("p2p_ch_ms", ch_t.total_ms);
     json.Field("p2p_speedup_ch", ch_speedup);
-    json.Field("m2m_flat_ms", m2m_flat_ms);
-    json.Field("m2m_ch_ms", m2m_ch_ms);
-    json.Field("m2m_speedup_ch", m2m_speedup);
-    json.Field("mismatches", ch_t.mismatches + m2m_mismatches);
+    json.Field("mismatches", ch_t.mismatches + flat_t.mismatches);
     json.EndObject();
   }
   json.EndArray();

@@ -4,8 +4,8 @@
 // across sequence sizes, plus the skyline-size profile of each family.
 //
 // Knobs: SKYSR_BENCH_SCALE (vertex-count multiplier), SKYSR_BENCH_QUERIES,
-//        SKYSR_ORACLE (flat|ch — back the engine with an index-layer
-//        distance oracle), SKYSR_XCACHE (on|1 — attach an engine-lifetime
+//        SKYSR_ORACLE (flat|ch — back the engine with the CH index and its
+//        category-bucket tables), SKYSR_XCACHE (on|1 — attach an engine-lifetime
 //        SharedQueryCache so warm cross-query state carries across the
 //        sweep; per-config cache counters land in the JSON). Emits
 //        BENCH_scenarios.json (override the path with SKYSR_BENCH_JSON_OUT)
@@ -21,7 +21,6 @@
 #include "cache/shared_query_cache.h"
 #include "core/bssr_engine.h"
 #include "index/ch_oracle.h"
-#include "index/oracle_factory.h"
 #include "retrieval/category_buckets.h"
 #include "scenario/scenario.h"
 #include "util/timer.h"
@@ -71,21 +70,17 @@ void Run() {
                              GraphFamily::kSmallWorld}) {
     const Scenario sc = MakeScenario(BenchSpec(family, vertices,
                                                /*seed=*/2026));
-    // With the cache axis on and a CH oracle, also build the bucket tables:
-    // the auto retriever only engages the cacheable bucket backend when they
-    // exist, so this is what makes the forward-search counters non-zero.
+    // The engine reaches the CH index only through its bucket tables, so
+    // the ch axis builds both.
     std::unique_ptr<ChOracle> ch;
     std::unique_ptr<CategoryBucketIndex> buckets;
-    std::unique_ptr<DistanceOracle> oracle;
-    if (xcache_on && oracle_kind == OracleKind::kCh) {
+    if (oracle_kind == OracleKind::kCh) {
       ch = std::make_unique<ChOracle>(ChOracle::Build(sc.dataset.graph));
       buckets = std::make_unique<CategoryBucketIndex>(
           CategoryBucketIndex::Build(sc.dataset.graph, *ch));
-    } else if (oracle_kind != OracleKind::kFlat) {
-      oracle = MakeOracle(oracle_kind, sc.dataset.graph);
     }
-    BssrEngine engine(sc.dataset.graph, sc.dataset.forest,
-                      ch != nullptr ? ch.get() : oracle.get(), buckets.get());
+    BssrEngine engine(sc.dataset.graph, sc.dataset.forest, ch.get(),
+                      buckets.get());
     std::optional<SharedQueryCache> xcache;
     if (xcache_on) {
       xcache.emplace();

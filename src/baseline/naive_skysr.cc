@@ -14,7 +14,7 @@ Result<QueryResult> RunNaiveSkySr(const Graph& g, const CategoryForest& forest,
                                   const Query& query,
                                   const QueryOptions& options,
                                   OsrEngineKind engine, NaiveRunInfo* info,
-                                  const DistanceOracle* oracle) {
+                                  const ChOracle* oracle) {
   SKYSR_RETURN_NOT_OK(ValidateQuery(g, forest, query));
   std::vector<CategoryId> base;
   for (const CategoryPredicate& p : query.sequence) {

@@ -37,7 +37,7 @@ Result<QueryResult> RunNaiveSkySr(const Graph& g, const CategoryForest& forest,
                                   const QueryOptions& options,
                                   OsrEngineKind engine,
                                   NaiveRunInfo* info = nullptr,
-                                  const DistanceOracle* oracle = nullptr);
+                                  const ChOracle* oracle = nullptr);
 
 }  // namespace skysr
 

@@ -6,13 +6,9 @@
 namespace skysr {
 
 DestTail::DestTail(const Graph& g, std::optional<VertexId> dest,
-                   const DistanceOracle* oracle)
-    : g_(&g), dest_(dest) {
-  if (!dest_) return;
-  if (oracle != nullptr && oracle->kind() != OracleKind::kFlat) {
-    oracle_ = oracle;
-    return;
-  }
+                   const ChOracle* oracle)
+    : g_(&g), dest_(dest), oracle_(oracle) {
+  if (!dest_ || oracle_ != nullptr) return;
   all_ = g.directed() ? SingleSourceDistances(ReverseOf(g), *dest_).dist
                       : SingleSourceDistances(g, *dest_).dist;
 }

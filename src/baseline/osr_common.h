@@ -11,7 +11,7 @@
 
 #include "core/query.h"
 #include "graph/types.h"
-#include "index/distance_oracle.h"
+#include "index/ch_oracle.h"
 
 namespace skysr {
 
@@ -38,7 +38,7 @@ struct OsrResult {
 class DestTail {
  public:
   DestTail(const Graph& g, std::optional<VertexId> dest,
-           const DistanceOracle* oracle);
+           const ChOracle* oracle);
 
   bool active() const { return dest_.has_value(); }
 
@@ -49,8 +49,8 @@ class DestTail {
  private:
   const Graph* g_;
   std::optional<VertexId> dest_;
-  const DistanceOracle* oracle_ = nullptr;  // null => precomputed sweep
-  std::vector<Weight> all_;                 // sweep results
+  const ChOracle* oracle_ = nullptr;  // null => precomputed sweep
+  std::vector<Weight> all_;           // sweep results
   std::unordered_map<VertexId, Weight> memo_;  // lazy oracle results
   OracleWorkspace ws_;
 };

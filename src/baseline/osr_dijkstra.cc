@@ -58,7 +58,7 @@ OsrResult RunOsrDijkstra(const Graph& g,
                          const std::vector<PositionMatcher>& matchers,
                          VertexId start, std::optional<VertexId> dest,
                          double time_budget_seconds,
-                         const DistanceOracle* oracle) {
+                         const ChOracle* oracle) {
   WallTimer timer;
   OsrResult result;
   const int k = static_cast<int>(matchers.size());
@@ -66,8 +66,7 @@ OsrResult RunOsrDijkstra(const Graph& g,
   const int64_t layers = k + 1;
   // Index-backed destination mode: progress-k states complete through an
   // exact oracle tail instead of walking the graph to the destination.
-  const bool oracle_tails =
-      dest && oracle != nullptr && oracle->kind() != OracleKind::kFlat;
+  const bool oracle_tails = dest && oracle != nullptr;
   DestTail dest_tail(g, oracle_tails ? dest : std::nullopt, oracle);
   Weight best_total = kInfWeight;
   std::vector<PoiId> best_route;

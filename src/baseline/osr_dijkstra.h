@@ -33,7 +33,7 @@ namespace skysr {
 /// perfect-match sets; `dest` optionally appends a fixed destination. The
 /// search aborts (timed_out) after `time_budget_seconds`.
 ///
-/// With a non-flat `oracle` and a destination, completed (progress = k)
+/// With a CH `oracle` and a destination, completed (progress = k)
 /// states stop walking the graph toward the destination: each settles once,
 /// adds its exact oracle tail D(v, dest), and the search ends when the
 /// popped tail-free length can no longer beat the best total — same answer,
@@ -43,7 +43,7 @@ OsrResult RunOsrDijkstra(const Graph& g,
                          const std::vector<PositionMatcher>& matchers,
                          VertexId start, std::optional<VertexId> dest,
                          double time_budget_seconds,
-                         const DistanceOracle* oracle = nullptr);
+                         const ChOracle* oracle = nullptr);
 
 }  // namespace skysr
 

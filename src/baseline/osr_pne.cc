@@ -98,7 +98,7 @@ OsrResult RunOsrPne(const Graph& g,
                     const std::vector<PositionMatcher>& matchers,
                     VertexId start, std::optional<VertexId> dest,
                     double time_budget_seconds,
-                    const DistanceOracle* oracle) {
+                    const ChOracle* oracle) {
   WallTimer timer;
   OsrResult result;
   const int k = static_cast<int>(matchers.size());

@@ -27,14 +27,14 @@
 
 namespace skysr {
 
-/// Runs one PNE OSR query (same contract as RunOsrDijkstra). A non-flat
+/// Runs one PNE OSR query (same contract as RunOsrDijkstra). A CH
 /// `oracle` answers destination tails lazily per candidate completion
 /// instead of a whole-graph reverse Dijkstra.
 OsrResult RunOsrPne(const Graph& g,
                     const std::vector<PositionMatcher>& matchers,
                     VertexId start, std::optional<VertexId> dest,
                     double time_budget_seconds,
-                    const DistanceOracle* oracle = nullptr);
+                    const ChOracle* oracle = nullptr);
 
 }  // namespace skysr
 

@@ -4,7 +4,6 @@
 
 #include "graph/graph.h"
 #include "index/ch_oracle.h"
-#include "index/distance_oracle.h"
 
 namespace skysr {
 
@@ -17,16 +16,14 @@ uint64_t Mix(uint64_t h, uint64_t v) {
 
 }  // namespace
 
-uint64_t WarmStateChecksum(const Graph& g, const DistanceOracle* oracle) {
+uint64_t WarmStateChecksum(const Graph& g, const ChOracle* oracle) {
   uint64_t h = 0x5ca1ab1e0ddba11ULL;
   h = Mix(h, static_cast<uint64_t>(g.num_vertices()));
   h = Mix(h, static_cast<uint64_t>(g.num_edges()));
   h = Mix(h, static_cast<uint64_t>(g.num_pois()));
   if (oracle != nullptr) {
-    h = Mix(h, static_cast<uint64_t>(oracle->kind()) + 1);
-    if (oracle->kind() == OracleKind::kCh) {
-      h = Mix(h, static_cast<const ChOracle*>(oracle)->StructureChecksum());
-    }
+    h = Mix(h, static_cast<uint64_t>(OracleKind::kCh) + 1);
+    h = Mix(h, oracle->StructureChecksum());
   }
   return h;
 }

@@ -32,12 +32,12 @@
 namespace skysr {
 
 class Graph;
-class DistanceOracle;
+class ChOracle;
 
-/// Digest of the structures warm state depends on: graph shape, oracle
-/// kind, and (for CH) the order-sensitive upward-CSR checksum. Engines and
+/// Digest of the structures warm state depends on: graph shape and, with an
+/// index, the CH oracle's order-sensitive upward-CSR checksum. Engines and
 /// snapshot builders must derive it the same way so bindings match.
-uint64_t WarmStateChecksum(const Graph& g, const DistanceOracle* oracle);
+uint64_t WarmStateChecksum(const Graph& g, const ChOracle* oracle);
 
 struct SharedCacheConfig {
   /// Forward-search cache entries (CLOCK eviction). Each entry holds one

@@ -103,7 +103,7 @@ struct SimDecisionMemo {
 }  // namespace
 
 BssrEngine::BssrEngine(const Graph& graph, const CategoryForest& forest,
-                       const DistanceOracle* oracle,
+                       const ChOracle* oracle,
                        const CategoryBucketIndex* buckets)
     : g_(&graph), forest_(&forest), oracle_(oracle), buckets_(buckets) {
   SKYSR_DCHECK(oracle == nullptr || &oracle->graph() == &graph);
@@ -112,7 +112,7 @@ BssrEngine::BssrEngine(const Graph& graph, const CategoryForest& forest,
   // indices.
   if (buckets_ != nullptr &&
       (oracle_ == nullptr || &buckets_->graph() != g_ ||
-       static_cast<const DistanceOracle*>(&buckets_->oracle()) != oracle_)) {
+       &buckets_->oracle() != oracle_)) {
     buckets_ = nullptr;
   }
   for (PoiId p = 0; p < g_->num_pois(); ++p) {
@@ -143,9 +143,10 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
 
   // Tracing (src/obs/): resolved to null unless attached AND enabled, so
   // every span site below is one predictable branch in the default
-  // configuration. The oracle workspace carries the pointer into Table()
-  // calls. Aggregates are per-trace-window; the snapshot cuts out this
-  // query's delta for SearchStats regardless of when the caller Clear()ed.
+  // configuration. The oracle workspace carries the pointer into the
+  // bucket-served NNinit hops and lower-bound legs. Aggregates are
+  // per-trace-window; the snapshot cuts out this query's delta for
+  // SearchStats regardless of when the caller Clear()ed.
   QueryTrace* const trace =
       (trace_ != nullptr && trace_->enabled()) ? trace_ : nullptr;
   ws_.oracle_ws.trace = trace;
@@ -308,12 +309,23 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
                                          buckets_->SettleDensity(),
                                          g_->num_vertices())));
   const bool resume_backend = needs_deferred_lemma55;
-  std::optional<BucketRetriever> bucket;
-  if (bucket_backend) bucket.emplace(*buckets_);
+
+  // Exact source -> PoI distances off the bucket tables for NNinit hops,
+  // lower-bound legs and (with bucket_backend) expansions: kAuto lets each
+  // hop and leg's cost model choose, kBucket serves them all, kSettle uses
+  // no bucket work. The forward searches land in the per-query scan cache
+  // the bulk search reuses (or, with the shared cache attached, read and
+  // warm it).
+  std::optional<BucketDistances> bucket_dist;
+  if (buckets_ != nullptr && rk != RetrieverKind::kSettle) {
+    bucket_dist.emplace(BucketDistances{BucketRetriever(*buckets_),
+                                        &ws_.oracle_ws, &ws_.bucket_scan, xc,
+                                        rk == RetrieverKind::kBucket});
+  }
 
   if (exp != nullptr) {
     exp->oracle =
-        oracle_ != nullptr ? OracleKindName(oracle_->kind()) : "none";
+        oracle_ != nullptr ? OracleKindName(OracleKind::kCh) : "none";
     exp->deferred_lemma55 = needs_deferred_lemma55;
     exp->retriever_requested = RetrieverKindName(rk);
     exp->bucket_backend = bucket_backend;
@@ -329,41 +341,22 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
   // --- Optimization 1: initial search (§5.3.1). ---
   if (options.use_initial_search) {
     TraceSpan nn_span(trace, TracePhase::kNnInit);
-    // The bucket tables also serve NNinit's table hops (and warm the
-    // per-query forward-search cache the bulk search reuses); kSettle
-    // reproduces the pre-bucket paths exactly.
-    const bool nn_buckets =
-        buckets_ != nullptr && (rk == RetrieverKind::kAuto ||
-                                rk == RetrieverKind::kBucket);
     RunNnInit(*g_, matchers, query.start, agg, dest_dist, ws_.dijkstra_ws,
-              &skyline, &stats, oracle_, &ws_.oracle_ws,
-              options.oracle_candidate_cap, &ws_.nn_init,
-              nn_buckets ? buckets_ : nullptr,
-              nn_buckets ? &ws_.bucket_scan : nullptr,
-              nn_buckets ? xc : nullptr);
+              &skyline, &stats, &ws_.nn_init,
+              bucket_dist ? &*bucket_dist : nullptr);
   }
 
   // --- Optimization 3: minimum-distance lower bounds (§5.3.3). ---
   const LowerBounds* lb_ptr = nullptr;
   if (options.use_lower_bounds && k >= 2) {
     TraceSpan lb_span(trace, TracePhase::kLowerBound);
-    if (oracle_ != nullptr && oracle_->kind() != OracleKind::kFlat &&
-        options.oracle_candidate_cap != 0) {
-      // With the shared cache attached, table-based legs read the bucket
-      // tables so the source forward searches come from — and warm — the
-      // cache; pair distances are bit-equal to Table()'s (lower_bound.h).
-      std::optional<BucketRetriever> lb_buckets;
-      if (xc != nullptr && buckets_ != nullptr) lb_buckets.emplace(*buckets_);
-      ws_.lb = ComputeLowerBoundsWithOracle(
-          *g_, matchers, query.start, skyline.Threshold(0.0), *oracle_,
-          ws_.oracle_ws, &stats, options.oracle_candidate_cap,
-          &ws_.lower_bound, lb_buckets ? &*lb_buckets : nullptr,
-          lb_buckets ? &ws_.bucket_scan : nullptr, xc);
-    } else {
-      ws_.lb = ComputeLowerBounds(*g_, matchers, query.start,
-                                  skyline.Threshold(0.0), &stats,
-                                  &ws_.lower_bound);
-    }
+    ws_.lb = bucket_dist
+                 ? ComputeLowerBoundsWithBuckets(
+                       *g_, matchers, query.start, skyline.Threshold(0.0),
+                       *bucket_dist, &stats, &ws_.lower_bound)
+                 : ComputeLowerBounds(*g_, matchers, query.start,
+                                      skyline.Threshold(0.0), &stats,
+                                      &ws_.lower_bound);
     lb_ptr = &ws_.lb;
   }
 
@@ -649,8 +642,10 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
       // means the budget grew past a capped scan, so it goes exhaustive —
       // at most two scans per (source, position), ever.
       const ExpansionOutcome outcome =
-          bucket->Collect(src, matcher, ws_.oracle_ws, ws_.bucket_scan,
-                          is_rerun ? kInfWeight : budget(), &stats, xc);
+          bucket_dist->retriever.Collect(src, matcher, ws_.oracle_ws,
+                                         ws_.bucket_scan,
+                                         is_rerun ? kInfWeight : budget(),
+                                         &stats, xc);
       const std::vector<ExpansionCandidate>& cands = ws_.bucket_scan.cands;
       if (options.use_cache) {
         CandidateSoA& pool = cache.pool();

@@ -28,7 +28,7 @@
 #include "core/query_workspace.h"
 #include "core/route.h"
 #include "core/search_stats.h"
-#include "index/distance_oracle.h"
+#include "index/ch_oracle.h"
 #include "retrieval/category_buckets.h"
 #include "util/status.h"
 
@@ -53,18 +53,18 @@ struct QueryResult {
 class BssrEngine {
  public:
   /// The graph and forest must outlive the engine. `oracle` (optional, must
-  /// also outlive the engine and be built over the same graph) accelerates
-  /// the pure-distance work — NNinit seeding and the §5.3.3 leg bounds —
-  /// through the index layer; a null or flat oracle reproduces the classic
-  /// Dijkstra code paths. The oracle is shared and immutable; the engine
-  /// owns the per-thread query workspace, preserving the one-engine-per-
-  /// thread contract.
+  /// also outlive the engine and be built over the same graph) is the CH
+  /// index the `buckets` are derived from; on its own it changes nothing.
   /// `buckets` (optional) attaches the category-bucket tables of the
   /// retrieval subsystem; they must be built over exactly this graph and
-  /// this oracle (else they are ignored) and outlive the engine. Shared and
-  /// immutable, like the oracle.
+  /// this oracle (else they are ignored) and outlive the engine. With them,
+  /// NNinit hops, lower-bound legs and deferred expansions may be answered
+  /// off the tables (QueryOptions::retriever decides); without them the
+  /// engine runs the classic Dijkstra code paths. Both are shared and
+  /// immutable; the engine owns the per-thread query workspace, preserving
+  /// the one-engine-per-thread contract.
   BssrEngine(const Graph& graph, const CategoryForest& forest,
-             const DistanceOracle* oracle = nullptr,
+             const ChOracle* oracle = nullptr,
              const CategoryBucketIndex* buckets = nullptr);
 
   /// Executes a SkySR query. Returns InvalidArgument for malformed queries.
@@ -106,13 +106,13 @@ class BssrEngine {
 
   const Graph& graph() const { return *g_; }
   const CategoryForest& forest() const { return *forest_; }
-  const DistanceOracle* oracle() const { return oracle_; }
+  const ChOracle* oracle() const { return oracle_; }
   const CategoryBucketIndex* buckets() const { return buckets_; }
 
  private:
   const Graph* g_;
   const CategoryForest* forest_;
-  const DistanceOracle* oracle_;  // may be null (flat behavior)
+  const ChOracle* oracle_;  // may be null (no index)
   const CategoryBucketIndex* buckets_;  // may be null (no bucket backend)
   DestTailProvider* dest_tails_ = nullptr;  // may be null (local tails)
   SharedQueryCache* xcache_ = nullptr;  // may be null (per-query state only)

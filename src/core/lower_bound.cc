@@ -1,7 +1,9 @@
 #include "core/lower_bound.h"
 
 #include <algorithm>
+#include <limits>
 
+#include "obs/query_trace.h"
 #include "retrieval/bucket_retriever.h"
 #include "util/timer.h"
 
@@ -129,13 +131,10 @@ LowerBounds ComputeLowerBounds(const Graph& g,
   return lb;
 }
 
-LowerBounds ComputeLowerBoundsWithOracle(
+LowerBounds ComputeLowerBoundsWithBuckets(
     const Graph& g, const std::vector<PositionMatcher>& matchers,
-    VertexId start, Weight radius, const DistanceOracle& oracle,
-    OracleWorkspace& oracle_ws, SearchStats* stats,
-    int64_t oracle_candidate_cap, LowerBoundScratch* scratch,
-    const BucketRetriever* bucket_server, BucketScanState* bucket_scan,
-    SharedQueryCache* shared) {
+    VertexId start, Weight radius, const BucketDistances& buckets,
+    SearchStats* stats, LowerBoundScratch* scratch) {
   WallTimer timer;
   const int k = static_cast<int>(matchers.size());
   LowerBounds lb;
@@ -149,9 +148,9 @@ LowerBounds ComputeLowerBoundsWithOracle(
   if (scratch == nullptr) scratch = &local;
 
   // Ball membership D(v_q, v) < radius via one radius-truncated Dijkstra —
-  // it settles only the ball, and the flat fallback legs additionally need
-  // it as a whole-vertex traversal filter. radius == +inf (no threshold
-  // yet) means everything is in the ball and no search is needed.
+  // it settles only the ball, and the classic fallback legs additionally
+  // need it as a whole-vertex traversal filter. radius == +inf (no
+  // threshold yet) means everything is in the ball and no search is needed.
   DijkstraRunStats ball_stats;
   const bool have_ball = radius != kInfWeight;
   StampedArray<Weight>& ball_dist = scratch->ball_dist;
@@ -168,34 +167,31 @@ LowerBounds ComputeLowerBoundsWithOracle(
     return !have_ball || ball_dist.Get(v) < radius;
   };
 
-  // Oracle legs pay per endpoint (one CH upward search of its
-  // self-measured ApproxSearchSettles() size), while the classic
+  // Bucket legs pay per endpoint (about one CH upward search of the
+  // oracle's self-measured ApproxSearchSettles() size), while the classic
   // alternative — a ball-restricted multi-source Dijkstra — costs one pass
   // over the ball, whose size the truncated search above just measured. So
-  // the oracle only gets a leg when its cost undercuts that pass; dense legs
-  // (or tiny balls) use the classic search. Every flavor yields valid
-  // bounds, so the switch (and the QueryOptions::oracle_candidate_cap
-  // override) is purely a matter of speed.
+  // the tables only get a leg when their cost undercuts that pass; dense
+  // legs (or tiny balls) use the classic search. Every flavor yields valid
+  // bounds, so the switch (and `force`) is purely a matter of speed.
   const auto ball_vertices = static_cast<size_t>(
       have_ball ? ball_stats.settled : g.num_vertices());
   const size_t max_table_endpoints =  // |S| + |T| per leg
-      oracle_candidate_cap < 0
-          ? ball_vertices /
+      buckets.force
+          ? std::numeric_limits<size_t>::max()
+          : ball_vertices /
                 (2 * static_cast<size_t>(std::max<int64_t>(
-                         1, oracle.ApproxSearchSettles())))
-          : static_cast<size_t>(oracle_candidate_cap);
+                         1, buckets.retriever.index()
+                                .oracle()
+                                .ApproxSearchSettles())));
 
   DijkstraRunStats leg_stats;
   lb.ls_leg.assign(static_cast<size_t>(k) - 1, kInfWeight);
   lb.lp_leg.assign(static_cast<size_t>(k) - 1, kInfWeight);
   std::vector<VertexId>& sources = scratch->sources;
-  std::vector<VertexId>& sem_targets = scratch->sem_targets;
-  std::vector<VertexId>& perf_targets = scratch->perf_targets;
   std::vector<PoiId>& sem_target_pois = scratch->sem_target_pois;
   std::vector<PoiId>& perf_target_pois = scratch->perf_target_pois;
   std::vector<SourceSeed>& seeds = scratch->seeds;
-  std::vector<Weight>& table = scratch->table;
-  const bool bucket_legs = bucket_server != nullptr && bucket_scan != nullptr;
   for (int i = 0; i + 1 < k; ++i) {
     sources.clear();
     for (PoiId p = 0; p < g.num_pois(); ++p) {
@@ -207,63 +203,44 @@ LowerBounds ComputeLowerBoundsWithOracle(
     if (sources.empty()) continue;  // leg stays +inf: nothing can cross it
 
     // Gather the target sets only while the leg still qualifies for the
-    // oracle — the scan aborts the moment the budget is blown, so dense
+    // tables — the scan aborts the moment the budget is blown, so dense
     // legs pay (almost) nothing extra over the classic path.
     const PositionMatcher& next = matchers[static_cast<size_t>(i) + 1];
-    sem_targets.clear();
-    perf_targets.clear();
     sem_target_pois.clear();
     perf_target_pois.clear();
-    bool oracle_leg = sources.size() < max_table_endpoints;
+    bool bucket_leg = sources.size() < max_table_endpoints;
     const size_t target_budget =
-        oracle_leg ? max_table_endpoints - sources.size() : 0;
-    for (PoiId p = 0; oracle_leg && p < g.num_pois(); ++p) {
-      const VertexId v = g.VertexOfPoi(p);
-      if (!in_ball(v)) continue;
-      if (next.SimOfPoi(p) > 0) {
-        sem_targets.push_back(v);
-        sem_target_pois.push_back(p);
-      }
-      if (next.IsPerfect(p)) {
-        perf_targets.push_back(v);
-        perf_target_pois.push_back(p);
-      }
-      if (sem_targets.size() + perf_targets.size() > target_budget) {
-        oracle_leg = false;
+        bucket_leg ? max_table_endpoints - sources.size() : 0;
+    for (PoiId p = 0; bucket_leg && p < g.num_pois(); ++p) {
+      if (!in_ball(g.VertexOfPoi(p))) continue;
+      if (next.SimOfPoi(p) > 0) sem_target_pois.push_back(p);
+      if (next.IsPerfect(p)) perf_target_pois.push_back(p);
+      if (sem_target_pois.size() + perf_target_pois.size() > target_budget) {
+        bucket_leg = false;
       }
     }
 
-    if (oracle_leg) {
+    if (bucket_leg) {
       // Exact minima over the in-ball pairs (unrestricted distances, <= the
-      // ball-restricted flat values).
-      const auto min_pair = [&](std::span<const VertexId> targets,
-                                std::span<const PoiId> target_pois) -> Weight {
-        if (targets.empty()) return kInfWeight;
+      // ball-restricted classic values). ExactDistanceTo is bit-equal to a
+      // graph Dijkstra, so the minima — and the skyline — are too.
+      TraceSpan span(buckets.oracle_ws->trace, TracePhase::kOracleTable);
+      const auto min_pair = [&](std::span<const PoiId> target_pois) {
         Weight best = kInfWeight;
-        if (bucket_legs) {
-          // Bucket-served leg: the PoIs' backward settles are precomputed,
-          // the sources' forward searches come from (and warm) the shared
-          // cache. ExactDistanceTo mirrors Table()'s protocol operand for
-          // operand, so the minima — and the skyline — are unchanged.
-          for (const VertexId s : sources) {
-            bucket_server->EnsureForward(s, oracle_ws, *bucket_scan, stats,
-                                         shared);
-            for (const PoiId p : target_pois) {
-              best = std::min(best,
-                              bucket_server->ExactDistanceTo(p, *bucket_scan));
-            }
+        if (target_pois.empty()) return best;
+        for (const VertexId s : sources) {
+          buckets.retriever.EnsureForward(s, *buckets.oracle_ws,
+                                          *buckets.scan, stats,
+                                          buckets.shared);
+          for (const PoiId p : target_pois) {
+            best = std::min(
+                best, buckets.retriever.ExactDistanceTo(p, *buckets.scan));
           }
-        } else {
-          table.assign(sources.size() * targets.size(), kInfWeight);
-          oracle.Table(sources, targets, oracle_ws, table.data());
-          for (const Weight w : table) best = std::min(best, w);
         }
         return best;
       };
-      lb.ls_leg[static_cast<size_t>(i)] = min_pair(sem_targets,
-                                                   sem_target_pois);
-      lb.lp_leg[static_cast<size_t>(i)] = min_pair(perf_targets,
-                                                   perf_target_pois);
+      lb.ls_leg[static_cast<size_t>(i)] = min_pair(sem_target_pois);
+      lb.lp_leg[static_cast<size_t>(i)] = min_pair(perf_target_pois);
     } else {
       // Dense leg: the classic ball-restricted multi-source search.
       seeds.clear();

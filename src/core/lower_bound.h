@@ -17,14 +17,11 @@
 #include "core/search_stats.h"
 #include "graph/dijkstra.h"
 #include "graph/graph.h"
-#include "index/distance_oracle.h"
 #include "util/stamped_array.h"
 
 namespace skysr {
 
-class BucketRetriever;
-struct BucketScanState;
-class SharedQueryCache;
+struct BucketDistances;  // retrieval/bucket_retriever.h
 
 /// Per-leg and per-suffix minimum distances for one query.
 ///
@@ -46,7 +43,7 @@ struct LowerBounds {
 };
 
 /// Reusable buffers for the lower-bound computation (ball distances, leg
-/// seeds/targets, oracle tables); engine-owned so steady-state queries pay
+/// seeds/targets); engine-owned so steady-state queries pay
 /// no O(|V|) allocation here. The ball distances use an epoch-stamped array
 /// — resetting between queries is O(1).
 struct LowerBoundScratch {
@@ -54,11 +51,8 @@ struct LowerBoundScratch {
   StampedArray<Weight> ball_dist;
   std::vector<SourceSeed> seeds;
   std::vector<VertexId> sources;
-  std::vector<VertexId> sem_targets;
-  std::vector<VertexId> perf_targets;
-  std::vector<PoiId> sem_target_pois;   // PoI ids parallel to sem_targets
-  std::vector<PoiId> perf_target_pois;  // PoI ids parallel to perf_targets
-  std::vector<Weight> table;
+  std::vector<PoiId> sem_target_pois;
+  std::vector<PoiId> perf_target_pois;
 };
 
 /// Computes the bounds. `radius` is l̄(∅) — the length of the best
@@ -73,31 +67,22 @@ LowerBounds ComputeLowerBounds(const Graph& g,
                                SearchStats* stats,
                                LowerBoundScratch* scratch = nullptr);
 
-/// Index-backed variant. Sparse legs are answered by the oracle's exact
-/// many-to-many Table() minimum over the in-ball PoI pairs (unrestricted
-/// distances, so <= the ball-restricted flat values), while dense legs fall
-/// back to the classic ball-restricted multi-source Dijkstra, which is
-/// cheaper there. Every flavor produces provable leg lower bounds, possibly
-/// weaker than the flat ones, and any admissible bound leaves the skyline
-/// bit-identical — the property the no-lower-bound ablation already
-/// certifies and the differential harness re-verifies per oracle.
-/// `oracle_candidate_cap` follows QueryOptions::oracle_candidate_cap
-/// (-1 = graph-size heuristic; 0 behaves like ComputeLowerBounds).
-///
-/// With `bucket_server` (plus its scan state) attached, table-based legs
-/// are served from the CategoryBucketIndex instead of fresh oracle
-/// searches: each PoI's backward settles are precomputed and the sources'
-/// forward searches come from — and warm — the cross-query shared cache
-/// (`shared`, optional). Pair distances are bit-equal to Table()'s, so the
-/// bounds (and therefore the skyline) are unchanged.
-LowerBounds ComputeLowerBoundsWithOracle(
+/// Bucket-table variant. Sparse legs are answered off the category-bucket
+/// tables: the exact minimum distance over the in-ball PoI pairs
+/// (unrestricted distances, so <= the ball-restricted classic values), with
+/// each PoI's backward search precomputed and the sources' forward searches
+/// read from — and warming — the scan state and the optional cross-query
+/// cache. Dense legs fall back to the classic ball-restricted multi-source
+/// Dijkstra, which is cheaper there; `buckets.force` serves every leg from
+/// the tables. Every flavor produces provable leg lower bounds, possibly
+/// weaker than the classic ones, and any admissible bound leaves the
+/// skyline bit-identical — the property the no-lower-bound ablation
+/// already certifies and the differential harness re-verifies per
+/// retriever kind.
+LowerBounds ComputeLowerBoundsWithBuckets(
     const Graph& g, const std::vector<PositionMatcher>& matchers,
-    VertexId start, Weight radius, const DistanceOracle& oracle,
-    OracleWorkspace& oracle_ws, SearchStats* stats,
-    int64_t oracle_candidate_cap = -1, LowerBoundScratch* scratch = nullptr,
-    const BucketRetriever* bucket_server = nullptr,
-    BucketScanState* bucket_scan = nullptr,
-    SharedQueryCache* shared = nullptr);
+    VertexId start, Weight radius, const BucketDistances& buckets,
+    SearchStats* stats, LowerBoundScratch* scratch = nullptr);
 
 }  // namespace skysr
 

@@ -2,13 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
+#include "obs/query_trace.h"
 #include "util/timer.h"
 
 namespace skysr {
 namespace {
 
-/// Shared per-hop emission/bookkeeping so the Dijkstra and oracle-table
+/// Shared per-hop emission/bookkeeping so the Dijkstra and bucket-served
 /// paths update the skyline through literally the same code. Chain state
 /// lives in the caller's NnInitScratch so steady-state queries reuse it.
 struct NnChain {
@@ -74,20 +76,20 @@ struct NnChain {
   }
 };
 
-/// A hop answered by the oracle table pays about one upward search — the
-/// oracle's self-measured ApproxSearchSettles() — per candidate PoI, while
-/// the early-exit Dijkstra hop pays about |V| / |candidates| settles before
-/// hitting the nearest match. Equating the two (with a 2x handicap for the
-/// table's bucket bookkeeping) gives the break-even candidate count: the
-/// table wins for sparse candidate sets on index-friendly graphs (exactly
-/// where the Dijkstra hop degrades to a whole-graph sweep) and is skipped
-/// on PoI-dense or expander-like ones. Both hop flavors are bit-identical,
-/// so the choice is purely a matter of speed.
-size_t AutoTableCap(int64_t num_vertices, int64_t settles_per_endpoint) {
+/// A bucket-served hop pays about one upward search — the CH oracle's
+/// self-measured ApproxSearchSettles() — plus a scan per candidate PoI,
+/// while the early-exit Dijkstra hop pays about |V| / |candidates| settles
+/// before hitting the nearest match. Equating the two gives the break-even
+/// candidate count: the tables win for sparse candidate sets on
+/// index-friendly graphs (exactly where the Dijkstra hop degrades to a
+/// whole-graph sweep) and are skipped on PoI-dense or expander-like ones.
+/// Both hop flavors are bit-identical, so the choice is purely a matter of
+/// speed.
+size_t AutoBucketHopCap(int64_t num_vertices, int64_t settles_per_endpoint) {
   const double c = static_cast<double>(std::max<int64_t>(
       1, settles_per_endpoint));
-  return static_cast<size_t>(
-      std::sqrt(static_cast<double>(num_vertices) / (2.0 * c)));
+  return 4 * static_cast<size_t>(
+                 std::sqrt(static_cast<double>(num_vertices) / (2.0 * c)));
 }
 
 /// One classic NNinit hop: an early-terminating Dijkstra from the cursor.
@@ -117,38 +119,25 @@ std::optional<NearestHit> NnHopDijkstra(const Graph& g,
   return perfect_hit;
 }
 
-/// NNinit with an oracle on hand: each hop picks per candidate count
-/// between the Dijkstra hop and one oracle 1 x candidates table. Table
+/// NNinit with the bucket tables on hand: each hop picks per candidate
+/// count between the Dijkstra hop and a bucket-served hop. Bucket
 /// candidates are replayed in (distance, vertex) order — exactly the order
 /// the Dijkstra hop settles them — and the hop advances to the
 /// lexicographically first perfect match, so chain, emissions and skyline
 /// updates are bit-identical whichever flavor answers a hop.
 void RunNnInitAdaptive(const Graph& g,
                        const std::vector<PositionMatcher>& matchers,
-                       VertexId start, const DistanceOracle* oracle,
-                       OracleWorkspace* oracle_ws, DijkstraWorkspace& ws,
-                       NnChain& chain, SearchStats* stats,
-                       int64_t oracle_candidate_cap, NnInitScratch& scratch,
-                       const CategoryBucketIndex* buckets,
-                       BucketScanState* bucket_scan,
-                       SharedQueryCache* shared) {
+                       VertexId start, DijkstraWorkspace& ws, NnChain& chain,
+                       SearchStats* stats, NnInitScratch& scratch,
+                       const BucketDistances* buckets) {
   const int k = static_cast<int>(matchers.size());
-  const bool has_fast_table = oracle != nullptr && oracle_ws != nullptr &&
-                              oracle->SupportsFastTable();
-  // Precomputed buckets answer a table hop with ONE (per-query-cached)
-  // forward search plus a scan per candidate, instead of one backward
-  // search per candidate — so the break-even candidate count widens.
-  const bool bucket_ready =
-      has_fast_table && buckets != nullptr && bucket_scan != nullptr &&
-      static_cast<const DistanceOracle*>(&buckets->oracle()) == oracle &&
-      &buckets->graph() == &g;
-  size_t table_cap =
-      !has_fast_table ? 0
-      : oracle_candidate_cap < 0
-          ? AutoTableCap(g.num_vertices(), oracle->ApproxSearchSettles())
-          : static_cast<size_t>(oracle_candidate_cap);
-  if (bucket_ready && oracle_candidate_cap < 0) table_cap *= 4;
-  const bool table_capable = table_cap > 0 && has_fast_table;
+  const size_t table_cap =
+      buckets == nullptr ? 0
+      : buckets->force
+          ? std::numeric_limits<size_t>::max()
+          : AutoBucketHopCap(
+                g.num_vertices(),
+                buckets->retriever.index().oracle().ApproxSearchSettles());
   VertexId cursor = start;
   DijkstraRunStats total;
 
@@ -163,7 +152,7 @@ void RunNnInitAdaptive(const Graph& g,
     const bool last = i == k - 1;
 
     bool use_table = false;
-    if (table_capable) {
+    if (table_cap > 0) {
       // Candidate PoIs of this hop: perfect matches drive the chain; on
       // the last hop every semantic match can seed a route.
       cand_vertex.clear();
@@ -193,16 +182,15 @@ void RunNnInitAdaptive(const Graph& g,
     } else {
       if (cand_vertex.empty()) break;
       dist.assign(cand_vertex.size(), kInfWeight);
-      if (bucket_ready) {
-        const BucketRetriever retriever(*buckets);
-        retriever.EnsureForward(cursor, *oracle_ws, *bucket_scan, stats,
-                                shared);
+      {
+        TraceSpan span(buckets->oracle_ws->trace, TracePhase::kOracleTable);
+        buckets->retriever.EnsureForward(cursor, *buckets->oracle_ws,
+                                         *buckets->scan, stats,
+                                         buckets->shared);
         for (size_t c = 0; c < cand_poi.size(); ++c) {
-          dist[c] = retriever.ExactDistanceTo(cand_poi[c], *bucket_scan);
+          dist[c] = buckets->retriever.ExactDistanceTo(cand_poi[c],
+                                                       *buckets->scan);
         }
-      } else {
-        const VertexId src[1] = {cursor};
-        oracle->Table(src, cand_vertex, *oracle_ws, dist.data());
       }
 
       hits.clear();
@@ -243,18 +231,13 @@ void RunNnInit(const Graph& g, const std::vector<PositionMatcher>& matchers,
                VertexId start, const SemanticAggregator& agg,
                const std::vector<Weight>* dest_dist, DijkstraWorkspace& ws,
                SkylineSet* skyline, SearchStats* stats,
-               const DistanceOracle* oracle, OracleWorkspace* oracle_ws,
-               int64_t oracle_candidate_cap, NnInitScratch* scratch,
-               const CategoryBucketIndex* buckets,
-               BucketScanState* bucket_scan, SharedQueryCache* shared) {
+               NnInitScratch* scratch, const BucketDistances* buckets) {
   WallTimer timer;
   NnInitScratch local;
   if (scratch == nullptr) scratch = &local;
   NnChain chain(agg, dest_dist, skyline, stats,
                 static_cast<int>(matchers.size()), *scratch);
-  RunNnInitAdaptive(g, matchers, start, oracle, oracle_ws, ws, chain, stats,
-                    oracle_candidate_cap, *scratch, buckets, bucket_scan,
-                    shared);
+  RunNnInitAdaptive(g, matchers, start, ws, chain, stats, *scratch, buckets);
   if (stats != nullptr) stats->nninit_ms = timer.ElapsedMillis();
 }
 

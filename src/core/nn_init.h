@@ -15,12 +15,11 @@
 #include "core/search_stats.h"
 #include "core/skyline_set.h"
 #include "graph/dijkstra.h"
-#include "index/distance_oracle.h"
 #include "retrieval/bucket_retriever.h"
 
 namespace skysr {
 
-/// Reusable buffers for RunNnInit (chain state plus the oracle-table hop's
+/// Reusable buffers for RunNnInit (chain state plus the bucket-served hop's
 /// candidate staging); engine-owned so steady-state queries allocate
 /// nothing here.
 struct NnInitScratch {
@@ -45,38 +44,24 @@ struct NnInitScratch {
 /// Seeds `skyline` with the routes found by NNinit. `dest_dist` (optional)
 /// holds D(v, destination) for every vertex, for the §6 destination variant.
 /// Updates the nninit_* fields of `stats` and the global search counters.
+/// `scratch` (optional) supplies reusable buffers; null falls back to
+/// function-local storage.
 ///
-/// When `oracle` provides a fast many-to-many table (the CH oracle), a hop
-/// with a small candidate set is answered by one 1 x candidates distance
-/// table instead of a graph Dijkstra; candidates are then replayed in
-/// (distance, vertex) order — the Dijkstra settle order — so the seeded
-/// routes are bit-identical either way. Dense-candidate hops and a null or
-/// flat oracle keep the classic early-exit Dijkstra chain, which is cheaper
-/// there.
-/// `oracle_candidate_cap` follows QueryOptions::oracle_candidate_cap
-/// (-1 = graph-size heuristic). `scratch` (optional) supplies reusable
-/// buffers; null falls back to function-local storage.
-///
-/// `buckets` + `bucket_scan` (optional, must describe `oracle`) route the
-/// table hops through the precomputed category buckets instead of fresh
-/// per-candidate backward searches: one forward upward search per cursor —
-/// cached in `bucket_scan` for the whole query, so the bulk search that
-/// follows reuses it — plus a scan per candidate. Distances are bit-equal
-/// to Table()'s, so hits, chain and skyline are unchanged; with buckets on
-/// hand the break-even candidate count widens accordingly. `shared`
-/// (optional) lets the bucket hops read and warm the engine-lifetime
-/// cross-query cache instead of the per-query scan cache.
+/// Without `buckets` every hop is the classic early-exit Dijkstra. With
+/// them, a hop with a small candidate set (every hop under `force`) is
+/// answered off the category-bucket tables instead: one forward upward
+/// search per cursor — cached in the scan state for the whole query, so the
+/// bulk search that follows reuses it — plus an exact-distance scan per
+/// candidate PoI. Candidates are then replayed in (distance, vertex) order —
+/// the Dijkstra settle order — with bit-equal distances, so the chain,
+/// emissions and seeded routes are identical either way; dense-candidate
+/// hops keep the Dijkstra, which is cheaper there.
 void RunNnInit(const Graph& g, const std::vector<PositionMatcher>& matchers,
                VertexId start, const SemanticAggregator& agg,
                const std::vector<Weight>* dest_dist, DijkstraWorkspace& ws,
                SkylineSet* skyline, SearchStats* stats,
-               const DistanceOracle* oracle = nullptr,
-               OracleWorkspace* oracle_ws = nullptr,
-               int64_t oracle_candidate_cap = -1,
                NnInitScratch* scratch = nullptr,
-               const CategoryBucketIndex* buckets = nullptr,
-               BucketScanState* bucket_scan = nullptr,
-               SharedQueryCache* shared = nullptr);
+               const BucketDistances* buckets = nullptr);
 
 }  // namespace skysr
 

@@ -85,20 +85,11 @@ struct QueryOptions {
   /// Wall-clock budget; exceeded runs return partial results flagged
   /// timed_out (used to reproduce the paper's "did not finish" bars).
   double time_budget_seconds = std::numeric_limits<double>::infinity();
-  /// Index-layer tuning (only meaningful when the engine holds a non-flat
-  /// DistanceOracle): largest candidate/endpoint set NNinit hops and
-  /// lower-bound legs may answer through the oracle instead of a graph
-  /// search. -1 picks a graph-size heuristic (oracle for sparse sets, the
-  /// classic searches for dense ones), 0 disables oracle-backed distance
-  /// work, a large value forces it everywhere (the differential harness
-  /// does this so the oracle paths are always exercised). Every setting is
-  /// exact — the knob trades nothing but speed.
-  int64_t oracle_candidate_cap = -1;
-  /// Which PoI-retrieval backend answers expansion searches (see
-  /// src/retrieval/poi_retriever.h). Bucket scans require category-bucket
-  /// tables attached to the engine and apply only in deferred-Lemma-5.5
-  /// mode; ineligible expansions silently fall back to the classic settle
-  /// loop. Like the toggles above, every choice is exact.
+  /// How much of the query the category-bucket tables answer (see
+  /// src/retrieval/retriever_kind.h): NNinit hops, lower-bound legs and
+  /// deferred-Lemma-5.5 expansions. Bucket work requires tables attached to
+  /// the engine; everything else runs the classic graph searches. Like the
+  /// toggles above, every choice is exact.
   RetrieverKind retriever = RetrieverKind::kAuto;
   /// Opt-out for the engine-lifetime cross-query cache (src/cache/): when an
   /// engine has a SharedQueryCache attached, this query may read and warm it.

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <utility>
 
-#include "obs/query_trace.h"
 #include "util/binary_io.h"
 #include "util/dary_heap.h"
 #include "util/logging.h"
@@ -458,7 +457,7 @@ Weight ChOracle::Distance(VertexId source, VertexId target,
   bwd_heap.push(UpItem{0, target});
 
   Weight best = kInfWeight;
-  std::vector<VertexId>& meets = ws.table.meets;
+  std::vector<VertexId>& meets = ws.meets;
   meets.clear();
   const auto step = [&](bool forward) {
     DaryHeap<UpItem>& heap = forward ? fwd_heap : bwd_heap;
@@ -510,8 +509,8 @@ Weight ChOracle::Distance(VertexId source, VertexId target,
 
   const Weight window = best + best * kMeetEpsilon;
   Weight exact = kInfWeight;
-  std::vector<Weight>& weights = ws.table.weights;
-  std::vector<std::pair<VertexId, int32_t>>& chain = ws.table.chain;
+  std::vector<Weight>& weights = ws.weights;
+  std::vector<std::pair<VertexId, int32_t>>& chain = ws.chain;
   for (const VertexId v : meets) {
     if (ws.fwd.Dist(v) + ws.bwd.Dist(v) > window) continue;
     weights.clear();
@@ -531,140 +530,6 @@ Weight ChOracle::Distance(VertexId source, VertexId target,
     exact = std::min(exact, PathOrderSum(weights));
   }
   return exact;
-}
-
-void ChOracle::Table(std::span<const VertexId> sources,
-                     std::span<const VertexId> targets, OracleWorkspace& ws,
-                     Weight* out) const {
-  TraceSpan span(ws.trace, TracePhase::kOracleTable);
-  const int64_t n = g_->num_vertices();
-  const size_t num_t = targets.size();
-  if (num_t == 0) return;
-  ChTableScratch& t = ws.table;
-
-  // Backward phase: per-target upward searches. Each target's search tree
-  // (settle vertex, distance, parent link) lands in one span of `records`,
-  // sorted by vertex so the unpack walk can binary-search what the old
-  // implementation kept in per-call hash maps. All scratch keeps capacity
-  // across calls — a warmed workspace runs tables allocation-free.
-  t.records.clear();
-  t.target_offsets.clear();
-  t.target_offsets.push_back(0);
-  for (size_t j = 0; j < num_t; ++j) {
-    t.settled.clear();
-    RunUpwardSearch(up_bwd_offsets_, up_bwd_edges_, up_fwd_offsets_,
-                    up_fwd_edges_, targets[j], n, ws.bwd, ws.bwd_edge,
-                    ws.heap, &t.settled);
-    for (const auto& [v, d] : t.settled) {
-      t.records.push_back(ChTableScratch::BwdRecord{
-          v, d, ws.bwd.Parent(v), ws.bwd_edge.Get(v)});
-    }
-    std::sort(t.records.begin() + t.target_offsets.back(), t.records.end(),
-              [](const ChTableScratch::BwdRecord& a,
-                 const ChTableScratch::BwdRecord& b) {
-                return a.vertex < b.vertex;
-              });
-    t.target_offsets.push_back(static_cast<int64_t>(t.records.size()));
-  }
-
-  // Bucket the records per vertex by counting scatter. Scattering
-  // target-major keeps each vertex's entries in ascending target order —
-  // the same order the old per-vertex append produced, so the scan
-  // arithmetic below visits pairs identically.
-  t.bucket_count.Prepare(n, 0);
-  t.touched.clear();
-  for (const ChTableScratch::BwdRecord& rec : t.records) {
-    const int32_t c = t.bucket_count.Get(rec.vertex);
-    if (c == 0) t.touched.push_back(rec.vertex);
-    t.bucket_count.Set(rec.vertex, c + 1);
-  }
-  t.bucket_head.Prepare(n, -1);
-  int32_t fill = 0;
-  for (const VertexId v : t.touched) {
-    t.bucket_head.Set(v, fill);
-    fill += t.bucket_count.Get(v);
-  }
-  t.entries.resize(t.records.size());
-  t.bucket_count.Prepare(n, 0);  // reused as the per-vertex fill cursor
-  for (size_t j = 0; j < num_t; ++j) {
-    const auto b = static_cast<size_t>(t.target_offsets[j]);
-    const auto e = static_cast<size_t>(t.target_offsets[j + 1]);
-    for (size_t r = b; r < e; ++r) {
-      const ChTableScratch::BwdRecord& rec = t.records[r];
-      const int32_t cursor = t.bucket_count.Get(rec.vertex);
-      t.entries[static_cast<size_t>(t.bucket_head.Get(rec.vertex) + cursor)] =
-          ChTableScratch::BucketEntry{static_cast<int32_t>(j), rec.db};
-      t.bucket_count.Set(rec.vertex, cursor + 1);
-    }
-  }
-
-  // Looks up target j's tree record for vertex x (present for every vertex
-  // its search settled).
-  const auto tree_record =
-      [&t](size_t j, VertexId x) -> const ChTableScratch::BwdRecord& {
-    const auto b = t.records.begin() + t.target_offsets[j];
-    const auto e = t.records.begin() + t.target_offsets[j + 1];
-    const auto it = std::lower_bound(
-        b, e, x,
-        [](const ChTableScratch::BwdRecord& r, VertexId v) {
-          return r.vertex < v;
-        });
-    SKYSR_DCHECK(it != e && it->vertex == x);
-    return *it;
-  };
-
-  // Forward phase: one upward search per source, two bucket scans — the
-  // first finds each pair's best rounded sum, the second unpacks every
-  // candidate inside the epsilon window and re-sums exactly.
-  for (size_t i = 0; i < sources.size(); ++i) {
-    t.settled.clear();
-    RunUpwardSearch(up_fwd_offsets_, up_fwd_edges_, up_bwd_offsets_,
-                    up_bwd_edges_, sources[i], n, ws.fwd, ws.fwd_edge,
-                    ws.heap, &t.settled);
-    t.best.assign(num_t, kInfWeight);
-    for (const auto& [v, df] : t.settled) {
-      const int32_t head = t.bucket_head.Get(v);
-      if (head < 0) continue;
-      const int32_t count = t.bucket_count.Get(v);
-      for (int32_t k = 0; k < count; ++k) {
-        const ChTableScratch::BucketEntry& be =
-            t.entries[static_cast<size_t>(head + k)];
-        t.best[static_cast<size_t>(be.target)] = std::min(
-            t.best[static_cast<size_t>(be.target)], df + be.db);
-      }
-    }
-    Weight* row = out + i * num_t;
-    std::fill(row, row + num_t, kInfWeight);
-    for (const auto& [v, df] : t.settled) {
-      const int32_t head = t.bucket_head.Get(v);
-      if (head < 0) continue;
-      const int32_t count = t.bucket_count.Get(v);
-      for (int32_t k = 0; k < count; ++k) {
-        const ChTableScratch::BucketEntry& be =
-            t.entries[static_cast<size_t>(head + k)];
-        const auto j = static_cast<size_t>(be.target);
-        const Weight b = t.best[j];
-        if (b == kInfWeight || df + be.db > b + b * kMeetEpsilon) continue;
-        t.weights.clear();
-        t.chain.clear();
-        for (VertexId x = v; x != sources[i]; x = ws.fwd.Parent(x)) {
-          t.chain.emplace_back(ws.fwd.Parent(x), ws.fwd_edge.Get(x));
-        }
-        for (auto cit = t.chain.rbegin(); cit != t.chain.rend(); ++cit) {
-          UnpackFwd(cit->first,
-                    up_fwd_edges_[static_cast<size_t>(cit->second)],
-                    &t.weights);
-        }
-        for (VertexId x = v; x != targets[j];) {
-          const ChTableScratch::BwdRecord& rec = tree_record(j, x);
-          UnpackBwd(rec.parent, up_bwd_edges_[static_cast<size_t>(rec.edge)],
-                    &t.weights);
-          x = rec.parent;
-        }
-        row[j] = std::min(row[j], PathOrderSum(t.weights));
-      }
-    }
-  }
 }
 
 int64_t ChOracle::MemoryBytes() const {

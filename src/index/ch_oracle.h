@@ -12,18 +12,18 @@
 //
 // Query: a bidirectional Dijkstra over the upward graphs; every vertex
 // settled by both sides is a meeting candidate and the best up-down path is
-// the shortest path. To honor the oracle exactness contract
-// (distance_oracle.h), the winner is not returned as the rounded sum of
-// shortcut weights: all candidates within a relative epsilon of the best are
-// unpacked into original edges and re-summed source->target in path order,
-// and the minimum re-summed value is returned — the same double a flat
-// Dijkstra computes.
+// the shortest path. To honor the exactness contract (distance_oracle.h),
+// the winner is not returned as the rounded sum of shortcut weights: all
+// candidates within a relative epsilon of the best are unpacked into
+// original edges and re-summed source->target in path order, and the
+// minimum re-summed value is returned — the same double a flat Dijkstra
+// computes.
 //
-// Table() implements the classic bucket many-to-many: one backward upward
-// search per target deposits (target, dist) entries at every settled vertex;
-// one forward upward search per source then scans the buckets, so the
-// backward work is shared by all sources. NNinit's per-hop 1 x N PoI tables
-// and the lower-bound PoI-set tables ride on this.
+// Many-to-many distances are not answered here: the category-bucket tables
+// (src/retrieval/category_buckets.h) freeze every PoI's backward upward
+// search once, and NNinit hops, lower-bound legs and deferred expansions
+// scan them against one forward upward search per source, with the same
+// epsilon-window re-summing as Distance().
 //
 // Topology caveat: contraction hierarchies assume road-like graphs (low
 // highway dimension). Grid/cluster families preprocess in about a second
@@ -40,6 +40,7 @@
 #include <span>
 #include <vector>
 
+#include "graph/graph.h"
 #include "index/distance_oracle.h"
 #include "util/status.h"
 
@@ -54,7 +55,7 @@ struct ChEdge {
   VertexId mid;
 };
 
-class ChOracle final : public DistanceOracle {
+class ChOracle {
  public:
   struct BuildStats {
     double build_ms = 0;
@@ -65,23 +66,23 @@ class ChOracle final : public DistanceOracle {
   /// Preprocesses the graph (which must outlive the oracle).
   static ChOracle Build(const Graph& g);
 
-  OracleKind kind() const override { return OracleKind::kCh; }
-  const Graph& graph() const override { return *g_; }
+  const Graph& graph() const { return *g_; }
 
+  /// Exact shortest-path distance (kInfWeight when unreachable), bit-equal
+  /// to a reference graph Dijkstra (see the exactness contract in
+  /// distance_oracle.h).
   Weight Distance(VertexId source, VertexId target,
-                  OracleWorkspace& ws) const override;
-
-  void Table(std::span<const VertexId> sources,
-             std::span<const VertexId> targets, OracleWorkspace& ws,
-             Weight* out) const override;
-
-  bool SupportsFastTable() const override { return true; }
+                  OracleWorkspace& ws) const;
 
   /// Mean settles of an upward search, measured over a deterministic
-  /// sample of sources right after Build/Load.
-  int64_t ApproxSearchSettles() const override { return avg_up_settles_; }
+  /// sample of sources right after Build/Load — the per-endpoint cost
+  /// consumers weigh against a plain graph search. CH upward spaces are
+  /// tiny on road-like graphs but can approach the whole graph on
+  /// expander-like ones.
+  int64_t ApproxSearchSettles() const { return avg_up_settles_; }
 
-  int64_t MemoryBytes() const override;
+  /// Heap footprint of the index structures in bytes.
+  int64_t MemoryBytes() const;
 
   const BuildStats& build_stats() const { return build_stats_; }
   int64_t num_shortcuts() const { return num_shortcuts_; }
@@ -103,7 +104,7 @@ class ChOracle final : public DistanceOracle {
   /// Near-best meeting candidates within this relative window of the best
   /// rounded up-down sum are unpacked and re-summed (the window absorbs the
   /// association-order rounding drift of nested shortcut weights). Bucket
-  /// scans must apply the same window to stay bit-equal with Table().
+  /// scans must apply the same window to stay bit-equal with Distance().
   static constexpr double kMeetEpsilon = 1e-9;
 
   /// Full upward search (with stall-on-demand) from one endpoint over the

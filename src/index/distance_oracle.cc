@@ -1,6 +1,6 @@
 #include "index/distance_oracle.h"
 
-#include "obs/query_trace.h"
+#include <cstdlib>
 
 namespace skysr {
 
@@ -20,15 +20,10 @@ std::optional<OracleKind> ParseOracleKind(std::string_view name) {
   return std::nullopt;
 }
 
-void DistanceOracle::Table(std::span<const VertexId> sources,
-                           std::span<const VertexId> targets,
-                           OracleWorkspace& ws, Weight* out) const {
-  TraceSpan span(ws.trace, TracePhase::kOracleTable);
-  for (size_t i = 0; i < sources.size(); ++i) {
-    for (size_t j = 0; j < targets.size(); ++j) {
-      out[i * targets.size() + j] = Distance(sources[i], targets[j], ws);
-    }
-  }
+std::optional<OracleKind> OracleKindFromEnv(OracleKind def) {
+  const char* v = std::getenv("SKYSR_ORACLE");
+  if (v == nullptr || *v == '\0') return def;
+  return ParseOracleKind(v);
 }
 
 }  // namespace skysr

@@ -4,7 +4,6 @@
 #include <cstring>
 #include <string>
 
-#include "index/ch_oracle.h"
 #include "util/binary_io.h"
 #include "util/rng.h"
 
@@ -53,27 +52,22 @@ uint64_t PoiAssignmentChecksum(const Graph& g) {
   return d;
 }
 
-Status SaveOracleIndex(const DistanceOracle& oracle,
-                       const std::string& path) {
-  if (oracle.kind() == OracleKind::kFlat) {
-    return Status::InvalidArgument(
-        "the flat oracle has no index to save; build one with --oracle ch");
-  }
+Status SaveOracleIndex(const ChOracle& oracle, const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) return Status::IOError("cannot open for write: " + path);
-  const uint8_t kind = static_cast<uint8_t>(oracle.kind());
+  const uint8_t kind = static_cast<uint8_t>(OracleKind::kCh);
   const uint64_t checksum = GraphChecksum(oracle.graph());
   bool ok = std::fwrite(kIndexMagic, sizeof(kIndexMagic), 1, f) == 1 &&
             binary_io::WritePod(f, kind) && binary_io::WritePod(f, checksum);
   Status payload = Status::OK();
-  if (ok) payload = static_cast<const ChOracle&>(oracle).SavePayload(f);
+  if (ok) payload = oracle.SavePayload(f);
   std::fclose(f);
   if (!ok) return Status::IOError("short write: " + path);
   return payload;
 }
 
-Result<std::unique_ptr<DistanceOracle>> LoadOracleIndex(
-    const std::string& path, const Graph& g) {
+Result<std::unique_ptr<ChOracle>> LoadOracleIndex(const std::string& path,
+                                                  const Graph& g) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return Status::IOError("cannot open for read: " + path);
   char magic[8];
@@ -104,18 +98,7 @@ Result<std::unique_ptr<DistanceOracle>> LoadOracleIndex(
   auto loaded = ChOracle::LoadPayload(f, g);
   std::fclose(f);
   if (!loaded.ok()) return loaded.status();
-  return std::unique_ptr<DistanceOracle>(
-      new ChOracle(std::move(loaded).ValueOrDie()));
-}
-
-const char* OracleIndexExtension(OracleKind kind) {
-  switch (kind) {
-    case OracleKind::kCh:
-      return "chidx";
-    case OracleKind::kFlat:
-      break;
-  }
-  return "idx";
+  return std::make_unique<ChOracle>(std::move(loaded).ValueOrDie());
 }
 
 }  // namespace skysr

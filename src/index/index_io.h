@@ -16,7 +16,7 @@
 #include <string>
 
 #include "graph/graph.h"
-#include "index/distance_oracle.h"
+#include "index/ch_oracle.h"
 #include "util/status.h"
 
 namespace skysr {
@@ -34,18 +34,17 @@ uint64_t GraphChecksum(const Graph& g);
 /// saved form embeds this alongside GraphChecksum.
 uint64_t PoiAssignmentChecksum(const Graph& g);
 
-/// Writes the oracle's index to `path`. FlatOracle has no index to save and
-/// returns InvalidArgument.
-Status SaveOracleIndex(const DistanceOracle& oracle, const std::string& path);
+/// Writes the CH index to `path`.
+Status SaveOracleIndex(const ChOracle& oracle, const std::string& path);
 
 /// Loads an index built by SaveOracleIndex and binds it to `g`. Fails with
 /// a descriptive IOError when the file was built for a different graph
 /// (checksum mismatch) or is corrupt.
-Result<std::unique_ptr<DistanceOracle>> LoadOracleIndex(
-    const std::string& path, const Graph& g);
+Result<std::unique_ptr<ChOracle>> LoadOracleIndex(const std::string& path,
+                                                  const Graph& g);
 
-/// Conventional file extension for an oracle kind ("chidx").
-const char* OracleIndexExtension(OracleKind kind);
+/// Conventional file extension of a saved CH index.
+inline constexpr const char* kOracleIndexExtension = "chidx";
 
 }  // namespace skysr
 

@@ -23,7 +23,7 @@ enum class TracePhase : uint8_t {
   kNnInit,          // §5.3.1 initial search
   kDestTails,       // §6 destination-distance table (reverse Dijkstra / LRU)
   kLowerBound,      // §5.3.3 leg lower bounds
-  kOracleTable,     // index-layer many-to-many tables (inside init/LB)
+  kOracleTable,     // bucket-served NNinit hops / LB legs (inside init/LB)
   kQbDrain,         // Algorithm 1's bulk-queue drain loop
   kExpansion,       // one expand(): cache replay or fresh search
   kRetrieval,       // the expansion's backend work (settle/bucket/resume)

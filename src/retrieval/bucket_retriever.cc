@@ -130,7 +130,7 @@ Weight BucketRetriever::ExactDistanceTo(PoiId p,
   if (best == kInfWeight) return kInfWeight;
 
   // Phase 2: re-sum every meet inside the epsilon window, in source -> PoI
-  // travel order, and keep the minimum — ChOracle::Table()'s exactness
+  // travel order, and keep the minimum — ChOracle::Distance()'s exactness
   // protocol with the forward prefix pre-folded and the backward unpacks
   // read from the per-edge pools.
   const Weight window = best + best * ChOracle::kMeetEpsilon;
@@ -208,7 +208,7 @@ ExpansionOutcome BucketRetriever::Collect(
   bool skipped = false;
 
   // Phase 2: re-sum the meets inside each candidate's epsilon window
-  // (Table()'s exactness protocol; see ExactDistanceTo). A multi-category
+  // (Distance()'s exactness protocol; see ExactDistanceTo). A multi-category
   // PoI under two scanned categories stages each meet twice; the min makes
   // the duplicate harmless.
   state.exact.Prepare(g.num_pois(), kInfWeight);

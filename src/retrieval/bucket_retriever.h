@@ -116,8 +116,8 @@ class BucketRetriever {
 
   /// Exact shortest-path distance source -> PoI (kInfWeight when
   /// unreachable), bit-equal to a flat graph Dijkstra; requires
-  /// EnsureForward for the source. Mirrors ChOracle::Table()'s protocol
-  /// operand for operand over the PoI's stored backward settles.
+  /// EnsureForward for the source. Mirrors ChOracle::Distance()'s
+  /// epsilon-window re-summing over the PoI's stored backward settles.
   Weight ExactDistanceTo(PoiId p, BucketScanState& state) const;
 
   /// Materializes into state.cands the matching-candidate stream of
@@ -142,6 +142,21 @@ class BucketRetriever {
                    const PoiBucketSettle& meet, Weight fwd_sum) const;
 
   const CategoryBucketIndex* index_;
+};
+
+/// Bucket-table access for NNinit hops and lower-bound legs: exact
+/// source -> PoI distances through EnsureForward + ExactDistanceTo, kept in
+/// the caller's per-thread scan state and oracle workspace. `shared`
+/// (optional) lets the forward searches read and warm the cross-query
+/// cache. With `force` (RetrieverKind::kBucket) every hop and leg is
+/// answered from the tables; otherwise each consumer's cost model picks,
+/// per hop or leg, between the tables and its classic graph search.
+struct BucketDistances {
+  BucketRetriever retriever;
+  OracleWorkspace* oracle_ws;
+  BucketScanState* scan;
+  SharedQueryCache* shared = nullptr;
+  bool force = false;
 };
 
 /// Builds the immutable prewarm snapshot (cache/fwd_search_cache.h) over

@@ -22,8 +22,8 @@
 // shortcut middles with linear adjacency scans.
 //
 // Exactness (load-bearing): distances must be bit-equal to a flat graph
-// Dijkstra, not merely within noise. The scan reproduces Table()'s protocol
-// operand for operand — min rounded up-down sum over the meeting vertices,
+// Dijkstra, not merely within noise. The scan reproduces the protocol of
+// ChOracle::Distance() — min rounded up-down sum over the meeting vertices,
 // then every meet within the kMeetEpsilon window is re-summed from original
 // edge weights in source->target travel order, and the minimum re-summed
 // double wins. The forward prefix of each re-sum is folded incrementally

@@ -6,12 +6,13 @@
 #include <cstdio>
 
 #include <memory>
+#include <span>
 
 #include "baseline/brute_force.h"
 #include "baseline/naive_skysr.h"
 #include "cache/shared_query_cache.h"
 #include "core/bssr_engine.h"
-#include "index/oracle_factory.h"
+#include "index/ch_oracle.h"
 #include "retrieval/bucket_retriever.h"
 #include "retrieval/category_buckets.h"
 #include "service/query_service.h"
@@ -152,27 +153,26 @@ DiffReport RunDifferentialCheck(const DiffCheckParams& params) {
     ++report.scenarios_run;
 
     // One engine per oracle kind, all over the same scenario dataset. The
-    // indexes are built fresh per scenario graph; the flat kind maps to the
-    // classic oracle-less engine. CH engines additionally carry the
-    // per-scenario category-bucket tables so the retriever sweep pins the
-    // bucket scans.
-    std::vector<std::unique_ptr<DistanceOracle>> oracles;
+    // flat kind maps to the classic index-free engine; CH engines carry a
+    // CH index built fresh per scenario graph plus its category-bucket
+    // tables, so the retriever sweep pins the bucket paths.
+    std::vector<std::unique_ptr<ChOracle>> oracles;
     std::vector<std::unique_ptr<CategoryBucketIndex>> bucket_sets;
     std::vector<std::unique_ptr<SharedQueryCache>> xcaches;
     std::vector<BssrEngine> engines;
-    const DistanceOracle* service_oracle = nullptr;
+    const ChOracle* service_oracle = nullptr;
     const CategoryBucketIndex* service_buckets = nullptr;
     engines.reserve(kinds.size());
     for (const OracleKind kind : kinds) {
-      oracles.push_back(kind == OracleKind::kFlat
-                            ? nullptr
-                            : MakeOracle(kind, sc.dataset.graph));
+      oracles.push_back(kind == OracleKind::kCh
+                            ? std::make_unique<ChOracle>(
+                                  ChOracle::Build(sc.dataset.graph))
+                            : nullptr);
       bucket_sets.push_back(
-          kind == OracleKind::kCh
+          oracles.back() != nullptr
               ? std::make_unique<CategoryBucketIndex>(
-                    CategoryBucketIndex::Build(
-                        sc.dataset.graph,
-                        static_cast<const ChOracle&>(*oracles.back())))
+                    CategoryBucketIndex::Build(sc.dataset.graph,
+                                               *oracles.back()))
               : nullptr);
       engines.emplace_back(sc.dataset.graph, sc.dataset.forest,
                            oracles.back().get(), bucket_sets.back().get());
@@ -201,10 +201,8 @@ DiffReport RunDifferentialCheck(const DiffCheckParams& params) {
         }
       }
       // The service replay shares the CH index + buckets when present (the
-      // one-index-many-workspaces threading with the bucket tables along),
-      // else the last non-flat oracle.
-      if (oracles.back() != nullptr &&
-          (service_oracle == nullptr || kind == OracleKind::kCh)) {
+      // one-index-many-workspaces threading with the bucket tables along).
+      if (oracles.back() != nullptr) {
         service_oracle = oracles.back().get();
         service_buckets = bucket_sets.back().get();
       }
@@ -237,15 +235,20 @@ DiffReport RunDifferentialCheck(const DiffCheckParams& params) {
       MixSkyline(&report.result_digest, *brute);
 
       // Every (ablation combination x oracle kind x retriever kind) must
-      // reproduce the exact skyline: Theorem 3 for the toggles, the oracle
+      // reproduce the exact skyline: Theorem 3 for the toggles, the
       // exactness contract for the index layer, and the retrieval
-      // subsystem's bit-identity contract for the backends.
+      // subsystem's bit-identity contract for the backends. The retriever
+      // kind only acts on engines with bucket tables, so the index-free
+      // engine runs each ablation once.
       for (size_t ki = 0; ki < kinds.size(); ++ki) {
+        const std::span<const RetrieverKind> engine_retrievers(
+            retrievers.data(),
+            bucket_sets[ki] != nullptr ? retrievers.size() : 1);
         for (int bits = 0; bits < 8; ++bits) {
           for (QueueDiscipline disc :
                {QueueDiscipline::kProposed,
                 QueueDiscipline::kDistanceBased}) {
-            for (const RetrieverKind rkind : retrievers) {
+            for (const RetrieverKind rkind : engine_retrievers) {
               QueryOptions opts;
               opts.use_initial_search = (bits & 1) != 0;
               opts.use_lower_bounds = (bits & 2) != 0;
@@ -253,13 +256,6 @@ DiffReport RunDifferentialCheck(const DiffCheckParams& params) {
               opts.queue_discipline = disc;
               opts.retriever = rkind;
               opts.use_qb_dominance = params.qb_dominance;
-              if (kinds[ki] != OracleKind::kFlat) {
-                // Force the oracle-backed NNinit/lower-bound paths (the
-                // production default falls back to graph searches for dense
-                // candidate sets — a pure speed choice, and the point here
-                // is to verify the oracle paths themselves).
-                opts.oracle_candidate_cap = 1 << 30;
-              }
               auto got = engines[ki].Run(q, opts);
               ++report.engine_runs;
               if (!got.ok()) {

@@ -40,8 +40,8 @@ struct DiffCheckParams {
   bool check_naive_baseline = true;
   /// Replay each scenario's workload through a 2-thread QueryService and
   /// compare with the sequential engine (bit-identical). The service shares
-  /// the last non-flat oracle of `oracle_kinds` (if any), exercising the
-  /// one-index-many-workspaces threading.
+  /// the CH index and bucket tables when `oracle_kinds` holds kCh,
+  /// exercising the one-index-many-workspaces threading.
   bool check_service = true;
   /// Attach an engine-lifetime SharedQueryCache (src/cache/) — with a
   /// prewarm snapshot on bucket-carrying engines — to every engine, and run
@@ -61,16 +61,17 @@ struct DiffCheckParams {
   /// distances in different orders, so a few ULPs of drift are legitimate.
   /// Engine-vs-brute-force comparisons are always exact (tolerance 0).
   double naive_tolerance = 1e-9;
-  /// Distance-oracle sweep: the full 16-combination ablation grid runs once
-  /// per kind (indexes built per scenario graph) and every skyline must be
-  /// bit-identical to brute force regardless of the oracle answering the
-  /// NNinit / lower-bound distance work.
+  /// Index sweep: the full 16-combination ablation grid runs on one engine
+  /// per kind — kFlat the index-free engine, kCh an engine with a CH index
+  /// and category-bucket tables built per scenario graph — and every
+  /// skyline must be bit-identical to brute force either way.
   std::vector<OracleKind> oracle_kinds = {OracleKind::kFlat, OracleKind::kCh};
-  /// PoI-retrieval sweep: the ablation grid additionally runs once per
-  /// retriever kind per oracle. CH engines carry per-scenario bucket
-  /// tables, so kBucket/kAuto pin the bucket scans there; on flat engines
-  /// the forced kinds exercise the documented fallbacks. Every combination
-  /// must stay bit-identical to brute force.
+  /// Retriever sweep: on the CH engine the ablation grid runs once per
+  /// retriever kind (kBucket pins the bucket-served NNinit hops, leg bounds
+  /// and expansions, kSettle the graph searches). The kind has no effect
+  /// without bucket tables, so the flat engine runs the grid once, with
+  /// the first kind. Every combination must stay bit-identical to brute
+  /// force.
   std::vector<RetrieverKind> retriever_kinds = {
       RetrieverKind::kAuto, RetrieverKind::kSettle, RetrieverKind::kBucket};
 };

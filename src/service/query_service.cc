@@ -48,8 +48,7 @@ QueryService::QueryService(const Graph& graph, const CategoryForest& forest,
   // oracle) would be dropped by every engine anyway.
   if (config_.shared_query_cache && config_.buckets != nullptr &&
       config_.oracle != nullptr && &config_.buckets->graph() == graph_ &&
-      static_cast<const DistanceOracle*>(&config_.buckets->oracle()) ==
-          config_.oracle &&
+      &config_.buckets->oracle() == config_.oracle &&
       config_.xcache_prewarm_pois > 0 && graph_->num_pois() > 0) {
     std::vector<VertexId> sources;
     const size_t n = std::min(static_cast<size_t>(graph_->num_pois()),

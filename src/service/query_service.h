@@ -59,11 +59,11 @@ struct ServiceConfig {
   size_t cache_capacity = 512;
   /// Options applied when Submit/RunBatch are called without options.
   QueryOptions default_options;
-  /// Shared immutable distance oracle (index layer). Non-owning: it must be
-  /// built over the same graph and outlive the service. Every worker's
-  /// engine queries the one index through its own per-thread workspace;
-  /// null keeps the flat Dijkstra paths.
-  const DistanceOracle* oracle = nullptr;
+  /// Shared immutable CH oracle (index layer) that `buckets` derive from.
+  /// Non-owning: it must be built over the same graph and outlive the
+  /// service. Every worker's engine scans through its own per-thread
+  /// workspace; null (or no buckets) keeps the classic Dijkstra paths.
+  const ChOracle* oracle = nullptr;
   /// Shared immutable category-bucket tables (src/retrieval/). Non-owning:
   /// must be built over (this graph, `oracle`) and outlive the service.
   /// One table set serves every worker; per-worker scan state lives inside

@@ -16,6 +16,21 @@ std::string FormatLine(const char* label, double value, const char* unit) {
   return buf;
 }
 
+// CAS loops: atomic min / max for doubles.
+void AtomicMin(std::atomic<double>& target, double v) {
+  double prev = target.load(std::memory_order_relaxed);
+  while (v < prev && !target.compare_exchange_weak(
+                         prev, v, std::memory_order_relaxed)) {
+  }
+}
+
+void AtomicMax(std::atomic<double>& target, double v) {
+  double prev = target.load(std::memory_order_relaxed);
+  while (v > prev && !target.compare_exchange_weak(
+                         prev, v, std::memory_order_relaxed)) {
+  }
+}
+
 std::string FormatLine(const char* label, int64_t value) {
   char buf[128];
   std::snprintf(buf, sizeof(buf), "%-18s %10lld\n", label,
@@ -61,11 +76,8 @@ void ServiceMetrics::RecordCompleted(double latency_ms,
     latency_exemplar_ids_[bucket].store(exemplar_id, kRelaxed);
   }
   latency_sum_ms_.fetch_add(latency_ms, kRelaxed);
-  // CAS loop: atomic max for doubles.
-  double prev = latency_max_ms_.load(kRelaxed);
-  while (latency_ms > prev &&
-         !latency_max_ms_.compare_exchange_weak(prev, latency_ms, kRelaxed)) {
-  }
+  AtomicMin(latency_min_ms_, latency_ms);
+  AtomicMax(latency_max_ms_, latency_ms);
   vertices_settled_.fetch_add(vertices_settled, kRelaxed);
   edges_relaxed_.fetch_add(edges_relaxed, kRelaxed);
   routes_found_.fetch_add(routes_found, kRelaxed);
@@ -76,10 +88,8 @@ void ServiceMetrics::RecordQueueWait(double wait_ms) {
   queue_wait_buckets_[static_cast<size_t>(BucketOf(wait_ms))].fetch_add(
       1, kRelaxed);
   queue_wait_sum_ms_.fetch_add(wait_ms, kRelaxed);
-  double prev = queue_wait_max_ms_.load(kRelaxed);
-  while (wait_ms > prev &&
-         !queue_wait_max_ms_.compare_exchange_weak(prev, wait_ms, kRelaxed)) {
-  }
+  AtomicMin(queue_wait_min_ms_, wait_ms);
+  AtomicMax(queue_wait_max_ms_, wait_ms);
 }
 
 void ServiceMetrics::RecordXCache(int64_t fwd_hits, int64_t fwd_misses,
@@ -96,16 +106,24 @@ void ServiceMetrics::RecordXCache(int64_t fwd_hits, int64_t fwd_misses,
 }
 
 double ServiceMetrics::PercentileLocked(
-    double p, int64_t total,
-    const std::array<int64_t, kNumBuckets>& counts) const {
+    double p, int64_t total, const std::array<int64_t, kNumBuckets>& counts,
+    double min_ms, double max_ms) const {
   if (total == 0) return 0;
   const auto rank = static_cast<int64_t>(std::ceil(p * total));
   int64_t seen = 0;
+  int bucket = kNumBuckets - 1;
   for (int i = 0; i < kNumBuckets; ++i) {
     seen += counts[static_cast<size_t>(i)];
-    if (seen >= rank) return BucketMidpoint(i);
+    if (seen >= rank) {
+      bucket = i;
+      break;
+    }
   }
-  return BucketMidpoint(kNumBuckets - 1);
+  const double mid = BucketMidpoint(bucket);
+  // A snapshot racing the first writer may see the count before either
+  // bound; the midpoint stands until both are published.
+  if (!(min_ms <= max_ms)) return mid;
+  return std::clamp(mid, min_ms, max_ms);
 }
 
 MetricsSnapshot ServiceMetrics::Snapshot() const {
@@ -148,13 +166,18 @@ MetricsSnapshot ServiceMetrics::Snapshot() const {
     s.latency_exemplar_ms[static_cast<size_t>(i)] =
         latency_exemplar_ms_[static_cast<size_t>(i)].load(kRelaxed);
   }
-  s.latency_p50_ms = PercentileLocked(0.50, s.completed, counts);
-  s.latency_p90_ms = PercentileLocked(0.90, s.completed, counts);
-  s.latency_p95_ms = PercentileLocked(0.95, s.completed, counts);
-  s.latency_p99_ms = PercentileLocked(0.99, s.completed, counts);
+  s.latency_max_ms = latency_max_ms_.load(kRelaxed);
+  const double latency_min = latency_min_ms_.load(kRelaxed);
+  s.latency_p50_ms = PercentileLocked(0.50, s.completed, counts, latency_min,
+                                      s.latency_max_ms);
+  s.latency_p90_ms = PercentileLocked(0.90, s.completed, counts, latency_min,
+                                      s.latency_max_ms);
+  s.latency_p95_ms = PercentileLocked(0.95, s.completed, counts, latency_min,
+                                      s.latency_max_ms);
+  s.latency_p99_ms = PercentileLocked(0.99, s.completed, counts, latency_min,
+                                      s.latency_max_ms);
   s.latency_sum_ms = latency_sum_ms_.load(kRelaxed);
   s.latency_mean_ms = s.completed > 0 ? s.latency_sum_ms / s.completed : 0;
-  s.latency_max_ms = latency_max_ms_.load(kRelaxed);
 
   s.queue_wait_count = queue_wait_count_.load(kRelaxed);
   std::array<int64_t, kNumBuckets> waits;
@@ -163,12 +186,15 @@ MetricsSnapshot ServiceMetrics::Snapshot() const {
         queue_wait_buckets_[static_cast<size_t>(i)].load(kRelaxed);
   }
   s.queue_wait_bucket_counts = waits;
-  s.queue_wait_p50_ms = PercentileLocked(0.50, s.queue_wait_count, waits);
-  s.queue_wait_p99_ms = PercentileLocked(0.99, s.queue_wait_count, waits);
+  s.queue_wait_max_ms = queue_wait_max_ms_.load(kRelaxed);
+  const double wait_min = queue_wait_min_ms_.load(kRelaxed);
+  s.queue_wait_p50_ms = PercentileLocked(0.50, s.queue_wait_count, waits,
+                                         wait_min, s.queue_wait_max_ms);
+  s.queue_wait_p99_ms = PercentileLocked(0.99, s.queue_wait_count, waits,
+                                         wait_min, s.queue_wait_max_ms);
   s.queue_wait_sum_ms = queue_wait_sum_ms_.load(kRelaxed);
   s.queue_wait_mean_ms =
       s.queue_wait_count > 0 ? s.queue_wait_sum_ms / s.queue_wait_count : 0;
-  s.queue_wait_max_ms = queue_wait_max_ms_.load(kRelaxed);
   s.queue_depth = queue_depth_.load(kRelaxed);
   return s;
 }
@@ -197,10 +223,12 @@ void ServiceMetrics::Reset() {
   for (auto& b : latency_exemplar_ids_) b.store(0, kRelaxed);
   for (auto& b : latency_exemplar_ms_) b.store(0, kRelaxed);
   latency_sum_ms_.store(0, kRelaxed);
+  latency_min_ms_.store(kNoMin, kRelaxed);
   latency_max_ms_.store(0, kRelaxed);
   for (auto& b : queue_wait_buckets_) b.store(0, kRelaxed);
   queue_wait_count_.store(0, kRelaxed);
   queue_wait_sum_ms_.store(0, kRelaxed);
+  queue_wait_min_ms_.store(kNoMin, kRelaxed);
   queue_wait_max_ms_.store(0, kRelaxed);
   queue_depth_.store(0, kRelaxed);
   uptime_.Reset();

@@ -9,6 +9,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -157,6 +158,8 @@ class ServiceMetrics {
 
  private:
   static constexpr auto kRelaxed = std::memory_order_relaxed;
+  /// Minimum before the first observation.
+  static constexpr double kNoMin = std::numeric_limits<double>::infinity();
 
   // Latency histogram geometry (see LatencyHistogram above).
   static constexpr int kNumBuckets = LatencyHistogram::kNumBuckets;
@@ -165,8 +168,13 @@ class ServiceMetrics {
 
   static int BucketOf(double latency_ms);
   static double BucketMidpoint(int bucket);
+  /// The bucket midpoint holding the p-quantile, clamped to the observed
+  /// [min_ms, max_ms]: a midpoint can lie outside the values that actually
+  /// landed in its bucket (one 0.225 ms observation would otherwise report
+  /// p50 = 0.237 ms, above its own maximum).
   double PercentileLocked(double p, int64_t total,
-                          const std::array<int64_t, kNumBuckets>& counts) const;
+                          const std::array<int64_t, kNumBuckets>& counts,
+                          double min_ms, double max_ms) const;
 
   std::atomic<int64_t> submitted_{0};
   std::atomic<int64_t> completed_{0};
@@ -190,11 +198,13 @@ class ServiceMetrics {
   std::array<std::atomic<int64_t>, kNumBuckets> latency_exemplar_ids_;
   std::array<std::atomic<double>, kNumBuckets> latency_exemplar_ms_;
   std::atomic<double> latency_sum_ms_{0};
+  std::atomic<double> latency_min_ms_{kNoMin};
   std::atomic<double> latency_max_ms_{0};
 
   std::array<std::atomic<int64_t>, kNumBuckets> queue_wait_buckets_;
   std::atomic<int64_t> queue_wait_count_{0};
   std::atomic<double> queue_wait_sum_ms_{0};
+  std::atomic<double> queue_wait_min_ms_{kNoMin};
   std::atomic<double> queue_wait_max_ms_{0};
   std::atomic<int64_t> queue_depth_{0};
 

@@ -32,7 +32,8 @@
 #include "graph/graph.h"               // IWYU pragma: export
 #include "graph/graph_builder.h"       // IWYU pragma: export
 #include "graph/io.h"                  // IWYU pragma: export
-#include "index/oracle_factory.h"      // IWYU pragma: export
+#include "index/ch_oracle.h"           // IWYU pragma: export
+#include "index/index_io.h"           // IWYU pragma: export
 #include "retrieval/bucket_io.h"       // IWYU pragma: export
 #include "retrieval/poi_retriever.h"   // IWYU pragma: export
 #include "scenario/diff_check.h"       // IWYU pragma: export

@@ -1,12 +1,13 @@
 // Distance-oracle index layer tests (tier1): randomized CH correctness
 // against plain Dijkstra over all three scenario graph families, the
-// bit-equality contract of distance_oracle.h, many-to-many tables, index
-// save/load round-trips, the graph-checksum mismatch guard, and
-// oracle-backed engine / service / OSR-baseline integration (kind
-// selectable via SKYSR_ORACLE).
+// bit-equality contract of distance_oracle.h, index save/load round-trips,
+// the graph-checksum mismatch guard, and index-backed engine / service /
+// OSR-baseline integration (kind selectable via SKYSR_ORACLE). The
+// bucket-table distances the engine reads are checked in retrieval_test.
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <optional>
 #include <string>
 
@@ -17,7 +18,9 @@
 #include "core/bssr_engine.h"
 #include "graph/dijkstra.h"
 #include "graph/graph_builder.h"
-#include "index/oracle_factory.h"
+#include "index/ch_oracle.h"
+#include "index/index_io.h"
+#include "retrieval/category_buckets.h"
 #include "scenario/diff_check.h"
 #include "scenario/scenario.h"
 #include "service/query_service.h"
@@ -71,38 +74,6 @@ TEST_P(IndexFamilyTest, ChMatchesDijkstraBitwise) {
   }
 }
 
-// The CH bucket table must agree entry-for-entry with per-pair queries and
-// with Dijkstra, including duplicate targets and source==target cells.
-TEST_P(IndexFamilyTest, ChTableMatchesDijkstra) {
-  const auto [family, weights] = GetParam();
-  const Graph g = MakeScenarioGraph(FamilyParams(family, 300, weights, 21));
-  const ChOracle ch = ChOracle::Build(g);
-  OracleWorkspace ws;
-
-  Rng rng(5);
-  std::vector<VertexId> sources, targets;
-  for (int i = 0; i < 6; ++i) {
-    sources.push_back(static_cast<VertexId>(rng.UniformInt(0, g.num_vertices() - 1)));
-  }
-  for (int j = 0; j < 17; ++j) {
-    targets.push_back(static_cast<VertexId>(rng.UniformInt(0, g.num_vertices() - 1)));
-  }
-  targets.push_back(targets.front());  // duplicate target column
-  targets.push_back(sources.front());  // source==target cell
-
-  std::vector<Weight> table(sources.size() * targets.size());
-  ch.Table(sources, targets, ws, table.data());
-  for (size_t i = 0; i < sources.size(); ++i) {
-    const DistanceField ref = SingleSourceDistances(g, sources[i]);
-    for (size_t j = 0; j < targets.size(); ++j) {
-      EXPECT_EQ(table[i * targets.size() + j],
-                ref.dist[static_cast<size_t>(targets[j])])
-          << GraphFamilyName(family) << " table cell (" << i << "," << j
-          << ")";
-    }
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(
     AllFamilies, IndexFamilyTest,
     ::testing::Combine(::testing::Values(GraphFamily::kGrid,
@@ -111,27 +82,6 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(WeightModel::kUnit,
                                          WeightModel::kUniform,
                                          WeightModel::kEuclidean)));
-
-TEST(FlatOracleTest, MatchesDijkstraAndTableHandlesDuplicates) {
-  const Graph g = MakeScenarioGraph(
-      FamilyParams(GraphFamily::kGrid, 200, WeightModel::kUniform, 3));
-  const FlatOracle flat(g);
-  OracleWorkspace ws;
-  const DistanceField ref = SingleSourceDistances(g, 0);
-  EXPECT_EQ(flat.Distance(0, 57, ws), ref.dist[57]);
-
-  const std::vector<VertexId> sources = {0, 5};
-  const std::vector<VertexId> targets = {57, 3, 57, 0};
-  std::vector<Weight> table(sources.size() * targets.size());
-  flat.Table(sources, targets, ws, table.data());
-  for (size_t i = 0; i < sources.size(); ++i) {
-    const DistanceField row = SingleSourceDistances(g, sources[i]);
-    for (size_t j = 0; j < targets.size(); ++j) {
-      EXPECT_EQ(table[i * targets.size() + j],
-                row.dist[static_cast<size_t>(targets[j])]);
-    }
-  }
-}
 
 TEST(ChOracleTest, DisconnectedAndDirectedGraphs) {
   // Two components: 0-1-2 and 3-4; plus a directed variant with a one-way
@@ -176,14 +126,11 @@ TEST(IndexIoTest, SaveLoadRoundTripsChOracle) {
 
   auto ch = LoadOracleIndex(ch_path, g);
   ASSERT_TRUE(ch.ok()) << ch.status().ToString();
-  EXPECT_EQ((*ch)->kind(), OracleKind::kCh);
 
   OracleWorkspace ws;
   for (const auto& [s, t] : RandomPairs(g.num_vertices(), 40, 17)) {
     EXPECT_EQ(built_ch.Distance(s, t, ws), (*ch)->Distance(s, t, ws));
   }
-
-  EXPECT_FALSE(SaveOracleIndex(FlatOracle(g), ch_path).ok());
 }
 
 TEST(IndexIoTest, ChecksumMismatchIsRejectedWithClearMessage) {
@@ -206,24 +153,31 @@ TEST(IndexIoTest, ChecksumMismatchIsRejectedWithClearMessage) {
   EXPECT_EQ(GraphChecksum(g), GraphChecksum(g));
 }
 
-// Engine-level integration: an oracle-backed BssrEngine (and a QueryService
-// sharing the index across workers) must reproduce the classic engine's
-// skylines bit for bit on a generated scenario workload. The oracle kind
-// honors SKYSR_ORACLE (default ch), so the CI index job re-runs this whole
-// suite against the CH paths.
+// Engine-level integration: an index-backed BssrEngine (CH + bucket tables)
+// and a QueryService sharing them across workers must reproduce the
+// classic engine's skylines bit for bit on a generated scenario workload.
+// The kind honors SKYSR_ORACLE (default ch; flat runs both sides without
+// an index).
 TEST(OracleEngineTest, OracleBackedEngineMatchesFlatEngine) {
   const OracleKind kind =
       OracleKindFromEnv(OracleKind::kCh).value_or(OracleKind::kCh);
   for (int suite_index : {1, 3, 5}) {  // one spec per graph family
     const Scenario sc = MakeScenario(ScenarioSuiteSpec(suite_index, 404));
-    const auto oracle = MakeOracle(kind, sc.dataset.graph);
+    std::unique_ptr<ChOracle> oracle;
+    std::unique_ptr<CategoryBucketIndex> buckets;
+    if (kind == OracleKind::kCh) {
+      oracle = std::make_unique<ChOracle>(ChOracle::Build(sc.dataset.graph));
+      buckets = std::make_unique<CategoryBucketIndex>(
+          CategoryBucketIndex::Build(sc.dataset.graph, *oracle));
+    }
     BssrEngine flat_engine(sc.dataset.graph, sc.dataset.forest);
     BssrEngine oracle_engine(sc.dataset.graph, sc.dataset.forest,
-                             oracle.get());
+                             oracle.get(), buckets.get());
 
     ServiceConfig cfg;
     cfg.num_threads = 2;
     cfg.oracle = oracle.get();
+    cfg.buckets = buckets.get();
     QueryService service(sc.dataset.graph, sc.dataset.forest, cfg);
     const auto service_results = service.RunBatch(sc.queries);
 
@@ -249,7 +203,7 @@ TEST(OracleEngineTest, OracleBackedEngineMatchesFlatEngine) {
 TEST(OracleEngineTest, OsrDestinationTailsMatchWithOracle) {
   const Scenario sc = MakeScenario(ScenarioSuiteSpec(2, 77));
   const Graph& g = sc.dataset.graph;
-  const auto ch = MakeOracle(OracleKind::kCh, g);
+  const auto ch = std::make_unique<ChOracle>(ChOracle::Build(g));
   const SimilarityFunction& sim = *DefaultSimilarity();
 
   std::vector<PositionMatcher> matchers;
@@ -282,7 +236,7 @@ TEST(OracleEngineTest, OsrDestinationTailsMatchWithOracle) {
   }
 }
 
-TEST(OracleFactoryTest, KindsParseAndBuild) {
+TEST(OracleKindTest, KindsParse) {
   EXPECT_EQ(ParseOracleKind("flat"), OracleKind::kFlat);
   EXPECT_EQ(ParseOracleKind("ch"), OracleKind::kCh);
   // The retired landmark oracle's name no longer parses.
@@ -293,17 +247,6 @@ TEST(OracleFactoryTest, KindsParseAndBuild) {
   // deferred expansions on them.
   EXPECT_EQ(ParseRetrieverKind("settle"), RetrieverKind::kSettle);
   EXPECT_FALSE(ParseRetrieverKind("resume").has_value());
-
-  const Graph g = MakeScenarioGraph(
-      FamilyParams(GraphFamily::kSmallWorld, 100, WeightModel::kUnit, 4));
-  for (const OracleKind kind : {OracleKind::kFlat, OracleKind::kCh}) {
-    const auto oracle = MakeOracle(kind, g);
-    ASSERT_NE(oracle, nullptr);
-    EXPECT_EQ(oracle->kind(), kind);
-    OracleWorkspace ws;
-    const DistanceField ref = SingleSourceDistances(g, 1);
-    EXPECT_EQ(oracle->Distance(1, 42, ws), ref.dist[42]);
-  }
 }
 
 }  // namespace

@@ -22,10 +22,12 @@
 #include <gtest/gtest.h>
 
 #include "core/bssr_engine.h"
+#include "index/ch_oracle.h"
 #include "obs/mini_json.h"
 #include "obs/perf_trajectory.h"
 #include "obs/query_trace.h"
 #include "obs/trace_export.h"
+#include "retrieval/category_buckets.h"
 #include "service/metrics_endpoint.h"
 #include "service/prometheus.h"
 #include "service/query_service.h"
@@ -278,6 +280,47 @@ TEST(EngineTraceTest, TracedRunRecordsPhasesAndPreservesCounters) {
             result->stats.phases.of(TracePhase::kQuery).total_ns);
 }
 
+// The oracle_table phase times the index-served distance work: NNinit hops
+// and lower-bound legs answered off the bucket tables. A traced CH + bucket
+// engine records it; the classic engine, which has no index to consult,
+// never does.
+TEST(EngineTraceTest, OracleTableSpansOnlyWithBucketTables) {
+  const testing::TinyDataset tiny = testing::MakeTinyDataset(7);
+  Query q;
+  q.start = 0;
+  for (PoiId p : {0, 1, 2}) {
+    q.sequence.push_back(
+        CategoryPredicate::Single(tiny.graph.PoiPrimaryCategory(p)));
+  }
+  const ChOracle ch = ChOracle::Build(tiny.graph);
+  const CategoryBucketIndex buckets =
+      CategoryBucketIndex::Build(tiny.graph, ch);
+
+  const auto oracle_table_spans = [&](BssrEngine& engine,
+                                      RetrieverKind retriever) {
+    QueryTrace trace(4096);
+    trace.set_enabled(true);
+    engine.AttachTrace(&trace);
+    QueryOptions options;
+    options.retriever = retriever;
+    const auto result = engine.Run(q, options);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    engine.AttachTrace(nullptr);
+    return result.ok()
+               ? result->stats.phases.of(TracePhase::kOracleTable).count
+               : int64_t{-1};
+  };
+
+  BssrEngine indexed(tiny.graph, tiny.forest, &ch, &buckets);
+  EXPECT_GE(oracle_table_spans(indexed, RetrieverKind::kBucket), 1);
+  // kSettle keeps the classic hops and legs even with the tables attached.
+  EXPECT_EQ(oracle_table_spans(indexed, RetrieverKind::kSettle), 0);
+
+  BssrEngine classic(tiny.graph, tiny.forest);
+  EXPECT_EQ(oracle_table_spans(classic, RetrieverKind::kBucket), 0);
+  EXPECT_EQ(oracle_table_spans(classic, RetrieverKind::kAuto), 0);
+}
+
 // ------------------------------------------------------------- prometheus --
 
 TEST(PrometheusTest, GoldenTextFormat) {
@@ -367,6 +410,28 @@ TEST(PrometheusTest, ServiceMetricsRecordsQueueWait) {
   const MetricsSnapshot zero = m.Snapshot();
   EXPECT_EQ(zero.queue_wait_count, 0);
   EXPECT_EQ(zero.queue_depth, 0);
+}
+
+// Bucketed percentiles report the bucket's midpoint, which can lie outside
+// the values that landed there; they are clamped to the observed range, so
+// a single observation reports itself at every percentile.
+TEST(PrometheusTest, SingleObservationPercentilesEqualIt) {
+  ServiceMetrics m;
+  m.RecordCompleted(/*latency_ms=*/0.225, 10, 20, 1);
+  m.RecordQueueWait(0.225);
+  const MetricsSnapshot s = m.Snapshot();
+  EXPECT_EQ(s.latency_p50_ms, 0.225);
+  EXPECT_EQ(s.latency_p99_ms, 0.225);
+  EXPECT_EQ(s.latency_max_ms, 0.225);
+  EXPECT_EQ(s.queue_wait_p50_ms, 0.225);
+  EXPECT_EQ(s.queue_wait_p99_ms, 0.225);
+  EXPECT_EQ(s.queue_wait_max_ms, 0.225);
+
+  // Reset forgets the minimum too: a later, larger observation is again
+  // its own percentile.
+  m.Reset();
+  m.RecordQueueWait(3.0);
+  EXPECT_EQ(m.Snapshot().queue_wait_p50_ms, 3.0);
 }
 
 TEST(PrometheusTest, ServiceMetricsExposesRecordedCounts) {

@@ -22,13 +22,14 @@
 namespace skysr {
 namespace {
 
-ScenarioSpec RetrievalSpec(GraphFamily family, uint64_t seed) {
+ScenarioSpec RetrievalSpec(GraphFamily family, uint64_t seed,
+                           WeightModel weights = WeightModel::kEuclidean) {
   ScenarioSpec spec;
   spec.name = std::string("retrieval-") + GraphFamilyName(family);
   spec.graph.family = family;
   spec.graph.target_vertices = 360;
   spec.graph.extra_edge_fraction = 0.3;
-  spec.graph.weights = WeightModel::kEuclidean;
+  spec.graph.weights = weights;
   spec.taxonomy.num_trees = 3;
   spec.taxonomy.max_fanout = 3;
   spec.taxonomy.max_levels = 3;
@@ -85,33 +86,45 @@ void ExpectSameStream(const std::vector<Emitted>& a,
 }
 
 // Every PoI distance the bucket scan produces must be the exact double a
-// flat graph Dijkstra computes — the retrieval analogue of the oracle
-// exactness contract.
+// flat graph Dijkstra computes — the exactness contract of
+// distance_oracle.h. These are the only index-served distances of NNinit
+// hops and lower-bound legs, so the check spans every graph family and
+// weight model (unit weights maximize ties, continuous weights exercise
+// rounding), plus a source sitting on a PoI vertex (distance 0 to itself).
 TEST(CategoryBucketTest, ExactDistancesBitEqualDijkstra) {
   for (const GraphFamily family :
        {GraphFamily::kGrid, GraphFamily::kCluster, GraphFamily::kSmallWorld}) {
-    const Scenario sc = MakeScenario(RetrievalSpec(family, 901));
-    const Graph& g = sc.dataset.graph;
-    const ChOracle ch = ChOracle::Build(g);
-    const CategoryBucketIndex buckets = CategoryBucketIndex::Build(g, ch);
-    const BucketRetriever retriever(buckets);
-    BucketScanState state;
-    OracleWorkspace ows;
-    DijkstraWorkspace dws;
-    std::vector<Weight> ref;
-    for (int i = 0; i < 7; ++i) {
-      const auto src =
-          static_cast<VertexId>((g.num_vertices() * i) / 7);
-      retriever.EnsureForward(src, ows, state, nullptr);
-      ref.assign(static_cast<size_t>(g.num_vertices()), kInfWeight);
-      RunDijkstra(g, src, dws, [&](VertexId v, Weight d, VertexId) {
-        ref[static_cast<size_t>(v)] = d;
-        return VisitAction::kContinue;
-      });
-      for (PoiId p = 0; p < g.num_pois(); ++p) {
-        EXPECT_EQ(retriever.ExactDistanceTo(p, state),
-                  ref[static_cast<size_t>(g.VertexOfPoi(p))])
-            << sc.spec.name << " src " << src << " poi " << p;
+    for (const WeightModel weights : {WeightModel::kUnit,
+                                      WeightModel::kUniform,
+                                      WeightModel::kEuclidean}) {
+      const Scenario sc = MakeScenario(RetrievalSpec(family, 901, weights));
+      const Graph& g = sc.dataset.graph;
+      ASSERT_GT(g.num_pois(), 0);
+      const ChOracle ch = ChOracle::Build(g);
+      const CategoryBucketIndex buckets = CategoryBucketIndex::Build(g, ch);
+      const BucketRetriever retriever(buckets);
+      BucketScanState state;
+      OracleWorkspace ows;
+      DijkstraWorkspace dws;
+      std::vector<Weight> ref;
+      std::vector<VertexId> sources;
+      for (int i = 0; i < 7; ++i) {
+        sources.push_back(static_cast<VertexId>((g.num_vertices() * i) / 7));
+      }
+      sources.push_back(g.VertexOfPoi(g.num_pois() / 2));
+      for (const VertexId src : sources) {
+        retriever.EnsureForward(src, ows, state, nullptr);
+        ref.assign(static_cast<size_t>(g.num_vertices()), kInfWeight);
+        RunDijkstra(g, src, dws, [&](VertexId v, Weight d, VertexId) {
+          ref[static_cast<size_t>(v)] = d;
+          return VisitAction::kContinue;
+        });
+        for (PoiId p = 0; p < g.num_pois(); ++p) {
+          EXPECT_EQ(retriever.ExactDistanceTo(p, state),
+                    ref[static_cast<size_t>(g.VertexOfPoi(p))])
+              << sc.spec.name << " weights " << static_cast<int>(weights)
+              << " src " << src << " poi " << p;
+        }
       }
     }
   }

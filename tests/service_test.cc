@@ -338,7 +338,7 @@ TEST(QueryServiceTest, MultiThreadedBatchMatchesSequentialEngine) {
   const CategoryBucketIndex buckets =
       CategoryBucketIndex::Build(ds.graph, *ch);
   struct Axis {
-    const DistanceOracle* oracle;
+    const ChOracle* oracle;
     const CategoryBucketIndex* buckets;
     RetrieverKind retriever;
     bool xcache;

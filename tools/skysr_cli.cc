@@ -38,10 +38,11 @@
 //             [--trace-out FILE] [--trace-capacity N]
 //             [--explain] [--explain-out FILE]
 //       Runs one SkySR query (category names as in taxonomy.txt) and prints
-//       the skyline plus search statistics. --oracle builds (or --index
-//       loads) a distance oracle backing NNinit and the lower bounds;
-//       --buckets loads (or builds, with a CH oracle on hand) the category
-//       bucket tables and --retriever picks the expansion backend.
+//       the skyline plus search statistics. --oracle ch builds (or --index
+//       loads) the contraction-hierarchies index; it speeds up the query
+//       only together with --buckets, which loads (or builds) the category
+//       bucket tables that NNinit hops, lower-bound legs and expansions
+//       read. --retriever picks how much of the query the tables answer.
 //       --trace-out records per-phase spans and writes Chrome trace-event
 //       JSON (loadable in chrome://tracing or https://ui.perfetto.dev) plus
 //       a per-phase breakdown to stdout. --explain prints the query's
@@ -64,10 +65,10 @@
 //       QueryService with N worker threads and prints service metrics
 //       (QPS, latency percentiles, cache hit rate, cross-query cache
 //       activity, and the N slowest queries with their phase breakdowns).
-//       With --oracle/--index all workers share one immutable distance
-//       oracle, and with --buckets one immutable set of category-bucket
-//       tables. --xcache (default on) toggles the engine-lifetime
-//       cross-query caches; --prewarm bounds the PoI vertices snapshotted
+//       With --oracle/--index all workers share one immutable CH index,
+//       and with --buckets one immutable set of category-bucket tables.
+//       --xcache (default on) toggles the engine-lifetime cross-query
+//       caches; --prewarm bounds the PoI vertices snapshotted
 //       before the workers start (default 256). Results are bit-identical
 //       with the cache on or off.
 //       --arrival paces the replay open-loop (asap floods, poisson:<qps>
@@ -161,39 +162,34 @@ Result<Dataset> LoadDataDir(const std::string& dir) {
   return ds;
 }
 
-/// Resolves --oracle/--index into a ready oracle over `graph` (null for the
-/// default flat behavior): --index loads a saved file (checksum-verified),
-/// --oracle ch builds the index in memory.
-Result<std::unique_ptr<DistanceOracle>> ResolveOracle(
+/// Resolves --oracle/--index into a ready CH index over `graph` (null for
+/// the default flat behavior): --index loads a saved file
+/// (checksum-verified), --oracle ch builds the index in memory.
+Result<std::unique_ptr<ChOracle>> ResolveOracle(
     const std::map<std::string, std::string>& flags, const Graph& graph) {
+  // The name was validated by CheckBackendFlags.
+  const OracleKind kind = flags.count("oracle")
+                              ? *ParseOracleKind(flags.at("oracle"))
+                              : OracleKind::kFlat;
   if (flags.count("index")) {
-    WallTimer timer;
-    SKYSR_ASSIGN_OR_RETURN(std::unique_ptr<DistanceOracle> oracle,
-                           LoadOracleIndex(flags.at("index"), graph));
-    if (flags.count("oracle")) {
-      const auto want = ParseOracleKind(flags.at("oracle"));
-      if (want.has_value() && *want != oracle->kind()) {
-        return Status::InvalidArgument(
-            "--index holds a " + std::string(OracleKindName(oracle->kind())) +
-            " oracle but --oracle asked for " + flags.at("oracle"));
-      }
+    if (flags.count("oracle") && kind != OracleKind::kCh) {
+      return Status::InvalidArgument(
+          "--index holds a ch oracle but --oracle asked for " +
+          flags.at("oracle"));
     }
-    std::printf("loaded %s oracle from %s in %.1f ms (%.2f MiB)\n",
-                OracleKindName(oracle->kind()), flags.at("index").c_str(),
-                timer.ElapsedMillis(),
+    WallTimer timer;
+    SKYSR_ASSIGN_OR_RETURN(std::unique_ptr<ChOracle> oracle,
+                           LoadOracleIndex(flags.at("index"), graph));
+    std::printf("loaded ch oracle from %s in %.1f ms (%.2f MiB)\n",
+                flags.at("index").c_str(), timer.ElapsedMillis(),
                 static_cast<double>(oracle->MemoryBytes()) / (1 << 20));
     return oracle;
   }
-  if (!flags.count("oracle")) {
-    return std::unique_ptr<DistanceOracle>();
-  }
-  // The name was validated by CheckBackendFlags.
-  const OracleKind kind = *ParseOracleKind(flags.at("oracle"));
-  if (kind == OracleKind::kFlat) return std::unique_ptr<DistanceOracle>();
+  if (kind == OracleKind::kFlat) return std::unique_ptr<ChOracle>();
   WallTimer timer;
-  std::unique_ptr<DistanceOracle> oracle = MakeOracle(kind, graph);
-  std::printf("built %s oracle in %.1f ms (%.2f MiB)\n",
-              OracleKindName(kind), timer.ElapsedMillis(),
+  auto oracle = std::make_unique<ChOracle>(ChOracle::Build(graph));
+  std::printf("built ch oracle in %.1f ms (%.2f MiB)\n",
+              timer.ElapsedMillis(),
               static_cast<double>(oracle->MemoryBytes()) / (1 << 20));
   return oracle;
 }
@@ -204,16 +200,16 @@ Result<std::unique_ptr<DistanceOracle>> ResolveOracle(
 /// Requires a CH oracle either way.
 Result<std::optional<CategoryBucketIndex>> ResolveBuckets(
     const std::map<std::string, std::string>& flags, const Graph& graph,
-    const DistanceOracle* oracle) {
+    const ChOracle* oracle) {
   if (!flags.count("buckets")) {
     return std::optional<CategoryBucketIndex>();
   }
-  if (oracle == nullptr || oracle->kind() != OracleKind::kCh) {
+  if (oracle == nullptr) {
     return Status::InvalidArgument(
         "--buckets needs a contraction-hierarchies oracle (--oracle ch or a "
         ".chidx --index)");
   }
-  const auto& ch = static_cast<const ChOracle&>(*oracle);
+  const ChOracle& ch = *oracle;
   WallTimer timer;
   if (flags.at("buckets") == "build") {
     std::optional<CategoryBucketIndex> built(
@@ -324,16 +320,13 @@ void PrintBucketStats(const CategoryBucketIndex& buckets) {
               buckets.build_stats().build_ms);
 }
 
-void PrintOracleStats(const DistanceOracle& oracle) {
-  std::printf("oracle kind: %s\n", OracleKindName(oracle.kind()));
+void PrintOracleStats(const ChOracle& ch) {
+  std::printf("oracle kind: %s\n", OracleKindName(OracleKind::kCh));
   std::printf("memory: %.2f MiB\n",
-              static_cast<double>(oracle.MemoryBytes()) / (1 << 20));
-  if (oracle.kind() == OracleKind::kCh) {
-    const auto& ch = static_cast<const ChOracle&>(oracle);
-    std::printf("shortcuts: %lld\nupward edges: %lld\n",
-                static_cast<long long>(ch.num_shortcuts()),
-                static_cast<long long>(ch.num_upward_edges()));
-  }
+              static_cast<double>(ch.MemoryBytes()) / (1 << 20));
+  std::printf("shortcuts: %lld\nupward edges: %lld\n",
+              static_cast<long long>(ch.num_shortcuts()),
+              static_cast<long long>(ch.num_upward_edges()));
 }
 
 int CmdIndex(int argc, char** argv,
@@ -395,7 +388,7 @@ int CmdIndex(int argc, char** argv,
   const std::string out =
       flags.count("out") ? flags.at("out")
                          : flags.at("data") + "/index." +
-                               OracleIndexExtension(OracleKind::kCh);
+                               kOracleIndexExtension;
   if (Status st = SaveOracleIndex(oracle, out); !st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 1;
