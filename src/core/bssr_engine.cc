@@ -7,6 +7,7 @@
 #include <optional>
 
 #include "core/candidate_stream.h"
+#include "core/feasibility.h"
 #include "core/lower_bound.h"
 #include "core/nn_init.h"
 #include "core/skyline_set.h"
@@ -338,8 +339,16 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
     exp->positions.resize(static_cast<size_t>(k));
   }
 
+  // Feasibility gate (core/feasibility.h): a query with no sequenced route
+  // at all skips NNinit, the bounds and the search, whose thresholds would
+  // otherwise stay infinite and prune nothing. Its empty skyline is exact
+  // and leaves through the common epilogue below.
+  stats.infeasible =
+      CheckFeasibility(*g_, matchers, dest_dist, &ws_.feasibility);
+  const bool feasible = !stats.infeasible.fired();
+
   // --- Optimization 1: initial search (§5.3.1). ---
-  if (options.use_initial_search) {
+  if (feasible && options.use_initial_search) {
     TraceSpan nn_span(trace, TracePhase::kNnInit);
     RunNnInit(*g_, matchers, query.start, agg, dest_dist, ws_.dijkstra_ws,
               &skyline, &stats, &ws_.nn_init,
@@ -348,7 +357,7 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
 
   // --- Optimization 3: minimum-distance lower bounds (§5.3.3). ---
   const LowerBounds* lb_ptr = nullptr;
-  if (options.use_lower_bounds && k >= 2) {
+  if (feasible && options.use_lower_bounds && k >= 2) {
     TraceSpan lb_span(trace, TracePhase::kLowerBound);
     ws_.lb = bucket_dist
                  ? ComputeLowerBoundsWithBuckets(
@@ -712,35 +721,36 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
   // Algorithm 1: seed with the first expansion, then drain Q_b. The
   // wall-clock budget is polled every kTimeoutCheckInterval dequeues (and
   // not at all for the default infinite budget).
-  expand(RouteArena::kEmpty);
-  const bool has_time_budget = std::isfinite(options.time_budget_seconds);
-  int64_t pops_until_timeout_check = 0;
-  TraceSpan drain_span(trace, TracePhase::kQbDrain);
-  while (!qb.empty()) {
-    if (has_time_budget && --pops_until_timeout_check < 0) {
-      pops_until_timeout_check = kTimeoutCheckInterval - 1;
-      if (timer.ElapsedSeconds() > options.time_budget_seconds) {
-        stats.timed_out = true;
-        break;
+  if (feasible) {
+    expand(RouteArena::kEmpty);
+    const bool has_time_budget = std::isfinite(options.time_budget_seconds);
+    int64_t pops_until_timeout_check = 0;
+    TraceSpan drain_span(trace, TracePhase::kQbDrain);
+    while (!qb.empty()) {
+      if (has_time_budget && --pops_until_timeout_check < 0) {
+        pops_until_timeout_check = kTimeoutCheckInterval - 1;
+        if (timer.ElapsedSeconds() > options.time_budget_seconds) {
+          stats.timed_out = true;
+          break;
+        }
       }
+      const QbEntry entry = qb.pop();
+      ++stats.routes_dequeued;
+      const RouteArena::Node& nd = arena.node(entry.node);
+      if (policy.ShouldPrunePartial(nd.acc, nd.length, nd.size)) {
+        ++stats.routes_pruned;
+        continue;
+      }
+      // Dequeue-time dominance: a strictly better permutation of the same
+      // PoI set may have been recorded AFTER this route was enqueued.
+      if (use_qb_dominance && nd.size >= 3 &&
+          ws_.qb_dom.DominatedAtDequeue(arena, entry.node)) {
+        ++stats.qb_dominance_pruned;
+        continue;
+      }
+      expand(entry.node);
     }
-    const QbEntry entry = qb.pop();
-    ++stats.routes_dequeued;
-    const RouteArena::Node& nd = arena.node(entry.node);
-    if (policy.ShouldPrunePartial(nd.acc, nd.length, nd.size)) {
-      ++stats.routes_pruned;
-      continue;
-    }
-    // Dequeue-time dominance: a strictly better permutation of the same
-    // PoI set may have been recorded AFTER this route was enqueued.
-    if (use_qb_dominance && nd.size >= 3 &&
-        ws_.qb_dom.DominatedAtDequeue(arena, entry.node)) {
-      ++stats.qb_dominance_pruned;
-      continue;
-    }
-    expand(entry.node);
   }
-  drain_span.Close();
 
   stats.peak_queue_size = static_cast<int64_t>(qb.peak_size());
   stats.route_nodes = arena.num_nodes();
@@ -766,6 +776,7 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
     exp->pruned_qb_dominance = stats.qb_dominance_pruned;
     exp->simd_floor_skips = stats.cand_simd_skipped;
     exp->cand_pruned = stats.cand_pruned;
+    exp->infeasible = stats.infeasible;
   }
 
   stats.skyline_size = skyline.size();

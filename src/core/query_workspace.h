@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/feasibility.h"
 #include "core/lower_bound.h"
 #include "core/mdijkstra_cache.h"
 #include "core/qb_dominance.h"
@@ -187,6 +188,7 @@ struct QueryWorkspace {
   OracleWorkspace oracle_ws;
   NnInitScratch nn_init;
   LowerBoundScratch lower_bound;
+  FeasibilityScratch feasibility;
 
   // Per-query staging.
   std::vector<PositionMatcher> matchers;

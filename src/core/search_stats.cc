@@ -4,11 +4,31 @@
 
 namespace skysr {
 
+const char* InfeasibleReasonName(InfeasibleReason reason) {
+  switch (reason) {
+    case InfeasibleReason::kNone:
+      return "none";
+    case InfeasibleReason::kNoMatch:
+      return "no_match";
+    case InfeasibleReason::kHall:
+      return "hall";
+    case InfeasibleReason::kDestUnreachable:
+      return "dest_unreachable";
+  }
+  return "none";
+}
+
+std::string Infeasibility::ToString() const {
+  if (!fired()) return "none";
+  return std::string(InfeasibleReasonName(reason)) + "@" +
+         std::to_string(position);
+}
+
 std::string SearchStats::ToString() const {
   char buf[1024];
   std::snprintf(
       buf, sizeof(buf),
-      "elapsed=%.3fms%s skyline=%lld\n"
+      "elapsed=%.3fms%s%s%s skyline=%lld\n"
       "searches: runs=%lld cache_hits=%lld reruns=%lld "
       "settled=%lld relaxed=%lld weight_sum=%.4f first_weight_sum=%.4f\n"
       "candidates: examined=%lld pruned=%lld (th=%lld floor=%lld) "
@@ -21,6 +41,8 @@ std::string SearchStats::ToString() const {
       "queue: enq=%lld deq=%lld pruned=%lld dom_pruned=%lld peak=%lld "
       "nodes=%lld logical_bytes=%lld",
       elapsed_ms, timed_out ? " TIMED-OUT" : "",
+      infeasible.fired() ? " INFEASIBLE=" : "",
+      infeasible.fired() ? infeasible.ToString().c_str() : "",
       static_cast<long long>(skyline_size),
       static_cast<long long>(mdijkstra_runs),
       static_cast<long long>(mdijkstra_cache_hits),

@@ -13,12 +13,39 @@
 
 namespace skysr {
 
+/// Why a query has no sequenced route, as proven by the feasibility gate
+/// (core/feasibility.h) before any search ran.
+enum class InfeasibleReason : uint8_t {
+  kNone,             // not proven infeasible: the search ran
+  kNoMatch,          // a position has no matching PoI
+  kHall,             // positions cannot be matched onto distinct PoIs
+  kDestUnreachable,  // no last-position match reaches the destination
+};
+inline constexpr int kNumInfeasibleReasons = 4;
+
+/// "none", "no_match", "hall" or "dest_unreachable".
+const char* InfeasibleReasonName(InfeasibleReason reason);
+
+/// The gate's verdict: the reason plus the first offending position.
+struct Infeasibility {
+  InfeasibleReason reason = InfeasibleReason::kNone;
+  int position = -1;  // sequence position; -1 with kNone
+
+  bool fired() const { return reason != InfeasibleReason::kNone; }
+  bool operator==(const Infeasibility&) const = default;
+  /// "none", or "<reason>@<position>", e.g. "no_match@3".
+  std::string ToString() const;
+};
+
 /// Counters for a single query execution.
 struct SearchStats {
   // Overall.
   double elapsed_ms = 0;
   bool timed_out = false;
   int64_t skyline_size = 0;
+  // Set by the feasibility gate; when it fired, no search ran and the
+  // skyline is empty.
+  Infeasibility infeasible;
 
   // Graph-search effort (Table 8, Figure 5, Table 7).
   int64_t mdijkstra_runs = 0;        // expansion searches actually executed

@@ -30,6 +30,7 @@ std::string QueryExplain::ToTreeString() const {
           "│  └─ cost model: fwd_settles=%" PRId64
           " settle_density=%.4f vertices=%" PRId64 "\n",
           cost_fwd_settles, cost_settle_density, cost_num_vertices);
+  Appendf(&out, "├─ infeasible: %s\n", infeasible.ToString().c_str());
   out += "├─ positions\n";
   for (size_t m = 0; m < positions.size(); ++m) {
     const ExplainPositionBackends& p = positions[m];
@@ -74,6 +75,8 @@ std::string QueryExplain::ToJson() const {
           retriever_requested.c_str(), bucket_backend ? "true" : "false",
           resume_backend ? "true" : "false", cost_fwd_settles,
           cost_settle_density, cost_num_vertices);
+  Appendf(&out, "\"infeasible\":{\"reason\":\"%s\",\"position\":%d},",
+          InfeasibleReasonName(infeasible.reason), infeasible.position);
   out += "\"positions\":[";
   for (size_t m = 0; m < positions.size(); ++m) {
     const ExplainPositionBackends& p = positions[m];

@@ -25,6 +25,8 @@
 #include <string>
 #include <vector>
 
+#include "core/search_stats.h"
+
 namespace skysr {
 
 /// One cache layer's contribution to one query.
@@ -53,6 +55,9 @@ struct QueryExplain {
   int64_t cost_fwd_settles = 0;       // oracle->ApproxSearchSettles()
   double cost_settle_density = 0.0;   // buckets->SettleDensity()
   int64_t cost_num_vertices = 0;
+  // Feasibility-gate verdict, assigned from SearchStats::infeasible; when
+  // it fired, no search ran and every counter below stays 0.
+  Infeasibility infeasible;
 
   // --- Per-position expansion backends (index = sequence position). ---
   std::vector<ExplainPositionBackends> positions;

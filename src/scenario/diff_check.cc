@@ -6,6 +6,7 @@
 #include <cstdio>
 
 #include <memory>
+#include <optional>
 #include <span>
 
 #include "baseline/brute_force.h"
@@ -115,11 +116,18 @@ std::string DiffReport::Summary() const {
   std::snprintf(buf, sizeof(buf),
                 "differential check: %d scenarios, %d instances, "
                 "%lld engine runs, %lld baseline runs, digest=%016llx, "
+                "short-circuited no_match=%d hall=%d dest_unreachable=%d, "
                 "%zu mismatches",
                 scenarios_run, instances_checked,
                 static_cast<long long>(engine_runs),
                 static_cast<long long>(baseline_runs),
                 static_cast<unsigned long long>(result_digest),
+                infeasible_queries[static_cast<size_t>(
+                    InfeasibleReason::kNoMatch)],
+                infeasible_queries[static_cast<size_t>(
+                    InfeasibleReason::kHall)],
+                infeasible_queries[static_cast<size_t>(
+                    InfeasibleReason::kDestUnreachable)],
                 mismatches.size());
   std::string out = buf;
   const size_t shown = std::min<size_t>(mismatches.size(), 10);
@@ -239,7 +247,9 @@ DiffReport RunDifferentialCheck(const DiffCheckParams& params) {
       // exactness contract for the index layer, and the retrieval
       // subsystem's bit-identity contract for the backends. The retriever
       // kind only acts on engines with bucket tables, so the index-free
-      // engine runs each ablation once.
+      // engine runs each ablation once. The feasibility gate reads no
+      // option, so every run must reach the first run's verdict.
+      std::optional<Infeasibility> verdict;
       for (size_t ki = 0; ki < kinds.size(); ++ki) {
         const std::span<const RetrieverKind> engine_retrievers(
             retrievers.data(),
@@ -267,6 +277,17 @@ DiffReport RunDifferentialCheck(const DiffCheckParams& params) {
                        got.status().ToString());
                 continue;
               }
+              const Infeasibility& gate = got->stats.infeasible;
+              if (!verdict) verdict = gate;
+              if (gate != *verdict) {
+                record(static_cast<int>(qi),
+                       RenderConfig(opts.use_initial_search,
+                                    opts.use_lower_bounds, opts.use_cache,
+                                    disc, kinds[ki], rkind,
+                                    opts.use_qb_dominance),
+                       "feasibility verdict " + gate.ToString() + ", first " +
+                           verdict->ToString());
+              }
               if (!BitIdenticalSkylines(got->routes, *brute)) {
                 record(static_cast<int>(qi),
                        RenderConfig(opts.use_initial_search,
@@ -285,6 +306,10 @@ DiffReport RunDifferentialCheck(const DiffCheckParams& params) {
             }
           }
         }
+      }
+
+      if (verdict && verdict->fired()) {
+        ++report.infeasible_queries[static_cast<size_t>(verdict->reason)];
       }
 
       if (params.check_naive_baseline && IsPlainQuery(q)) {

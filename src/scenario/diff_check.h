@@ -19,11 +19,13 @@
 #ifndef SKYSR_SCENARIO_DIFF_CHECK_H_
 #define SKYSR_SCENARIO_DIFF_CHECK_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "core/route.h"
+#include "core/search_stats.h"
 #include "index/distance_oracle.h"
 #include "retrieval/retriever_kind.h"
 #include "scenario/scenario.h"
@@ -94,6 +96,10 @@ struct DiffReport {
   /// SplitMix digest over every verified skyline's score bits, in suite
   /// order; equal seeds must yield equal digests (determinism proof).
   uint64_t result_digest = 0;
+  /// Queries the feasibility gate (core/feasibility.h) short-circuited, by
+  /// InfeasibleReason (index = enum value; kNone stays 0). Every engine run
+  /// of a query must reach the same verdict, else it is a mismatch.
+  std::array<int, kNumInfeasibleReasons> infeasible_queries = {};
   std::vector<DiffMismatch> mismatches;
 
   bool ok() const { return mismatches.empty(); }

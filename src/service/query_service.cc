@@ -231,13 +231,11 @@ void QueryService::Execute(WorkerState& state, ServingTask& task) {
     rec.latency_ms = latency_ms;
     rec.queue_wait_ms = queue_wait_ms;
     rec.execute_ms = exec_timer.ElapsedMillis();
-    rec.timed_out = result->stats.timed_out;
-    rec.vertices_settled = result->stats.vertices_settled;
     rec.routes = static_cast<int64_t>(result->routes.size());
+    rec.stats = result->stats;
     rec.xcache_fwd_hits = d_fwd_hits;
     rec.xcache_fwd_misses = d_fwd_misses;
     rec.xcache_resume_reuses = d_resume_reuses;
-    rec.phases = result->stats.phases;
     rec.query_id = qid;
     rec.explain = result->explain;
     slow_log_.Offer(std::move(rec));

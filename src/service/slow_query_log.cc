@@ -52,14 +52,18 @@ void SlowQueryLog::Clear() {
 }
 
 std::string SlowQueryRecord::ToString() const {
-  char buf[256];
+  char buf[512];
   std::snprintf(buf, sizeof(buf),
-                "q%lld %10.3fms (wait %.3f exec %.3f)%s%s settled=%lld "
+                "q%lld %10.3fms (wait %.3f exec %.3f)%s%s%s%s settled=%lld "
                 "routes=%lld xcache=%lld/%lld/%lld key=%s",
                 static_cast<long long>(query_id), latency_ms, queue_wait_ms,
-                execute_ms,
-                cache_hit ? " CACHE-HIT" : "", timed_out ? " TIMED-OUT" : "",
-                static_cast<long long>(vertices_settled),
+                execute_ms, cache_hit ? " CACHE-HIT" : "",
+                stats.timed_out ? " TIMED-OUT" : "",
+                stats.infeasible.fired() ? " INFEASIBLE=" : "",
+                stats.infeasible.fired()
+                    ? stats.infeasible.ToString().c_str()
+                    : "",
+                static_cast<long long>(stats.vertices_settled),
                 static_cast<long long>(routes),
                 static_cast<long long>(xcache_fwd_hits),
                 static_cast<long long>(xcache_fwd_misses),
@@ -67,9 +71,10 @@ std::string SlowQueryRecord::ToString() const {
                 key.empty() ? "<uncacheable>" : key.c_str());
   std::string out = buf;
   for (int i = 0; i < kNumTracePhases; ++i) {
-    if (phases.phase[i].count == 0) continue;
+    const PhaseAggregate& phase = stats.phases.phase[i];
+    if (phase.count == 0) continue;
     std::snprintf(buf, sizeof(buf), " %s=%.3fms", kTracePhaseNames[i],
-                  static_cast<double>(phases.phase[i].total_ns) / 1e6);
+                  static_cast<double>(phase.total_ns) / 1e6);
     out += buf;
   }
   return out;

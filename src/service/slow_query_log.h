@@ -2,9 +2,10 @@
 // the "what was slow and why" complement to the aggregate histogram.
 //
 // Each record carries enough to diagnose the query offline: its canonical
-// key, the queue-wait / execute split of the end-to-end latency, the engine
-// effort, the per-query shared-cache hit profile, and (when the service runs
-// with tracing enabled) the engine's per-phase time breakdown.
+// key, the queue-wait / execute split of the end-to-end latency, the
+// engine's own SearchStats (effort, feasibility verdict and, when the
+// service runs with tracing enabled, the per-phase time breakdown) and the
+// per-query shared-cache hit profile.
 //
 // The log is thread-safe and cheap on the fast path: a query that cannot
 // displace the current floor is rejected on one relaxed atomic load, no
@@ -21,8 +22,8 @@
 #include <string>
 #include <vector>
 
+#include "core/search_stats.h"
 #include "obs/explain.h"
-#include "obs/trace_phase.h"
 
 namespace skysr {
 
@@ -33,15 +34,15 @@ struct SlowQueryRecord {
   double queue_wait_ms = 0;  // submission to worker pickup
   double execute_ms = 0;     // worker pickup to completion
   bool cache_hit = false;    // served from the result cache
-  bool timed_out = false;
-  int64_t vertices_settled = 0;
   int64_t routes = 0;
+  // The engine's counters for this execution, as the engine wrote them;
+  // all-zero for a result-cache hit, which ran no search. Phases stay
+  // all-zero unless the service traces.
+  SearchStats stats;
   // Per-query shared-cache (src/cache/) activity deltas.
   int64_t xcache_fwd_hits = 0;
   int64_t xcache_fwd_misses = 0;
   int64_t xcache_resume_reuses = 0;
-  // Engine phase breakdown; all-zero unless the service traces.
-  PhaseAggregates phases;
   // Service-assigned sequence number (the exemplar trace_id "q<N>" in the
   // Prometheus exposition refers to this); 0 when unassigned.
   int64_t query_id = 0;

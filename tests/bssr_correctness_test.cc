@@ -5,7 +5,11 @@
 #include <gtest/gtest.h>
 
 #include "baseline/brute_force.h"
+#include "category/taxonomy_factory.h"
 #include "core/bssr_engine.h"
+#include "graph/graph_builder.h"
+#include "obs/explain.h"
+#include "obs/query_trace.h"
 #include "tests/test_util.h"
 
 namespace skysr {
@@ -203,6 +207,169 @@ TEST(BssrProperties, SkylineIsAStaircase) {
       }
     }
   }
+}
+
+// --- Feasibility gate (core/feasibility.h) against brute force. ---
+
+// A line 0-1-2-3-4-5 (directed 0->1->...->5 when `directed`) with PoIs of
+// the given categories at vertices 1, 2, ...
+struct GateFixture {
+  Graph graph;
+  CategoryForest forest = MakeFoursquareLikeForest();
+
+  GateFixture(const std::vector<std::string>& poi_categories,
+              bool directed = false) {
+    GraphBuilder b(directed);
+    for (int i = 0; i < 6; ++i) b.AddVertex();
+    for (int i = 0; i < 5; ++i) b.AddEdge(i, i + 1, 1.0 + i);
+    VertexId v = 1;
+    for (const std::string& name : poi_categories) {
+      b.AddPoi(v++, {Cat(name)});
+    }
+    graph = std::move(b.Build()).ValueOrDie();
+  }
+
+  CategoryId Cat(const std::string& name) const {
+    const CategoryId c = forest.FindByName(name);
+    EXPECT_NE(c, kInvalidCategory) << name;
+    return c;
+  }
+
+  Query Make(const std::vector<std::string>& names) const {
+    std::vector<CategoryId> cats;
+    for (const std::string& n : names) cats.push_back(Cat(n));
+    return MakeSimpleQuery(0, cats);
+  }
+};
+
+// Runs `q` under all eight toggle combinations, checks each against brute
+// force and returns the default-option stats.
+SearchStats RunGateCase(const GateFixture& fx, const Query& q) {
+  BssrEngine engine(fx.graph, fx.forest);
+  const auto brute = BruteForceSkySr(fx.graph, fx.forest, q, QueryOptions());
+  EXPECT_TRUE(brute.ok());
+  SearchStats defaults;
+  for (int bits = 7; bits >= 0; --bits) {
+    QueryOptions opts;
+    opts.use_initial_search = (bits & 1) != 0;
+    opts.use_lower_bounds = (bits & 2) != 0;
+    opts.use_cache = (bits & 4) != 0;
+    const auto got = engine.Run(q, opts);
+    EXPECT_TRUE(got.ok());
+    if (!got.ok() || !brute.ok()) continue;
+    EXPECT_TRUE(ScoreVectorsNear(got->routes, *brute)) << "bits=" << bits;
+    if (bits == 7) defaults = got->stats;
+    // The gate reads no option: every combination gets the same verdict.
+    EXPECT_EQ(got->stats.infeasible.ToString(),
+              defaults.infeasible.ToString())
+        << "bits=" << bits;
+  }
+  return defaults;
+}
+
+void ExpectShortCircuited(const SearchStats& s, InfeasibleReason reason,
+                          int position) {
+  EXPECT_EQ(s.infeasible.reason, reason) << s.infeasible.ToString();
+  EXPECT_EQ(s.infeasible.position, position);
+  EXPECT_EQ(s.skyline_size, 0);
+  EXPECT_EQ(s.routes_enqueued, 0);
+  EXPECT_EQ(s.mdijkstra_runs, 0);
+  EXPECT_EQ(s.vertices_settled, 0);
+  EXPECT_EQ(s.nninit_routes, 0);
+}
+
+TEST(FeasibilityGateTest, NoMatchPositionShortCircuits) {
+  const GateFixture fx({"Sushi Restaurant", "Gift Shop", "Italian Restaurant"});
+  // No PoI is both a gift shop and food.
+  Query q = fx.Make({"Sushi Restaurant", "Gift Shop", "Food"});
+  q.sequence[1].all_of.push_back(fx.Cat("Food"));
+  ExpectShortCircuited(RunGateCase(fx, q), InfeasibleReason::kNoMatch, 1);
+  // A category whose tree holds no PoI at all.
+  ExpectShortCircuited(RunGateCase(fx, fx.Make({"Food", "Nightclub"})),
+                       InfeasibleReason::kNoMatch, 1);
+}
+
+TEST(FeasibilityGateTest, HallViolationShortCircuits) {
+  // Two positions whose only match is the same PoI.
+  const GateFixture one_shop({"Sushi Restaurant", "Gift Shop"});
+  ExpectShortCircuited(
+      RunGateCase(one_shop, one_shop.Make({"Gift Shop", "Sushi Restaurant",
+                                           "Gift Shop"})),
+      InfeasibleReason::kHall, 2);
+  // Three positions over two PoIs.
+  const GateFixture two_shops({"Gift Shop", "Italian Restaurant", "Gift Shop"});
+  ExpectShortCircuited(
+      RunGateCase(two_shops,
+                  two_shops.Make({"Gift Shop", "Gift Shop", "Gift Shop"})),
+      InfeasibleReason::kHall, 2);
+}
+
+TEST(FeasibilityGateTest, UnreachableDestinationShortCircuits) {
+  // Directed line: nothing reaches vertex 0 back from a PoI.
+  const GateFixture fx({"Sushi Restaurant", "Gift Shop"}, /*directed=*/true);
+  Query q = fx.Make({"Sushi Restaurant", "Gift Shop"});
+  q.destination = 0;
+  ExpectShortCircuited(RunGateCase(fx, q),
+                       InfeasibleReason::kDestUnreachable, 1);
+  // The same query towards the end of the line has routes.
+  q.destination = 5;
+  const SearchStats reachable = RunGateCase(fx, q);
+  EXPECT_FALSE(reachable.infeasible.fired());
+  EXPECT_GT(reachable.skyline_size, 0);
+}
+
+TEST(FeasibilityGateTest, TightFeasibleQueriesRunTheSearch) {
+  // Exactly k distinct matching PoIs, each position matching all of them.
+  const GateFixture fx({"Gift Shop", "Sushi Restaurant", "Gift Shop",
+                        "Gift Shop"});
+  for (const std::vector<std::string>& names :
+       {std::vector<std::string>{"Gift Shop", "Gift Shop", "Gift Shop"},
+        std::vector<std::string>{"Gift Shop", "Sushi Restaurant",
+                                 "Gift Shop", "Gift Shop"}}) {
+    const SearchStats s = RunGateCase(fx, fx.Make(names));
+    EXPECT_FALSE(s.infeasible.fired()) << s.infeasible.ToString();
+    EXPECT_GT(s.skyline_size, 0);
+    EXPECT_GT(s.routes_enqueued, 0);
+  }
+  // Position 0 first takes the sushi place, the only PoI position 1
+  // accepts; the matching must move position 0 to the trattoria.
+  const GateFixture food({"Sushi Restaurant", "Italian Restaurant",
+                          "Gift Shop"});
+  Query q = food.Make({"Food", "Food", "Gift Shop"});
+  q.sequence[1].all_of.push_back(food.Cat("Sushi Restaurant"));
+  const SearchStats s = RunGateCase(food, q);
+  EXPECT_FALSE(s.infeasible.fired()) << s.infeasible.ToString();
+  EXPECT_GT(s.skyline_size, 0);
+}
+
+TEST(FeasibilityGateTest, ShortCircuitKeepsTraceAndExplain) {
+  const GateFixture fx({"Sushi Restaurant", "Gift Shop"});
+  BssrEngine engine(fx.graph, fx.forest);
+  QueryTrace trace(256);
+  trace.set_enabled(true);
+  engine.AttachTrace(&trace);
+  QueryOptions opts;
+  opts.explain = true;
+  const auto r = engine.Run(fx.Make({"Gift Shop", "Gift Shop"}), opts);
+  ASSERT_TRUE(r.ok());
+  EXPECT_TRUE(r->routes.empty());
+  EXPECT_EQ(r->stats.infeasible.reason, InfeasibleReason::kHall);
+  // The root span closed (an open span records nothing) and no search
+  // phase ran.
+  EXPECT_EQ(r->stats.phases.of(TracePhase::kQuery).count, 1);
+  EXPECT_EQ(trace.aggregates().of(TracePhase::kQuery).count, 1);
+  EXPECT_EQ(r->stats.phases.of(TracePhase::kNnInit).count, 0);
+  EXPECT_EQ(r->stats.phases.of(TracePhase::kQbDrain).count, 0);
+  EXPECT_EQ(r->stats.phases.of(TracePhase::kExpansion).count, 0);
+  EXPECT_GT(r->stats.elapsed_ms, 0.0);
+  ASSERT_NE(r->explain, nullptr);
+  EXPECT_EQ(r->explain->infeasible.ToString(), "hall@1");
+  EXPECT_NE(r->explain->ToTreeString().find("infeasible: hall@1"),
+            std::string::npos);
+  EXPECT_NE(r->explain->ToJson().find(
+                "\"infeasible\":{\"reason\":\"hall\",\"position\":1}"),
+            std::string::npos);
+  EXPECT_NE(r->stats.ToString().find("INFEASIBLE=hall@1"), std::string::npos);
 }
 
 }  // namespace

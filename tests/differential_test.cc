@@ -108,6 +108,15 @@ TEST(DifferentialTest, EngineMatchesBaselinesOnGeneratedScenarios) {
                   << "]: " << m.detail;
   }
   EXPECT_TRUE(report.ok()) << report.Summary();
+  // The sweep reaches the feasibility gate: the default 216 instances hold
+  // queries with an unmatched position, each one checked against brute
+  // force and against every other engine run above.
+  if (params.num_instances >= 216) {
+    EXPECT_GE(report.infeasible_queries[static_cast<size_t>(
+                  InfeasibleReason::kNoMatch)],
+              1)
+        << report.Summary();
+  }
 }
 
 // The suite must actually span the three graph families (and both plain and

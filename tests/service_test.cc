@@ -379,6 +379,74 @@ TEST(QueryServiceTest, MultiThreadedBatchMatchesSequentialEngine) {
   }
 }
 
+// A scaled-down city repro: an unsatisfiable query (no PoI is both a sushi
+// restaurant and a nightclub) that used to search until memory ran out.
+// Next to ordinary traffic it must answer empty from the feasibility gate,
+// with no search work, while its neighbours answer as on a lone engine.
+TEST(QueryServiceTest, UnsatisfiableQueryShortCircuitsBesideTraffic) {
+  const Dataset ds = MakeDataset(TokyoLikeSpec(0.01));
+  Query feasible;
+  feasible.start = 100;
+  for (const char* name :
+       {"Cafe", "Pizza Place", "Gift Shop", "Sushi Restaurant"}) {
+    const CategoryId c = ds.forest.FindByName(name);
+    ASSERT_NE(c, kInvalidCategory) << name;
+    feasible.sequence.push_back(CategoryPredicate::Single(c));
+  }
+  Query unsat = feasible;
+  unsat.sequence.back().all_of.push_back(ds.forest.FindByName("Nightclub"));
+
+  std::vector<Query> queries = ServiceTestQueries(ds, 12);
+  queries.insert(queries.begin() + 4, unsat);
+  queries.insert(queries.begin() + 5, feasible);
+  queries.push_back(unsat);
+
+  QueryOptions options;
+  options.explain = true;
+  BssrEngine engine(ds.graph, ds.forest);
+  ServiceConfig cfg;
+  cfg.num_threads = 3;
+  cfg.cache_capacity = 0;  // every repeat executes
+  cfg.slow_query_log_capacity = queries.size();  // keeps every record
+  QueryService service(ds.graph, ds.forest, cfg);
+  const auto results = service.RunBatch(queries, options);
+  ASSERT_EQ(results.size(), queries.size());
+  int short_circuited = 0;
+  for (size_t i = 0; i < results.size(); ++i) {
+    ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
+    const QueryResult& r = results[i].ValueOrDie();
+    if (queries[i].sequence.back().all_of.empty()) {
+      EXPECT_FALSE(r.stats.infeasible.fired()) << "query " << i;
+      auto expected = engine.Run(queries[i], options);
+      ASSERT_TRUE(expected.ok());
+      ExpectExactlyEqual(r.routes, expected->routes);
+      continue;
+    }
+    ++short_circuited;
+    EXPECT_TRUE(r.routes.empty());
+    EXPECT_EQ(r.stats.infeasible.reason, InfeasibleReason::kNoMatch);
+    EXPECT_EQ(r.stats.infeasible.position, 3);
+    EXPECT_EQ(r.stats.routes_enqueued, 0);
+    EXPECT_EQ(r.stats.vertices_settled, 0);
+    ASSERT_NE(r.explain, nullptr);
+    EXPECT_EQ(r.explain->infeasible.ToString(), "no_match@3");
+  }
+  EXPECT_EQ(short_circuited, 2);
+  EXPECT_FALSE(results[5]->routes.empty());
+
+  const MetricsSnapshot m = service.Metrics();
+  EXPECT_EQ(m.completed, static_cast<int64_t>(queries.size()));
+  EXPECT_EQ(m.errors, 0);
+  // The slow-query records render the engine's verdict.
+  int flagged = 0;
+  for (const SlowQueryRecord& rec : m.slow_queries) {
+    if (rec.ToString().find("INFEASIBLE=no_match@3") != std::string::npos) {
+      ++flagged;
+    }
+  }
+  EXPECT_EQ(flagged, 2);
+}
+
 TEST(QueryServiceTest, RepeatedBatchServedFromCacheIdentically) {
   const Dataset ds = ServiceTestDataset();
   const auto queries = ServiceTestQueries(ds, 16);
