@@ -16,9 +16,9 @@
 // Generation invalidation: the cache binds to a structure checksum
 // (WarmStateChecksum below). Rebinding to a different structure — a new
 // graph, a rebuilt CH — drops all warm state and any mismatched snapshot,
-// so stale distances can never serve a query. Queries opt out per-request
-// via QueryOptions::use_shared_cache; cold and warm runs are bit-identical
-// (the differential harness's SKYSR_XCACHE axis).
+// so stale distances can never serve a query. The off arm is an engine with
+// no cache attached; cold and warm runs are bit-identical (the differential
+// harness's SKYSR_XCACHE axis).
 
 #ifndef SKYSR_CACHE_SHARED_QUERY_CACHE_H_
 #define SKYSR_CACHE_SHARED_QUERY_CACHE_H_

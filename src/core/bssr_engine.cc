@@ -266,14 +266,13 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
   ws_.qb_dom.Clear();
   ws_.prune_floors.Clear();
   ws_.bucket_scan.Clear();
-  // Engine-lifetime warm state (src/cache/): with a shared cache attached
-  // and the query opted in, the resumable slots live in the cache —
-  // persistent across queries, CLOCK-evicted — and bucket forward searches
-  // are served snapshot-first / cache-second with write-back. Either way
+  // Engine-lifetime warm state (src/cache/): with a shared cache attached,
+  // the resumable slots live in the cache — persistent across queries,
+  // CLOCK-evicted — and bucket forward searches are served snapshot-first /
+  // cache-second with write-back. Either way
   // the per-query scan views (df_of/fsum_of) were just cleared above, so a
   // warm query differs from a cold one only in which searches it skips.
-  SharedQueryCache* const xc =
-      (xcache_ != nullptr && options.use_shared_cache) ? xcache_ : nullptr;
+  SharedQueryCache* const xc = xcache_;
   SharedCacheCounters xc_before;
   if (exp != nullptr && xc != nullptr) xc_before = xc->Counters();
   const int default_slots =

@@ -84,9 +84,8 @@ class BssrEngine {
   /// thread; cross-worker sharing goes through immutable FwdSnapshots. The
   /// cache is bound to this engine's (graph, oracle) warm-state checksum, so
   /// a cache previously warmed against different structure is invalidated on
-  /// attach instead of serving stale state. Attached caches take effect only
-  /// for queries with QueryOptions::use_shared_cache set; results are
-  /// bit-identical with the cache attached, detached, cold or warm.
+  /// attach instead of serving stale state. Results are bit-identical with
+  /// the cache attached, detached, cold or warm; detaching is the off arm.
   void AttachSharedCache(SharedQueryCache* cache) {
     xcache_ = cache;
     if (xcache_ != nullptr) {

@@ -91,20 +91,12 @@ struct QueryOptions {
   /// the engine; everything else runs the classic graph searches. Like the
   /// toggles above, every choice is exact.
   RetrieverKind retriever = RetrieverKind::kAuto;
-  /// Opt-out for the engine-lifetime cross-query cache (src/cache/): when an
-  /// engine has a SharedQueryCache attached, this query may read and warm it.
-  /// Off forces the per-query code paths even on a cache-attached engine.
-  /// Results are bit-identical either way — the cache only skips
-  /// recomputation of query-independent state — so this knob, like the
-  /// others, trades nothing but speed (and is therefore NOT part of the
-  /// result-cache key).
-  bool use_shared_cache = true;
   /// Per-prefix dominance pruning in the bulk queue Q_b (see
   /// core/qb_dominance.h): partial routes whose (length, acc) is
   /// dominated by an already-enqueued permutation of the same PoI set at
   /// the same (vertex, position) are dropped. Exact — the skyline is
-  /// bit-identical either way — so, like use_shared_cache, speed-only and
-  /// NOT part of the result-cache key.
+  /// bit-identical either way — so speed-only and NOT part of the
+  /// result-cache key.
   bool use_qb_dominance = true;
   /// Diagnostics: when set, the engine allocates and fills a QueryExplain
   /// (src/obs/explain.h) attached to the QueryResult — which retrieval

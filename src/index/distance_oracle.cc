@@ -1,7 +1,5 @@
 #include "index/distance_oracle.h"
 
-#include <cstdlib>
-
 namespace skysr {
 
 const char* OracleKindName(OracleKind kind) {
@@ -18,12 +16,6 @@ std::optional<OracleKind> ParseOracleKind(std::string_view name) {
   if (name == "flat") return OracleKind::kFlat;
   if (name == "ch") return OracleKind::kCh;
   return std::nullopt;
-}
-
-std::optional<OracleKind> OracleKindFromEnv(OracleKind def) {
-  const char* v = std::getenv("SKYSR_ORACLE");
-  if (v == nullptr || *v == '\0') return def;
-  return ParseOracleKind(v);
 }
 
 }  // namespace skysr

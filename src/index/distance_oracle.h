@@ -40,10 +40,10 @@
 
 namespace skysr {
 
-/// The `--oracle` / SKYSR_ORACLE names: kFlat runs without an index, kCh
-/// builds (or loads) the contraction hierarchy. The numeric value is the
-/// kind byte of saved index headers (index_io.h), so it never changes: kCh
-/// stays 1, and 0 or 2 (a retired landmark index) is rejected on load.
+/// The `--oracle` names: kFlat runs without an index, kCh builds (or loads)
+/// the contraction hierarchy. The numeric value is the kind byte of saved
+/// index headers (index_io.h), so it never changes: kCh stays 1, and 0 or 2
+/// (a retired landmark index) is rejected on load.
 enum class OracleKind {
   kFlat = 0,
   kCh = 1,
@@ -53,9 +53,6 @@ enum class OracleKind {
 const char* OracleKindName(OracleKind kind);
 /// Inverse of OracleKindName; nullopt for unknown names.
 std::optional<OracleKind> ParseOracleKind(std::string_view name);
-/// Reads SKYSR_ORACLE from the environment ("flat" / "ch");
-/// `def` when unset, nullopt when set to an unknown name.
-std::optional<OracleKind> OracleKindFromEnv(OracleKind def);
 
 /// Heap item for oracle-internal searches (CH upward Dijkstra). The
 /// (dist, vertex) comparator is the deterministic settle order the

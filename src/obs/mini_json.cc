@@ -119,8 +119,8 @@ class Parser {
           case 'r': *out += '\r'; break;
           case 't': *out += '\t'; break;
           case 'u': {
-            // Bench files are ASCII; keep \uXXXX escapes verbatim rather
-            // than transcoding (the reporter never needs them).
+            // The parsed outputs are ASCII; keep \uXXXX escapes verbatim
+            // rather than transcoding (no reader needs them).
             if (text_.size() - pos_ < 4) return Error("bad \\u escape");
             *out += "\\u";
             out->append(text_.substr(pos_, 4));

@@ -1,8 +1,7 @@
-// A minimal recursive-descent JSON reader for the observability tools (the
-// perf-trajectory reporter ingests the benches' BENCH_*.json files; tests
-// parse trace exports). Full JSON value model, no external dependencies, no
-// streaming — files here are kilobytes. Not for untrusted input beyond what
-// the depth cap guards.
+// A minimal recursive-descent JSON reader for the observability outputs
+// (tests parse the explain JSON and trace exports). Full JSON value model,
+// no external dependencies, no streaming — files here are kilobytes. Not
+// for untrusted input beyond what the depth cap guards.
 
 #ifndef SKYSR_OBS_MINI_JSON_H_
 #define SKYSR_OBS_MINI_JSON_H_
@@ -16,8 +15,7 @@
 
 namespace skysr {
 
-/// One parsed JSON value. Object members keep file order (the reporter's
-/// column order follows the bench's emission order).
+/// One parsed JSON value. Object members keep file order.
 struct JsonValue {
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
 

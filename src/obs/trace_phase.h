@@ -7,7 +7,7 @@
 // NNinit is §5.3.1 / Table 7's "initial search" column, expansion +
 // retrieval are the bulk-search body behind Tables 7-9, the lower bound is
 // §5.3.3 / Figure 4, and the service phases decompose the end-to-end
-// latency the serving benches report.
+// latency perfbench's serve_city workload reports.
 
 #ifndef SKYSR_OBS_TRACE_PHASE_H_
 #define SKYSR_OBS_TRACE_PHASE_H_
@@ -36,7 +36,7 @@ enum class TracePhase : uint8_t {
 inline constexpr int kNumTracePhases = 12;
 
 /// Stable lowercase names, used by the Chrome trace export, the SearchStats
-/// dump and the bench JSON. Index = static_cast<int>(phase).
+/// dump and perfbench's per-layer metrics. Index = static_cast<int>(phase).
 inline constexpr const char* kTracePhaseNames[kNumTracePhases] = {
     "query",     "nn_init",   "dest_tails",     "lower_bound",
     "oracle_table", "qb_drain", "expansion",    "retrieval",

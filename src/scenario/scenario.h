@@ -9,7 +9,7 @@
 // alone. ScenarioSuiteSpec enumerates a deterministic suite that rotates
 // graph families, taxonomy shapes and predicate complexity; it feeds the
 // differential verification harness (diff_check.h), `skysr_cli gen` and
-// bench_scenarios.
+// the bench_hotpath golden suite.
 //
 //   Scenario sc = MakeScenario(ScenarioSuiteSpec(17, /*master_seed=*/2026));
 //   BssrEngine engine(sc.dataset.graph, sc.dataset.forest);

@@ -267,7 +267,6 @@ std::future<Result<QueryResult>> QueryService::SubmitInternal(
         "QueryService not accepting work (queue full or shut down)"));
   }
   metrics_.RecordSubmitted();
-  metrics_.SampleQueueDepth(static_cast<int64_t>(queue_.size()));
   return future;
 }
 

@@ -136,6 +136,7 @@ class QueryService {
   /// including the slowest-query records (slowest first).
   MetricsSnapshot Metrics() const {
     MetricsSnapshot s = metrics_.Snapshot();
+    s.queue_depth = static_cast<int64_t>(queue_.size());
     s.slow_queries = slow_log_.Snapshot();
     return s;
   }

@@ -195,7 +195,6 @@ MetricsSnapshot ServiceMetrics::Snapshot() const {
   s.queue_wait_sum_ms = queue_wait_sum_ms_.load(kRelaxed);
   s.queue_wait_mean_ms =
       s.queue_wait_count > 0 ? s.queue_wait_sum_ms / s.queue_wait_count : 0;
-  s.queue_depth = queue_depth_.load(kRelaxed);
   return s;
 }
 
@@ -230,7 +229,6 @@ void ServiceMetrics::Reset() {
   queue_wait_sum_ms_.store(0, kRelaxed);
   queue_wait_min_ms_.store(kNoMin, kRelaxed);
   queue_wait_max_ms_.store(0, kRelaxed);
-  queue_depth_.store(0, kRelaxed);
   uptime_.Reset();
 }
 

@@ -74,7 +74,8 @@ struct MetricsSnapshot {
   std::array<double, LatencyHistogram::kNumBuckets> latency_exemplar_ms{};
 
   // Submission-queue wait of dispatched queries (same histogram geometry as
-  // latency), plus the queue depth sampled at the last submit.
+  // latency), plus the current queue depth (filled by QueryService::Metrics
+  // from the queue itself; 0 in a bare ServiceMetrics snapshot).
   int64_t queue_wait_count = 0;
   double queue_wait_p50_ms = 0;
   double queue_wait_p99_ms = 0;
@@ -83,7 +84,7 @@ struct MetricsSnapshot {
   double queue_wait_sum_ms = 0;
   std::array<int64_t, LatencyHistogram::kNumBuckets>
       queue_wait_bucket_counts{};
-  int64_t queue_depth = 0;  // sampled gauge, not a cumulative count
+  int64_t queue_depth = 0;  // gauge: tasks queued when the snapshot was taken
 
   // Aggregated engine effort across all executed (non-cached) queries.
   int64_t vertices_settled = 0;
@@ -133,10 +134,6 @@ class ServiceMetrics {
 
   /// Records one dispatched query's submission-queue wait.
   void RecordQueueWait(double wait_ms);
-
-  /// Samples the submission-queue depth (called at submit; a gauge, so the
-  /// last writer wins).
-  void SampleQueueDepth(int64_t depth) { queue_depth_.store(depth, kRelaxed); }
 
   /// Folds one worker's shared-cache counter DELTAS in (workers call this
   /// after each executed query with cumulative-counter differences, so the
@@ -206,7 +203,6 @@ class ServiceMetrics {
   std::atomic<double> queue_wait_sum_ms_{0};
   std::atomic<double> queue_wait_min_ms_{kNoMin};
   std::atomic<double> queue_wait_max_ms_{0};
-  std::atomic<int64_t> queue_depth_{0};
 
   WallTimer uptime_;
 };

@@ -46,7 +46,7 @@ std::vector<Query> GenerateQueries(const Dataset& dataset,
 // list; unprefixed terms are any_of (at least one is required). Together
 // with the deterministic generators (GenerateQueries, MakeScenarioQueries)
 // this makes a benchmark run fully reproducible: generate once with a seed,
-// replay anywhere (skysr_cli batch, bench_service_throughput, tests).
+// replay anywhere (skysr_cli batch, tests).
 //
 // Format note: ',' became a term separator when complex predicates were
 // added, so category names may no longer contain it (the writer rejects

@@ -28,19 +28,6 @@ int EnvInstances(int def) {
   return n > 0 ? n : def;
 }
 
-// SKYSR_ORACLE=ch restricts the sweep to {flat, ch} (the CI index-enabled
-// job variant) and SKYSR_ORACLE=flat to the classic flat-only run; unset
-// (or an unknown name) keeps the full flat/ch sweep.
-std::vector<OracleKind> EnvOracleSweep() {
-  const std::vector<OracleKind> all = {OracleKind::kFlat, OracleKind::kCh};
-  const char* v = std::getenv("SKYSR_ORACLE");
-  if (v == nullptr || *v == '\0') return all;
-  const auto kind = ParseOracleKind(v);
-  if (!kind.has_value()) return all;
-  if (*kind == OracleKind::kFlat) return {OracleKind::kFlat};
-  return {OracleKind::kFlat, *kind};
-}
-
 // SKYSR_XCACHE=on|1 attaches an engine-lifetime SharedQueryCache (with a
 // prewarm snapshot on bucket-carrying engines) to every engine of the sweep
 // and turns the service replay's shared query cache on — the CI warm-state
@@ -63,20 +50,6 @@ bool EnvQbDominance() {
   return !(std::string_view(v) == "off" || std::string_view(v) == "0");
 }
 
-// SKYSR_RETRIEVER=settle|bucket|auto restricts the retriever sweep to
-// {settle, that kind} (settle is the exact reference backend); unset (or an
-// unknown name) keeps the full auto/settle/bucket sweep.
-std::vector<RetrieverKind> EnvRetrieverSweep() {
-  const std::vector<RetrieverKind> all = {
-      RetrieverKind::kAuto, RetrieverKind::kSettle, RetrieverKind::kBucket};
-  const char* v = std::getenv("SKYSR_RETRIEVER");
-  if (v == nullptr || *v == '\0') return all;
-  const auto kind = ParseRetrieverKind(v);
-  if (!kind.has_value()) return all;
-  if (*kind == RetrieverKind::kSettle) return {RetrieverKind::kSettle};
-  return {RetrieverKind::kSettle, *kind};
-}
-
 // The acceptance bar: >= 200 instances, every ablation combo bit-identical
 // to brute force under EVERY oracle kind and EVERY retriever kind, naive
 // baseline and QueryService replay (sharing the index + bucket tables)
@@ -84,8 +57,6 @@ std::vector<RetrieverKind> EnvRetrieverSweep() {
 TEST(DifferentialTest, EngineMatchesBaselinesOnGeneratedScenarios) {
   DiffCheckParams params;
   params.num_instances = EnvInstances(216);
-  params.oracle_kinds = EnvOracleSweep();
-  params.retriever_kinds = EnvRetrieverSweep();
   params.shared_cache = EnvXCache();
   params.qb_dominance = EnvQbDominance();
   const DiffReport report = RunDifferentialCheck(params);

@@ -2,8 +2,8 @@
 // against plain Dijkstra over all three scenario graph families, the
 // bit-equality contract of distance_oracle.h, index save/load round-trips,
 // the graph-checksum mismatch guard, and index-backed engine / service /
-// OSR-baseline integration (kind selectable via SKYSR_ORACLE). The
-// bucket-table distances the engine reads are checked in retrieval_test.
+// OSR-baseline integration. The bucket-table distances the engine reads are
+// checked in retrieval_test.
 
 #include <algorithm>
 #include <cstdio>
@@ -156,28 +156,20 @@ TEST(IndexIoTest, ChecksumMismatchIsRejectedWithClearMessage) {
 // Engine-level integration: an index-backed BssrEngine (CH + bucket tables)
 // and a QueryService sharing them across workers must reproduce the
 // classic engine's skylines bit for bit on a generated scenario workload.
-// The kind honors SKYSR_ORACLE (default ch; flat runs both sides without
-// an index).
 TEST(OracleEngineTest, OracleBackedEngineMatchesFlatEngine) {
-  const OracleKind kind =
-      OracleKindFromEnv(OracleKind::kCh).value_or(OracleKind::kCh);
   for (int suite_index : {1, 3, 5}) {  // one spec per graph family
     const Scenario sc = MakeScenario(ScenarioSuiteSpec(suite_index, 404));
-    std::unique_ptr<ChOracle> oracle;
-    std::unique_ptr<CategoryBucketIndex> buckets;
-    if (kind == OracleKind::kCh) {
-      oracle = std::make_unique<ChOracle>(ChOracle::Build(sc.dataset.graph));
-      buckets = std::make_unique<CategoryBucketIndex>(
-          CategoryBucketIndex::Build(sc.dataset.graph, *oracle));
-    }
+    const ChOracle oracle = ChOracle::Build(sc.dataset.graph);
+    const CategoryBucketIndex buckets =
+        CategoryBucketIndex::Build(sc.dataset.graph, oracle);
     BssrEngine flat_engine(sc.dataset.graph, sc.dataset.forest);
-    BssrEngine oracle_engine(sc.dataset.graph, sc.dataset.forest,
-                             oracle.get(), buckets.get());
+    BssrEngine oracle_engine(sc.dataset.graph, sc.dataset.forest, &oracle,
+                             &buckets);
 
     ServiceConfig cfg;
     cfg.num_threads = 2;
-    cfg.oracle = oracle.get();
-    cfg.buckets = buckets.get();
+    cfg.oracle = &oracle;
+    cfg.buckets = &buckets;
     QueryService service(sc.dataset.graph, sc.dataset.forest, cfg);
     const auto service_results = service.RunBatch(sc.queries);
 
@@ -186,8 +178,7 @@ TEST(OracleEngineTest, OracleBackedEngineMatchesFlatEngine) {
       auto got = oracle_engine.Run(sc.queries[qi]);
       ASSERT_TRUE(want.ok() && got.ok());
       EXPECT_TRUE(BitIdenticalSkylines(got->routes, want->routes))
-          << sc.spec.name << " query " << qi << " oracle "
-          << OracleKindName(kind) << ": expected "
+          << sc.spec.name << " query " << qi << ": expected "
           << RenderSkyline(want->routes) << " got "
           << RenderSkyline(got->routes);
       ASSERT_TRUE(service_results[qi].ok());

@@ -1,8 +1,7 @@
 // Tests for the observability subsystem (src/obs/ + service exposition):
 // the QueryTrace ring and TraceSpan RAII (including the disabled-mode
 // no-allocation guarantee), Chrome trace-event export, the Prometheus text
-// exposition (golden format), the slow-query log, the mini JSON parser and
-// the perf-trajectory regression gate.
+// exposition (golden format), the slow-query log and the mini JSON parser.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -24,7 +23,6 @@
 #include "core/bssr_engine.h"
 #include "index/ch_oracle.h"
 #include "obs/mini_json.h"
-#include "obs/perf_trajectory.h"
 #include "obs/query_trace.h"
 #include "obs/trace_export.h"
 #include "retrieval/category_buckets.h"
@@ -38,8 +36,8 @@
 #include "workload/query_gen.h"
 
 // ---------------------------------------------------------------------------
-// Binary-local allocation counter (same idiom as bench_hotpath): global
-// operator new is overridden so "no allocation" is measured, not assumed.
+// Binary-local allocation counter: global operator new is overridden so
+// "no allocation" is measured, not assumed.
 namespace {
 std::atomic<int64_t> g_alloc_count{0};
 }  // namespace
@@ -392,7 +390,6 @@ TEST(PrometheusTest, ServiceMetricsRecordsQueueWait) {
   ServiceMetrics m;
   m.RecordQueueWait(1.0);
   m.RecordQueueWait(100.0);
-  m.SampleQueueDepth(9);
 
   const MetricsSnapshot s = m.Snapshot();
   EXPECT_EQ(s.queue_wait_count, 2);
@@ -400,16 +397,13 @@ TEST(PrometheusTest, ServiceMetricsRecordsQueueWait) {
   EXPECT_LT(s.queue_wait_p99_ms, 140.0);
   EXPECT_DOUBLE_EQ(s.queue_wait_max_ms, 100.0);
   EXPECT_NEAR(s.queue_wait_mean_ms, 50.5, 1e-9);
-  EXPECT_EQ(s.queue_depth, 9);
 
   const std::string text = m.ToPrometheus();
-  EXPECT_NE(text.find("skysr_queue_depth 9\n"), std::string::npos);
   EXPECT_NE(text.find("skysr_queue_wait_ms_count 2\n"), std::string::npos);
 
   m.Reset();
   const MetricsSnapshot zero = m.Snapshot();
   EXPECT_EQ(zero.queue_wait_count, 0);
-  EXPECT_EQ(zero.queue_depth, 0);
 }
 
 // Bucketed percentiles report the bucket's midpoint, which can lie outside
@@ -676,111 +670,6 @@ TEST(MiniJsonTest, StringOrAndFindHelpers) {
   EXPECT_EQ(v->StringOr("name", "d"), "hotpath");
   EXPECT_EQ(v->StringOr("missing", "d"), "d");
   EXPECT_EQ(v->Find("absent"), nullptr);
-}
-
-// -------------------------------------------------------- perf trajectory --
-
-TEST(PerfTrajectoryTest, MetricDirectionHeuristic) {
-  EXPECT_EQ(MetricDirection("qps"), +1);
-  EXPECT_EQ(MetricDirection("settles_per_sec"), +1);
-  EXPECT_EQ(MetricDirection("cache_hit_rate"), +1);
-  EXPECT_EQ(MetricDirection("p99_ms"), -1);
-  EXPECT_EQ(MetricDirection("allocs_per_query"), -1);
-  EXPECT_EQ(MetricDirection("resident_bytes"), -1);
-  EXPECT_EQ(MetricDirection("counters.settled"), 0);
-  EXPECT_EQ(MetricDirection("skyline"), 0);
-}
-
-constexpr const char* kRunTemplate = R"({
-  "bench": "hotpath",
-  "scale": 1,
-  "meta": {"schema_version": 1, "git_sha": "%s", "timestamp_utc": "%s"},
-  "families": [
-    {"family": "grid", "config": "auto", "qps": %d, "p99_ms": %g,
-     "counters": {"settled": %d}}
-  ]
-})";
-
-std::string MakeRun(const char* sha, const char* stamp, int qps, double p99,
-                    int settled) {
-  char buf[1024];
-  std::snprintf(buf, sizeof(buf), kRunTemplate, sha, stamp, qps, p99,
-                settled);
-  return buf;
-}
-
-TEST(PerfTrajectoryTest, ParseBenchRunExtractsRowsAndMeta) {
-  auto run = ParseBenchRun(MakeRun("abc123", "2026-08-01T00:00:00Z", 1000,
-                                   2.0, 500),
-                           "BENCH_hotpath.json");
-  ASSERT_TRUE(run.ok()) << run.status().ToString();
-  EXPECT_EQ(run->bench, "hotpath");
-  EXPECT_EQ(run->git_sha, "abc123");
-  EXPECT_EQ(run->timestamp, "2026-08-01T00:00:00Z");
-  bool saw_qps = false, saw_nested = false, saw_scale = false;
-  for (const auto& s : run->samples) {
-    if (s.metric == "qps") {
-      saw_qps = true;
-      EXPECT_EQ(s.row, "grid/auto");  // string fields join into the label
-      EXPECT_EQ(s.value, 1000.0);
-    }
-    if (s.metric == "counters.settled") saw_nested = true;
-    if (s.metric == "scale") saw_scale = true;
-  }
-  EXPECT_TRUE(saw_qps);
-  EXPECT_TRUE(saw_nested);
-  EXPECT_FALSE(saw_scale);  // run-shape fields are not metrics
-}
-
-TEST(PerfTrajectoryTest, ParseBenchRunRejectsMalformedInput) {
-  EXPECT_FALSE(ParseBenchRun("{not json", "x.json").ok());
-  EXPECT_FALSE(ParseBenchRun("[1, 2]", "x.json").ok());
-  EXPECT_FALSE(ParseBenchRun(R"({"bench": "empty"})", "x.json").ok());
-}
-
-TEST(PerfTrajectoryTest, FlagsTwentyPercentQpsDrop) {
-  std::vector<BenchRun> runs;
-  // Deliberately passed newest-first: ordering must come from the stamp.
-  runs.push_back(*ParseBenchRun(
-      MakeRun("bbb", "2026-08-02T00:00:00Z", 800, 2.0, 500), "b.json"));
-  runs.push_back(*ParseBenchRun(
-      MakeRun("aaa", "2026-08-01T00:00:00Z", 1000, 2.0, 500), "a.json"));
-
-  const PerfReport report = BuildPerfReport(std::move(runs), {});
-  EXPECT_EQ(report.num_runs, 2);
-  EXPECT_EQ(report.num_regressions, 1);
-  ASSERT_FALSE(report.trends.empty());
-  const MetricTrend& t = report.trends[0];  // regressions sort first
-  EXPECT_EQ(t.metric, "qps");
-  EXPECT_TRUE(t.regressed);
-  EXPECT_EQ(t.baseline, 1000.0);
-  EXPECT_EQ(t.latest, 800.0);
-  EXPECT_NEAR(t.change, -0.20, 1e-9);
-  EXPECT_NE(report.ToMarkdown().find("REGRESSED"), std::string::npos);
-  EXPECT_NE(report.ToCsv().find("qps,1000,800,-0.2,1"), std::string::npos);
-}
-
-TEST(PerfTrajectoryTest, SmallDriftAndCountersAreNotFlagged) {
-  std::vector<BenchRun> runs;
-  runs.push_back(*ParseBenchRun(
-      MakeRun("aaa", "2026-08-01T00:00:00Z", 1000, 2.0, 500), "a.json"));
-  // qps -5% (inside the 10% gate), p99 +5% (inside), settled +50%
-  // (deterministic counter: tracked, never flagged).
-  runs.push_back(*ParseBenchRun(
-      MakeRun("bbb", "2026-08-02T00:00:00Z", 950, 2.1, 750), "b.json"));
-  const PerfReport report = BuildPerfReport(std::move(runs), {});
-  EXPECT_EQ(report.num_regressions, 0);
-}
-
-TEST(PerfTrajectoryTest, LowerBetterMetricFlagsOnRise) {
-  std::vector<BenchRun> runs;
-  runs.push_back(*ParseBenchRun(
-      MakeRun("aaa", "2026-08-01T00:00:00Z", 1000, 2.0, 500), "a.json"));
-  runs.push_back(*ParseBenchRun(
-      MakeRun("bbb", "2026-08-02T00:00:00Z", 1000, 3.0, 500), "b.json"));
-  const PerfReport report = BuildPerfReport(std::move(runs), {});
-  ASSERT_EQ(report.num_regressions, 1);
-  EXPECT_EQ(report.trends[0].metric, "p99_ms");
 }
 
 }  // namespace

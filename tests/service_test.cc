@@ -509,6 +509,24 @@ TEST(QueryServiceTest, ConcurrencySmokeManyClientsManyQueries) {
   EXPECT_EQ(m.errors, 0);
 }
 
+// The queue-depth gauge reads the queue when the snapshot is taken, so it
+// falls back to 0 once the worker has drained a backlog.
+TEST(QueryServiceTest, QueueDepthGaugeReadsZeroOnceDrained) {
+  const Dataset ds = ServiceTestDataset();
+  const auto queries = ServiceTestQueries(ds, 16);
+  ServiceConfig cfg;
+  cfg.num_threads = 1;
+  QueryService service(ds.graph, ds.forest, cfg);
+
+  std::vector<std::future<Result<QueryResult>>> futures;
+  for (const Query& q : queries) futures.push_back(service.Submit(q));
+  for (auto& f : futures) ASSERT_TRUE(f.get().ok());
+
+  const MetricsSnapshot m = service.Metrics();
+  EXPECT_EQ(m.completed, static_cast<int64_t>(queries.size()));
+  EXPECT_EQ(m.queue_depth, 0);
+}
+
 TEST(QueryServiceTest, InvalidQueryResolvesToErrorNotCrash) {
   const Dataset ds = ServiceTestDataset();
   ServiceConfig cfg;

@@ -231,8 +231,8 @@ TEST(XCacheServingTest, ColdAndWarmRepliesAreBitIdentical) {
 // Same replay pinned to the resumable backend (the settle retriever keeps
 // the bucket tables out of deferred expansions, so every one runs on a
 // slot): suspended searches persist across queries (reuses counted),
-// results stay bit-identical, and the per-request opt-out reproduces
-// cacheless behavior on the same engine.
+// results stay bit-identical, and detaching the cache reproduces cacheless
+// behavior on the same engine.
 TEST(XCacheServingTest, PersistentResumableSlotsStayBitIdentical) {
   const Scenario sc = MakeScenario(ServingSpec(GraphFamily::kCluster, 932));
   const Graph& g = sc.dataset.graph;
@@ -256,21 +256,30 @@ TEST(XCacheServingTest, PersistentResumableSlotsStayBitIdentical) {
   }
   EXPECT_GT(cache.Counters().resume_reuses, 0);
 
-  // Opt-out: the very same engine, asked not to touch its cache, must also
-  // match (and must not move the cache's counters).
+  // Detached: the very same engine with its cache taken away must also
+  // match (and must not move the cache's counters). Re-attaching the same
+  // cache keeps its warm state, so the replay reuses slots again.
   const SharedCacheCounters before = cache.Counters();
-  QueryOptions opt_out = opts;
-  opt_out.use_shared_cache = false;
+  serving.AttachSharedCache(nullptr);
   for (const Query& q : sc.queries) {
     const auto want = baseline.Run(q, opts);
-    const auto got = serving.Run(q, opt_out);
+    const auto got = serving.Run(q, opts);
     ASSERT_TRUE(want.ok() && got.ok());
-    ExpectSameRoutes(*got, *want, "opt-out");
+    ExpectSameRoutes(*got, *want, "detached");
   }
   const SharedCacheCounters after = cache.Counters();
   EXPECT_EQ(after.fwd_hits, before.fwd_hits);
   EXPECT_EQ(after.fwd_misses, before.fwd_misses);
   EXPECT_EQ(after.resume_reuses, before.resume_reuses);
+
+  serving.AttachSharedCache(&cache);
+  for (const Query& q : sc.queries) {
+    const auto want = baseline.Run(q, opts);
+    const auto got = serving.Run(q, opts);
+    ASSERT_TRUE(want.ok() && got.ok());
+    ExpectSameRoutes(*got, *want, "re-attached");
+  }
+  EXPECT_GT(cache.Counters().resume_reuses, after.resume_reuses);
 }
 
 // QueryService end to end: the same repeated-source workload through a
