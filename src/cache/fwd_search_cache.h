@@ -1,14 +1,15 @@
-// Engine-lifetime forward-upward-search cache: the cross-query half of the
-// warm-state subsystem (src/cache/).
+// Forward-upward-search cache: the forward-search half of the warm-state
+// subsystem (src/cache/).
 //
 // A forward upward search from a source (with its incrementally folded
 // exact path sums, see retrieval/category_buckets.h) is a pure function of
-// (source, CH structure): nothing about it depends on the query. PR 5
-// cached it per query in BucketScanState::fwd_cache; serving workloads
-// repeat sources across queries, so this cache promotes the same records to
-// engine lifetime behind size-bounded CLOCK eviction. Storage is per-entry
-// recycled vectors (a victim's capacity is reused by its replacement), so a
-// hit-dominated steady state allocates nothing.
+// (source, CH structure): nothing about it depends on the query. Every
+// position and NNinit hop expanding from one source reuses it within a
+// query, and serving workloads repeat sources across queries, so the cache
+// keeps the records behind size-bounded CLOCK eviction for as long as its
+// SharedQueryCache lives. Storage is per-entry recycled vectors (a victim's
+// capacity is reused by its replacement), so a hit-dominated steady state
+// allocates nothing.
 //
 // Two layers, matching the serving deployment:
 //
@@ -36,7 +37,7 @@ namespace skysr {
 
 /// One cached forward-search settle: the rounded upward distance plus the
 /// exact path-order sum from the source (the fold bucket scans re-sum
-/// from). Layout-identical to BucketScanState::FwdSettle, which aliases it.
+/// from). BucketScanState::FwdSettle aliases it.
 struct FwdSearchSettle {
   VertexId vertex;
   Weight df;
@@ -93,7 +94,7 @@ class FwdSearchCache {
     int64_t evictions = 0;  // entries displaced by CLOCK
   };
 
-  explicit FwdSearchCache(size_t capacity = 1024) { Configure(capacity); }
+  explicit FwdSearchCache(size_t capacity) { Configure(capacity); }
 
   /// Sets the entry bound. Shrinking (or any change) drops resident
   /// entries; counters survive.

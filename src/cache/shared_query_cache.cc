@@ -28,9 +28,6 @@ uint64_t WarmStateChecksum(const Graph& g, const ChOracle* oracle) {
   return h;
 }
 
-SharedQueryCache::SharedQueryCache(SharedCacheConfig config)
-    : config_(config), fwd_cache_(config.fwd_capacity) {}
-
 void SharedQueryCache::Bind(uint64_t structure_checksum) {
   if (bound_ && checksum_ == structure_checksum) return;
   if (bound_) Invalidate();

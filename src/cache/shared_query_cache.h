@@ -1,24 +1,28 @@
-// SharedQueryCache: the engine-lifetime warm-state seam for serving
-// workloads (ROADMAP "serving-scale cache architecture").
+// SharedQueryCache: the one warm-state seam of the engine. Every engine
+// runs its forward searches and resumable slots through one of these.
 //
-// One instance per engine (= per worker thread) bundles every structure
-// whose contents are pure functions of (graph, oracle structure, source)
-// and therefore legal to reuse across queries without changing results:
+// The cache bundles every structure whose contents are pure functions of
+// (graph, oracle structure, source) and are therefore legal to reuse
+// across queries without changing results:
 //
-//   - the forward-upward-search cache (fwd_search_cache.h), which replaces
-//     the per-query BucketScanState::fwd_cache when attached;
-//   - the resumable-slot pool promoted to engine lifetime (CLOCK eviction,
+//   - the forward-upward-search cache (fwd_search_cache.h);
+//   - the resumable-slot pool (CLOCK eviction,
 //     retrieval/resumable_retriever.h);
 //   - an optional immutable FwdSnapshot prewarmed at service start and
 //     shared read-only by every worker (no locks on the read path — each
 //     worker writes only to its own cache).
 //
+// Two lifetimes, one code path. An attached cache
+// (BssrEngine::AttachSharedCache, one per worker thread) keeps its state
+// across queries. An engine with none attached uses the cache in its own
+// QueryWorkspace and Invalidate()s it before every query, so it stays cold
+// per query — the paper's per-query §5.3.4 reuse.
+//
 // Generation invalidation: the cache binds to a structure checksum
 // (WarmStateChecksum below). Rebinding to a different structure — a new
 // graph, a rebuilt CH — drops all warm state and any mismatched snapshot,
-// so stale distances can never serve a query. The off arm is an engine with
-// no cache attached; cold and warm runs are bit-identical (the differential
-// harness's SKYSR_XCACHE axis).
+// so stale distances can never serve a query. Cold and warm runs are
+// bit-identical (the differential harness's SKYSR_XCACHE axis).
 
 #ifndef SKYSR_CACHE_SHARED_QUERY_CACHE_H_
 #define SKYSR_CACHE_SHARED_QUERY_CACHE_H_
@@ -39,16 +43,6 @@ class ChOracle;
 /// snapshot builders must derive it the same way so bindings match.
 uint64_t WarmStateChecksum(const Graph& g, const ChOracle* oracle);
 
-struct SharedCacheConfig {
-  /// Forward-search cache entries (CLOCK eviction). Each entry holds one
-  /// source's upward settles — tens to a few hundred records on CH.
-  size_t fwd_capacity = 1024;
-  /// Resumable slots kept across queries; 0 defers to the engine's
-  /// cost-model default (RetrieverCostModel::ResumableSlots). Each slot
-  /// owns O(|V|) arrays — size this, not fwd_capacity, when memory-bound.
-  int resume_slots = 0;
-};
-
 /// Aggregated observability counters (ServiceMetrics folds per-task deltas
 /// of these into its wait-free atomics).
 struct SharedCacheCounters {
@@ -61,7 +55,12 @@ struct SharedCacheCounters {
 
 class SharedQueryCache {
  public:
-  explicit SharedQueryCache(SharedCacheConfig config = {});
+  /// Forward-search cache entries (CLOCK eviction). Each entry holds one
+  /// source's upward settles — tens to a few hundred records on CH. The
+  /// resumable-slot bound comes from RetrieverCostModel::ResumableSlots.
+  static constexpr size_t kFwdCapacity = 1024;
+
+  SharedQueryCache() : fwd_cache_(kFwdCapacity) {}
 
   /// Binds the cache to a structure generation. Rebinding to a different
   /// checksum invalidates all warm state; a resident snapshot built against
@@ -69,7 +68,7 @@ class SharedQueryCache {
   void Bind(uint64_t structure_checksum);
   uint64_t bound_checksum() const { return checksum_; }
 
-  /// Drops all warm state (keeps binding, config, and counters).
+  /// Drops all warm state (keeps binding and counters).
   void Invalidate();
 
   /// Installs the read-only prewarmed snapshot (refused — dropped — if its
@@ -83,7 +82,6 @@ class SharedQueryCache {
 
   FwdSearchCache& fwd_cache() { return fwd_cache_; }
   ResumablePool& resume_pool() { return resume_pool_; }
-  const SharedCacheConfig& config() const { return config_; }
 
   SharedCacheCounters Counters() const;
 
@@ -92,7 +90,6 @@ class SharedQueryCache {
   int64_t ResidentBytes() const;
 
  private:
-  SharedCacheConfig config_;
   FwdSearchCache fwd_cache_;
   ResumablePool resume_pool_;
   std::shared_ptr<const FwdSnapshot> snapshot_;

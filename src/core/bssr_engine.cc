@@ -266,26 +266,18 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
   ws_.qb_dom.Clear();
   ws_.prune_floors.Clear();
   ws_.bucket_scan.Clear();
-  // Engine-lifetime warm state (src/cache/): with a shared cache attached,
-  // the resumable slots live in the cache — persistent across queries,
-  // CLOCK-evicted — and bucket forward searches are served snapshot-first /
-  // cache-second with write-back. Either way
-  // the per-query scan views (df_of/fsum_of) were just cleared above, so a
-  // warm query differs from a cold one only in which searches it skips.
-  SharedQueryCache* const xc = xcache_;
+  // Warm state (src/cache/): forward searches and resumable slots run
+  // through one SharedQueryCache — the attached one, kept across queries,
+  // or the workspace's own, emptied first so a detached engine stays cold
+  // per query. The per-query scan views (df_of/fsum_of) were just cleared
+  // above, so a warm query differs from a cold one only in which searches
+  // it skips.
+  SharedQueryCache* const xc = xcache_ != nullptr ? xcache_ : &ws_.xcache;
+  if (xcache_ == nullptr) xc->Invalidate();
   SharedCacheCounters xc_before;
-  if (exp != nullptr && xc != nullptr) xc_before = xc->Counters();
-  const int default_slots =
-      RetrieverCostModel::ResumableSlots(g_->num_vertices());
-  ResumablePool& resume_pool = xc != nullptr ? xc->resume_pool() : ws_.resume;
-  if (xc != nullptr) {
-    resume_pool.PrepareServing(xc->config().resume_slots > 0
-                                   ? xc->config().resume_slots
-                                   : default_slots);
-    resume_pool.BeginQuery();
-  } else {
-    resume_pool.Reset(default_slots);
-  }
+  if (exp != nullptr) xc_before = xc->Counters();
+  ResumablePool& resume_pool = xc->resume_pool();
+  resume_pool.Prepare(RetrieverCostModel::ResumableSlots(g_->num_vertices()));
   ws_.qb.Reset(options.queue_discipline, k);
   QbQueue& qb = ws_.qb;
 
@@ -313,9 +305,8 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
   // Exact source -> PoI distances off the bucket tables for NNinit hops,
   // lower-bound legs and (with bucket_backend) expansions: kAuto lets each
   // hop and leg's cost model choose, kBucket serves them all, kSettle uses
-  // no bucket work. The forward searches land in the per-query scan cache
-  // the bulk search reuses (or, with the shared cache attached, read and
-  // warm it).
+  // no bucket work. The forward searches land in the warm-state cache the
+  // bulk search reuses.
   std::optional<BucketDistances> bucket_dist;
   if (buckets_ != nullptr && rk != RetrieverKind::kSettle) {
     bucket_dist.emplace(BucketDistances{BucketRetriever(*buckets_),
@@ -651,9 +642,9 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
       // at most two scans per (source, position), ever.
       const ExpansionOutcome outcome =
           bucket_dist->retriever.Collect(src, matcher, ws_.oracle_ws,
-                                         ws_.bucket_scan,
+                                         ws_.bucket_scan, *xc,
                                          is_rerun ? kInfWeight : budget(),
-                                         &stats, xc);
+                                         &stats);
       const std::vector<ExpansionCandidate>& cands = ws_.bucket_scan.cands;
       if (options.use_cache) {
         CandidateSoA& pool = cache.pool();
@@ -670,50 +661,41 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
       return;
     }
 
-    // Resumable backend: one suspended search per hot source serves every
-    // position; a budget beyond the suspended coverage extends the search
-    // incrementally instead of re-settling its prefix. Falls through to a
-    // fresh search when the per-query slot pool is at capacity.
-    ResumableSlot* slot = nullptr;
-    if (resume_backend) slot = resume_pool.FindOrCreate(*g_, src);
-    if (slot != nullptr) {
+    // Graph search. In deferred mode every expansion the bucket plan leaves
+    // runs on a resumable slot: one suspended search per hot source serves
+    // every position, and a budget beyond the suspended coverage extends
+    // the search incrementally instead of re-settling its prefix. With the
+    // Lemma 5.5 cuts on, a fresh search runs. Candidates stream into the
+    // cache's shared pool (no per-expansion vector); with caching off,
+    // nothing is collected at all.
+    TraceSpan retrieval_span(trace, TracePhase::kRetrieval);
+    DijkstraRunStats run_stats;
+    CandidateSoA* out = options.use_cache ? &cache.pool() : nullptr;
+    const size_t pool_offset = options.use_cache ? cache.pool().size() : 0;
+    ExpansionOutcome outcome;
+    if (resume_backend) {
       ++stats.retriever_resume_runs;
       if (exp != nullptr) {
         ++exp->positions[static_cast<size_t>(m)].resume_runs;
       }
-      TraceSpan retrieval_span(trace, TracePhase::kRetrieval);
-      DijkstraRunStats run_stats;
-      CandidateSoA* out = options.use_cache ? &cache.pool() : nullptr;
-      const size_t pool_offset =
-          options.use_cache ? cache.pool().size() : 0;
-      const ExpansionOutcome outcome = RetrieveResumable(
-          *g_, matcher, *slot, budget, consume_filtered, out, &run_stats);
-      stats.vertices_settled += run_stats.settled;
-      stats.edges_relaxed += run_stats.relaxed;
-      stats.weight_sum += run_stats.weight_sum;
-      if (options.use_cache) cache.Commit(src, m, pool_offset, outcome);
-      return;
+      outcome = RetrieveResumable(*g_, matcher,
+                                  *resume_pool.FindOrCreate(*g_, src), budget,
+                                  consume_filtered, out, &run_stats);
+    } else {
+      ++stats.mdijkstra_runs;
+      if (exp != nullptr) {
+        ++exp->positions[static_cast<size_t>(m)].fresh_searches;
+      }
+      outcome = RunExpansionInto(*g_, matcher, src, budget,
+                                 /*apply_lemma55=*/true, ws_.expansion, out,
+                                 consume_filtered, &run_stats);
+      if (stats.mdijkstra_runs == 1) {
+        stats.first_search_weight_sum = run_stats.weight_sum;
+      }
     }
-
-    ++stats.mdijkstra_runs;
-    if (exp != nullptr) {
-      ++exp->positions[static_cast<size_t>(m)].fresh_searches;
-    }
-    TraceSpan retrieval_span(trace, TracePhase::kRetrieval);
-    DijkstraRunStats run_stats;
-    // Candidates stream into the cache's shared pool (no per-expansion
-    // vector); with caching off, nothing is collected at all.
-    CandidateSoA* out = options.use_cache ? &cache.pool() : nullptr;
-    const size_t pool_offset = options.use_cache ? cache.pool().size() : 0;
-    const ExpansionOutcome outcome =
-        RunExpansionInto(*g_, matcher, src, budget, !needs_deferred_lemma55,
-                         ws_.expansion, out, consume_filtered, &run_stats);
     stats.vertices_settled += run_stats.settled;
     stats.edges_relaxed += run_stats.relaxed;
     stats.weight_sum += run_stats.weight_sum;
-    if (stats.mdijkstra_runs == 1) {
-      stats.first_search_weight_sum = run_stats.weight_sum;
-    }
     if (options.use_cache) cache.Commit(src, m, pool_offset, outcome);
   };
 
@@ -760,16 +742,15 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
       ws_.qb_dom.MemoryBytes() + ws_.prune_floors.MemoryBytes();
 
   if (exp != nullptr) {
-    if (xc != nullptr) {
-      const SharedCacheCounters xc_after = xc->Counters();
-      exp->fwd_search.hits = xc_after.fwd_hits - xc_before.fwd_hits;
-      exp->fwd_search.misses = xc_after.fwd_misses - xc_before.fwd_misses;
-      exp->fwd_search.bytes = xc->ResidentBytes();
-      exp->resume_slots.hits =
-          xc_after.resume_reuses - xc_before.resume_reuses;
-      exp->resume_slots.misses =
-          xc_after.resume_evictions - xc_before.resume_evictions;
-    }
+    // Every forward-cache lookup is a counted search or reuse, so the
+    // stats are the one writer of the forward-search layer.
+    exp->fwd_search.hits = stats.bucket_fwd_reuses;
+    exp->fwd_search.misses = stats.bucket_fwd_searches;
+    exp->fwd_search.bytes = xc->ResidentBytes();
+    const SharedCacheCounters xc_after = xc->Counters();
+    exp->resume_slots.hits = xc_after.resume_reuses - xc_before.resume_reuses;
+    exp->resume_slots.misses =
+        xc_after.resume_evictions - xc_before.resume_evictions;
     exp->pruned_threshold = stats.cand_pruned_threshold;
     exp->pruned_floor = stats.cand_pruned_floor;
     exp->pruned_qb_dominance = stats.qb_dominance_pruned;

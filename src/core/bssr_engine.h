@@ -84,8 +84,9 @@ class BssrEngine {
   /// thread; cross-worker sharing goes through immutable FwdSnapshots. The
   /// cache is bound to this engine's (graph, oracle) warm-state checksum, so
   /// a cache previously warmed against different structure is invalidated on
-  /// attach instead of serving stale state. Results are bit-identical with
-  /// the cache attached, detached, cold or warm; detaching is the off arm.
+  /// attach instead of serving stale state. A detached engine runs on its
+  /// workspace's own cache, emptied before every query. Results are
+  /// bit-identical with the cache attached, detached, cold or warm.
   void AttachSharedCache(SharedQueryCache* cache) {
     xcache_ = cache;
     if (xcache_ != nullptr) {
@@ -114,7 +115,7 @@ class BssrEngine {
   const ChOracle* oracle_;  // may be null (no index)
   const CategoryBucketIndex* buckets_;  // may be null (no bucket backend)
   DestTailProvider* dest_tails_ = nullptr;  // may be null (local tails)
-  SharedQueryCache* xcache_ = nullptr;  // may be null (per-query state only)
+  SharedQueryCache* xcache_ = nullptr;  // null: ws_.xcache, cold per query
   QueryTrace* trace_ = nullptr;  // may be null (tracing off, the default)
   bool has_multi_category_poi_ = false;
 

@@ -230,8 +230,8 @@ LowerBounds ComputeLowerBoundsWithBuckets(
         if (target_pois.empty()) return best;
         for (const VertexId s : sources) {
           buckets.retriever.EnsureForward(s, *buckets.oracle_ws,
-                                          *buckets.scan, stats,
-                                          buckets.shared);
+                                          *buckets.scan, *buckets.shared,
+                                          stats);
           for (const PoiId p : target_pois) {
             best = std::min(
                 best, buckets.retriever.ExactDistanceTo(p, *buckets.scan));

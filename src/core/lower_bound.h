@@ -71,10 +71,9 @@ LowerBounds ComputeLowerBounds(const Graph& g,
 /// tables: the exact minimum distance over the in-ball PoI pairs
 /// (unrestricted distances, so <= the ball-restricted classic values), with
 /// each PoI's backward search precomputed and the sources' forward searches
-/// read from — and warming — the scan state and the optional cross-query
-/// cache. Dense legs fall back to the classic ball-restricted multi-source
-/// Dijkstra, which is cheaper there; `buckets.force` serves every leg from
-/// the tables. Every flavor produces provable leg lower bounds, possibly
+/// read from — and warming — the warm-state cache. Dense legs fall back to
+/// the classic ball-restricted multi-source Dijkstra, which is cheaper
+/// there; `buckets.force` serves every leg from the tables. Every flavor produces provable leg lower bounds, possibly
 /// weaker than the classic ones, and any admissible bound leaves the
 /// skyline bit-identical — the property the no-lower-bound ablation
 /// already certifies and the differential harness re-verifies per

@@ -185,8 +185,8 @@ void RunNnInitAdaptive(const Graph& g,
       {
         TraceSpan span(buckets->oracle_ws->trace, TracePhase::kOracleTable);
         buckets->retriever.EnsureForward(cursor, *buckets->oracle_ws,
-                                         *buckets->scan, stats,
-                                         buckets->shared);
+                                         *buckets->scan, *buckets->shared,
+                                         stats);
         for (size_t c = 0; c < cand_poi.size(); ++c) {
           dist[c] = buckets->retriever.ExactDistanceTo(cand_poi[c],
                                                        *buckets->scan);

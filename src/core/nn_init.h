@@ -50,8 +50,8 @@ struct NnInitScratch {
 /// Without `buckets` every hop is the classic early-exit Dijkstra. With
 /// them, a hop with a small candidate set (every hop under `force`) is
 /// answered off the category-bucket tables instead: one forward upward
-/// search per cursor — cached in the scan state for the whole query, so the
-/// bulk search that follows reuses it — plus an exact-distance scan per
+/// search per cursor — kept in the warm-state cache, so the bulk search
+/// that follows reuses it — plus an exact-distance scan per
 /// candidate PoI. Candidates are then replayed in (distance, vertex) order —
 /// the Dijkstra settle order — with bit-equal distances, so the chain,
 /// emissions and seeded routes are identical either way; dense-candidate

@@ -1,10 +1,10 @@
 // Engine-owned, query-lifetime state reused across queries: the skyline,
 // route arena, bulk queue Q_b, on-the-fly cache (flat table + candidate
-// pool), matcher/sigma/destination staging and the scratch of every
-// sub-search (expansion, NNinit, lower bounds, oracle). In steady state a
-// query allocates only what it returns (the skyline routes) plus O(k)
-// matcher tables — everything sized by the search itself keeps its capacity
-// from previous queries.
+// pool), the engine's own warm-state cache, matcher/sigma/destination
+// staging and the scratch of every sub-search (expansion, NNinit, lower
+// bounds, oracle). In steady state a query allocates only what it returns
+// (the skyline routes) plus O(k) matcher tables — everything sized by the
+// search itself keeps its capacity from previous queries.
 //
 // The workspace is single-threaded by construction: it lives inside a
 // BssrEngine and inherits the one-engine-per-thread contract. QueryService
@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "cache/shared_query_cache.h"
 #include "core/feasibility.h"
 #include "core/lower_bound.h"
 #include "core/mdijkstra_cache.h"
@@ -30,7 +31,6 @@
 #include "graph/dijkstra_workspace.h"
 #include "index/distance_oracle.h"
 #include "retrieval/bucket_retriever.h"
-#include "retrieval/resumable_retriever.h"
 #include "util/dary_heap.h"
 #include "util/stamped_array.h"
 
@@ -177,10 +177,11 @@ struct QueryWorkspace {
   // candidate_stream.h for why the floors transfer across expansions).
   PruneFloorTable prune_floors;
 
-  // PoI-retrieval backends (src/retrieval/): per-query bucket scan state
-  // (forward-search cache + scratch) and the resumable-expansion slot pool.
+  // PoI-retrieval backends (src/retrieval/): per-query bucket scan state,
+  // and the warm state (forward searches, resumable slots) an engine with
+  // no SharedQueryCache attached uses — invalidated before every query.
   BucketScanState bucket_scan;
-  ResumablePool resume;
+  SharedQueryCache xcache;
 
   // Sub-search scratch.
   ExpansionScratch expansion;

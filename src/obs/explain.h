@@ -63,7 +63,9 @@ struct QueryExplain {
   std::vector<ExplainPositionBackends> positions;
 
   // --- Cache attribution, layer by layer. ---
-  ExplainCacheLayer fwd_search;    // SharedQueryCache forward searches
+  // Forward searches: hits/misses are SearchStats::bucket_fwd_reuses /
+  // bucket_fwd_searches.
+  ExplainCacheLayer fwd_search;
   ExplainCacheLayer dest_tail;     // destination-tail table
   std::string dest_tail_source = "none";  // provider|local|none
   ExplainCacheLayer result_cache;  // service result cache (service fills)

@@ -50,65 +50,37 @@ void BucketRetriever::ComputeForward(VertexId source,
 void BucketRetriever::EnsureForward(VertexId source,
                                     OracleWorkspace& oracle_ws,
                                     BucketScanState& state,
-                                    SearchStats* stats,
-                                    SharedQueryCache* shared) const {
+                                    SharedQueryCache& shared,
+                                    SearchStats* stats) const {
   if (state.cur_src == source) return;
   const Graph& g = index_->graph();
   state.df_of.Prepare(g.num_vertices(), kInfWeight);
   state.fsum_of.Prepare(g.num_vertices(), kInfWeight);
 
+  // The immutable snapshot first (shared across workers, read with no
+  // locks), then the private write-back cache. Misses search and insert,
+  // so repeats become replays.
   std::span<const FwdSearchSettle> span;
-  if (shared != nullptr) {
-    // Engine-lifetime path: the immutable snapshot first (shared across
-    // workers, read with no locks), then the private write-back cache.
-    // Misses search and insert, so repeats across queries become replays.
-    if (const FwdSnapshot* snap = shared->snapshot()) {
-      span = snap->Find(source);
-      if (!span.empty()) shared->CountSnapshotHit();
-    }
-    bool computed = false;
-    if (span.empty()) {
-      span = shared->fwd_cache().Lookup(source);
-      if (span.empty()) {
-        ComputeForward(source, oracle_ws, state, &state.fold_buf);
-        span = shared->fwd_cache().Insert(source, state.fold_buf);
-        computed = true;
-      }
-    }
-    if (computed) {
-      if (stats != nullptr) ++stats->bucket_fwd_searches;
-    } else {
-      for (const FwdSearchSettle& s : span) {
-        state.fsum_of.Set(s.vertex, s.fsum);
-      }
-      if (stats != nullptr) ++stats->bucket_fwd_reuses;
-    }
+  if (const FwdSnapshot* snap = shared.snapshot()) {
+    span = snap->Find(source);
+    if (!span.empty()) shared.CountSnapshotHit();
+  }
+  if (span.empty()) span = shared.fwd_cache().Lookup(source);
+  if (span.empty()) {
+    ComputeForward(source, oracle_ws, state, &state.fold_buf);
+    span = shared.fwd_cache().Insert(source, state.fold_buf);
+    if (stats != nullptr) ++stats->bucket_fwd_searches;
   } else {
-    // Per-query path: the PR-5 StampedSpanTable cache.
-    const uint64_t key = static_cast<uint64_t>(static_cast<uint32_t>(source));
-    const auto* entry = state.fwd_cache.Find(key);
-    if (entry == nullptr) {
-      ComputeForward(source, oracle_ws, state, &state.fold_buf);
-      std::vector<BucketScanState::FwdSettle>& pool = state.fwd_cache.pool();
-      const size_t offset = pool.size();
-      pool.insert(pool.end(), state.fold_buf.begin(), state.fold_buf.end());
-      state.fwd_cache.Commit(key, offset, BucketScanState::NoMeta{});
-      entry = state.fwd_cache.Find(key);
-      if (stats != nullptr) ++stats->bucket_fwd_searches;
-    } else {
-      for (const BucketScanState::FwdSettle& s :
-           state.fwd_cache.SpanOf(*entry)) {
-        state.fsum_of.Set(s.vertex, s.fsum);
-      }
-      if (stats != nullptr) ++stats->bucket_fwd_reuses;
+    for (const FwdSearchSettle& s : span) {
+      state.fsum_of.Set(s.vertex, s.fsum);
     }
-    span = state.fwd_cache.SpanOf(*entry);
+    if (stats != nullptr) ++stats->bucket_fwd_reuses;
   }
   // The per-vertex rounded view is rebuilt either way (the arrays describe
   // ONE source at a time; repopulating from the cached span is a linear
   // copy, not a search).
   state.fwd = span;
-  for (const BucketScanState::FwdSettle& s : state.fwd) {
+  for (const FwdSearchSettle& s : state.fwd) {
     state.df_of.Set(s.vertex, s.df);
   }
   state.cur_src = source;
@@ -158,9 +130,9 @@ Weight BucketRetriever::ResumMeet(std::span<const PoiBucketSettle> span,
 
 ExpansionOutcome BucketRetriever::Collect(
     VertexId source, const PositionMatcher& matcher,
-    OracleWorkspace& oracle_ws, BucketScanState& state, Weight budget_cap,
-    SearchStats* stats, SharedQueryCache* shared) const {
-  EnsureForward(source, oracle_ws, state, stats, shared);
+    OracleWorkspace& oracle_ws, BucketScanState& state,
+    SharedQueryCache& shared, Weight budget_cap, SearchStats* stats) const {
+  EnsureForward(source, oracle_ws, state, shared, stats);
   const Graph& g = index_->graph();
   state.cands.clear();
   state.poi_state.Prepare(g.num_pois(), 0);
@@ -185,7 +157,7 @@ ExpansionOutcome BucketRetriever::Collect(
   // pass over that vertex's entries. Membership is decided per PoI by the
   // matcher's (memoized) similarity on first touch; the matched pairs are
   // staged so phase 2 never repeats the lookups.
-  for (const BucketScanState::FwdSettle& s : state.fwd) {
+  for (const FwdSearchSettle& s : state.fwd) {
     for (const BucketEntry& e : index_->EntriesAtVertex(s.vertex)) {
       uint8_t st = state.poi_state.Get(e.poi);
       if (st == 0) {

@@ -7,11 +7,12 @@
 // exhausted entry, collapsing every repeat and would-be rerun of that
 // (source, position) to a pure replay.
 //
-// Per-(query, source) amortization: the forward upward search from a source
-// (with its incrementally folded exact path sums, see category_buckets.h) is
-// cached for the whole query in BucketScanState::fwd_cache, so every
-// position expanding from the same vertex — and every NNinit hop from it —
-// pays the search once and scans thereafter.
+// Per-source amortization: the forward upward search from a source (with
+// its incrementally folded exact path sums, see category_buckets.h) lives
+// in the caller's SharedQueryCache, so every position expanding from the
+// same vertex — and every NNinit hop from it — pays the search once and
+// scans thereafter. The cache lives for one query on a detached engine and
+// across queries on an attached one.
 
 #ifndef SKYSR_RETRIEVAL_BUCKET_RETRIEVER_H_
 #define SKYSR_RETRIEVAL_BUCKET_RETRIEVER_H_
@@ -26,7 +27,6 @@
 #include "core/search_stats.h"
 #include "retrieval/category_buckets.h"
 #include "util/stamped_array.h"
-#include "util/stamped_span_table.h"
 
 namespace skysr {
 
@@ -34,22 +34,12 @@ class SharedQueryCache;
 
 /// Engine-owned, per-query scan state (reset per query, capacities kept).
 struct BucketScanState {
-  /// One cached forward-search settle: rounded upward distance plus the
-  /// exact path-order sum from the source. Aliases the cross-query cache's
-  /// record type so cached spans serve scans without conversion.
-  using FwdSettle = FwdSearchSettle;
-  struct NoMeta {};
-
-  /// Per-query forward-search cache keyed by source vertex (the fallback
-  /// when no SharedQueryCache is attached).
-  StampedSpanTable<FwdSettle, NoMeta> fwd_cache;
-  /// The CURRENT source's settles — a span into fwd_cache's pool (per-query
-  /// path) or into the shared cache / snapshot (engine-lifetime path);
-  /// either way valid until the next EnsureForward for a different source,
-  /// which is the only operation that can displace the backing entry — and
-  /// its per-vertex view (re-stamped on source change; repopulating from a
-  /// cached span is a linear copy, not a search).
-  std::span<const FwdSettle> fwd;
+  /// The CURRENT source's settles — a span into the SharedQueryCache's
+  /// forward cache or snapshot, valid until the next EnsureForward for a
+  /// different source, which is the only operation that can displace the
+  /// backing entry — and its per-vertex view (re-stamped on source change;
+  /// repopulating from a cached span is a linear copy, not a search).
+  std::span<const FwdSearchSettle> fwd;
   StampedArray<Weight> df_of;
   StampedArray<Weight> fsum_of;
   VertexId cur_src = kInvalidVertex;
@@ -70,18 +60,11 @@ struct BucketScanState {
   StampedArray<Weight> exact;       // per-PoI minimum re-summed distance
   std::vector<PoiId> touched;
   std::vector<ExpansionCandidate> cands;  // the sorted output stream
-  std::vector<FwdSettle> fold_buf;  // ComputeForward staging (capacity kept)
+  std::vector<FwdSearchSettle> fold_buf;  // ComputeForward staging
 
   void Clear() {
-    fwd_cache.Clear();
     fwd = {};
     cur_src = kInvalidVertex;
-  }
-
-  int64_t MemoryBytes() const {
-    return fwd_cache.MemoryBytes() +
-           static_cast<int64_t>(cands.capacity() *
-                                sizeof(ExpansionCandidate));
   }
 };
 
@@ -96,15 +79,13 @@ class BucketRetriever {
   const CategoryBucketIndex& index() const { return *index_; }
 
   /// Makes `state`'s per-vertex arrays describe `source`'s forward upward
-  /// search (running it on a cache miss, replaying the cached span
-  /// otherwise). With `shared` attached the lookup order is snapshot ->
-  /// shared cache -> fresh search (written back to the shared cache);
-  /// without it, the per-query fwd_cache serves as before. The records are
-  /// a pure function of (CH structure, source), so every path yields
-  /// bit-identical state.
+  /// search. The lookup order is `shared`'s snapshot -> its forward cache
+  /// -> a fresh search (written back to the cache). The records are a pure
+  /// function of (CH structure, source), so every path yields bit-identical
+  /// state. `stats` (optional) counts the search or the reuse.
   void EnsureForward(VertexId source, OracleWorkspace& oracle_ws,
-                     BucketScanState& state, SearchStats* stats,
-                     SharedQueryCache* shared = nullptr) const;
+                     BucketScanState& state, SharedQueryCache& shared,
+                     SearchStats* stats) const;
 
   /// Low-level: runs the forward upward search from `source` and folds the
   /// exact path sums into `out` (and `state.fsum_of`, which must be
@@ -132,8 +113,8 @@ class BucketRetriever {
   /// the same protocol a budget-stopped settle search reports.
   ExpansionOutcome Collect(VertexId source, const PositionMatcher& matcher,
                            OracleWorkspace& oracle_ws, BucketScanState& state,
-                           Weight budget_cap, SearchStats* stats,
-                           SharedQueryCache* shared = nullptr) const;
+                           SharedQueryCache& shared, Weight budget_cap,
+                           SearchStats* stats) const;
 
  private:
   /// Re-sums one meeting vertex's up-down path from original edge weights
@@ -146,16 +127,16 @@ class BucketRetriever {
 
 /// Bucket-table access for NNinit hops and lower-bound legs: exact
 /// source -> PoI distances through EnsureForward + ExactDistanceTo, kept in
-/// the caller's per-thread scan state and oracle workspace. `shared`
-/// (optional) lets the forward searches read and warm the cross-query
-/// cache. With `force` (RetrieverKind::kBucket) every hop and leg is
-/// answered from the tables; otherwise each consumer's cost model picks,
-/// per hop or leg, between the tables and its classic graph search.
+/// the caller's per-thread scan state, oracle workspace and warm-state
+/// cache (`shared`, never null). With `force` (RetrieverKind::kBucket)
+/// every hop and leg is answered from the tables; otherwise each
+/// consumer's cost model picks, per hop or leg, between the tables and its
+/// classic graph search.
 struct BucketDistances {
   BucketRetriever retriever;
   OracleWorkspace* oracle_ws;
   BucketScanState* scan;
-  SharedQueryCache* shared = nullptr;
+  SharedQueryCache* shared;
   bool force = false;
 };
 

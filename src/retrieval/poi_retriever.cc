@@ -1,5 +1,7 @@
 #include "retrieval/poi_retriever.h"
 
+#include "cache/shared_query_cache.h"
+
 namespace skysr {
 namespace {
 
@@ -33,7 +35,7 @@ class BucketBackend final : public PoiRetriever {
       const std::function<void(const ExpansionCandidate&)>& on_candidate)
       override {
     const ExpansionOutcome outcome = retriever_.Collect(
-        source, matcher, oracle_ws_, state_, budget_fn(), nullptr);
+        source, matcher, oracle_ws_, state_, cache_, budget_fn(), nullptr);
     for (const ExpansionCandidate& cand : state_.cands) {
       if (cand.dist >= budget_fn()) {
         return ExpansionOutcome{cand.dist, false};
@@ -47,26 +49,20 @@ class BucketBackend final : public PoiRetriever {
   BucketRetriever retriever_;
   OracleWorkspace oracle_ws_;
   BucketScanState state_;
+  SharedQueryCache cache_;
 };
 
 class ResumableBackend final : public PoiRetriever {
  public:
-  explicit ResumableBackend(const Graph& g) : g_(&g) { pool_.Reset(); }
+  explicit ResumableBackend(const Graph& g) : g_(&g) {}
 
   ExpansionOutcome Retrieve(
       const PositionMatcher& matcher, VertexId source,
       const std::function<Weight()>& budget_fn,
       const std::function<void(const ExpansionCandidate&)>& on_candidate)
       override {
-    ResumableSlot* slot = pool_.FindOrCreate(*g_, source);
-    if (slot == nullptr) {  // pool full: classic search, no suspension
-      ExpansionScratch scratch;
-      return RunExpansionInto(*g_, matcher, source, budget_fn,
-                              /*apply_lemma55=*/false, scratch, nullptr,
-                              on_candidate, nullptr);
-    }
-    return RetrieveResumable(*g_, matcher, *slot, budget_fn, on_candidate,
-                             nullptr, nullptr);
+    return RetrieveResumable(*g_, matcher, *pool_.FindOrCreate(*g_, source),
+                             budget_fn, on_candidate, nullptr, nullptr);
   }
 
  private:

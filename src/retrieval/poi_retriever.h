@@ -101,8 +101,8 @@ std::unique_ptr<PoiRetriever> MakePoiRetriever(const Graph& g);
 /// matcher per call).
 std::unique_ptr<PoiRetriever> MakePoiRetriever(
     const CategoryBucketIndex& index);
-/// Resumable backend over `g` (suspends one search per distinct source, up
-/// to the pool default).
+/// Resumable backend over `g` (suspends one search per distinct source,
+/// evicting the coldest beyond the pool default).
 std::unique_ptr<PoiRetriever> MakeResumablePoiRetriever(const Graph& g);
 
 }  // namespace skysr

@@ -24,9 +24,9 @@
 // Unlike graph/resumable_dijkstra.h (hash-map state, built for the PNE
 // baseline's thousands of cheap instances), a slot owns O(|V|) flat arrays:
 // fast enough for the hot path, so the pool bounds how many sources may be
-// suspended at once and the engine falls back to the classic path beyond
-// that. tests/retrieval_test.cc pins the two implementations' settle
-// sequences against each other.
+// suspended at once and evicts the coldest slot beyond that.
+// tests/retrieval_test.cc pins the two implementations' settle sequences
+// against each other.
 
 #ifndef SKYSR_RETRIEVAL_RESUMABLE_RETRIEVER_H_
 #define SKYSR_RETRIEVAL_RESUMABLE_RETRIEVER_H_
@@ -38,6 +38,7 @@
 #include "core/modified_dijkstra.h"
 #include "graph/dijkstra_workspace.h"
 #include "graph/graph.h"
+#include "util/logging.h"
 
 namespace skysr {
 
@@ -51,7 +52,7 @@ struct ResumableSlot {
   std::vector<SettleRecord> log;       // settles so far, in settle order
   Weight covered = 0;                  // next settle is at >= this
   bool exhausted = false;
-  uint8_t ref = 0;                     // CLOCK bit (engine-lifetime mode)
+  uint8_t ref = 0;                     // CLOCK bit
 
   int64_t MemoryBytes() const {
     return static_cast<int64_t>(log.capacity() * sizeof(SettleRecord) +
@@ -59,56 +60,37 @@ struct ResumableSlot {
   }
 };
 
-/// Engine-owned pool of resumable slots. Two lifetimes:
+/// Pool of resumable slots, owned by a SharedQueryCache
+/// (src/cache/shared_query_cache.h). Suspended searches survive across
+/// queries, with CLOCK eviction at the slot bound. Sound because a slot's
+/// state is a pure function of (graph, source) and replays budget-filter
+/// the log, so a longer-than-budget log is harmless. An engine with no
+/// cache attached clears its own pool before every query.
 ///
-///   per-query (default)  Reset() before each query forgets every suspended
-///                        search, keeping allocations — the PR-5 behavior.
-///   engine-lifetime      PrepareServing() keeps suspended searches across
-///                        queries with CLOCK eviction at the slot bound
-///                        (src/cache/shared_query_cache.h owns one). Sound
-///                        because a slot's state is a pure function of
-///                        (graph, source) and replays budget-filter the log,
-///                        so a longer-than-budget log is harmless.
-///
-/// Slot count is bounded either way: each slot owns flat O(|V|) arrays, so
-/// the pool trades memory for never re-settling a hot source's prefix;
-/// sources beyond the cap take the classic path (per-query mode) or evict
-/// the coldest slot (engine-lifetime mode).
+/// The bound exists because each slot owns flat O(|V|) arrays: the pool
+/// trades memory for never re-settling a hot source's prefix.
 class ResumablePool {
  public:
   static constexpr int kDefaultSlots = 8;
 
-  /// Per-query reset: forgets every suspended search, keeps allocations.
-  void Reset(int max_slots = kDefaultSlots) {
-    live_ = 0;
-    hand_ = 0;
+  /// Call once per query: (re)applies the slot bound (at least one slot)
+  /// and clears every live slot's CLOCK bit, so this query's touches count
+  /// as fresh reuses. Suspended searches survive unless the bound shrinks.
+  void Prepare(int max_slots) {
+    SKYSR_DCHECK(max_slots > 0);
+    if (max_slots < max_slots_) Clear();
     max_slots_ = max_slots;
-    persistent_ = false;
+    for (int i = 0; i < live_; ++i) slots_[static_cast<size_t>(i)]->ref = 0;
   }
 
-  /// Engine-lifetime mode: call once per query INSTEAD of Reset().
-  /// Suspended searches survive; only (re)applies the slot bound. Switching
-  /// modes or shrinking the bound drops state.
-  void PrepareServing(int max_slots) {
-    if (!persistent_ || max_slots < max_slots_) {
-      live_ = 0;
-      hand_ = 0;
-    }
-    max_slots_ = max_slots;
-    persistent_ = true;
-  }
-
-  /// Drops every suspended search (generation invalidation), keeping mode,
-  /// bound and allocations.
+  /// Drops every suspended search, keeping the bound and allocations.
   void Clear() {
     live_ = 0;
     hand_ = 0;
   }
 
-  /// The slot suspended for `source`, creating (or recycling) one when the
-  /// pool has room. At capacity: per-query mode returns nullptr — the
-  /// caller falls back to the classic settle path — while engine-lifetime
-  /// mode evicts by CLOCK and reassigns.
+  /// The slot suspended for `source`, creating one while the pool has room
+  /// and otherwise evicting the coldest slot by CLOCK and reassigning it.
   ResumableSlot* FindOrCreate(const Graph& g, VertexId source) {
     for (int i = 0; i < live_; ++i) {
       ResumableSlot* s = slots_[static_cast<size_t>(i)].get();
@@ -126,7 +108,7 @@ class ResumablePool {
         slots_.push_back(std::make_unique<ResumableSlot>());
       }
       idx = live_++;
-    } else if (persistent_ && max_slots_ > 0) {
+    } else {
       while (slots_[static_cast<size_t>(hand_)]->ref != 0) {
         slots_[static_cast<size_t>(hand_)]->ref = 0;
         hand_ = (hand_ + 1) % live_;
@@ -134,8 +116,6 @@ class ResumablePool {
       idx = hand_;
       hand_ = (hand_ + 1) % live_;
       ++evictions_;
-    } else {
-      return nullptr;
     }
     ResumableSlot* slot = slots_[static_cast<size_t>(idx)].get();
     slot->source = source;
@@ -152,14 +132,7 @@ class ResumablePool {
     return slot;
   }
 
-  /// Clears every live slot's CLOCK bit so the next query's touches count
-  /// as fresh reuses (called once per query in engine-lifetime mode).
-  void BeginQuery() {
-    for (int i = 0; i < live_; ++i) slots_[static_cast<size_t>(i)]->ref = 0;
-  }
-
   int live() const { return live_; }
-  bool persistent() const { return persistent_; }
   int64_t reuses() const { return reuses_; }
   int64_t evictions() const { return evictions_; }
 
@@ -172,11 +145,10 @@ class ResumablePool {
  private:
   std::vector<std::unique_ptr<ResumableSlot>> slots_;  // stable addresses
   int live_ = 0;
-  int hand_ = 0;  // CLOCK hand (engine-lifetime mode)
+  int hand_ = 0;  // CLOCK hand
   int max_slots_ = kDefaultSlots;
-  bool persistent_ = false;
-  int64_t reuses_ = 0;     // cross/within-query slot hits (persistent mode)
-  int64_t evictions_ = 0;  // CLOCK displacements (persistent mode)
+  int64_t reuses_ = 0;     // cross/within-query slot hits
+  int64_t evictions_ = 0;  // CLOCK displacements
 };
 
 /// Serves one expansion from a resumable slot: replays the logged settle

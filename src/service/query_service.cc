@@ -112,9 +112,7 @@ void QueryService::WorkerLoop(int thread_index) {
   // scheme keeps the per-worker counters plain (non-atomic) ints.
   std::optional<SharedQueryCache> xcache;
   if (config_.shared_query_cache) {
-    SharedCacheConfig cache_config;
-    cache_config.fwd_capacity = config_.xcache_fwd_capacity;
-    xcache.emplace(cache_config);
+    xcache.emplace();
     engine.AttachSharedCache(&*xcache);
     if (warm_snapshot_ != nullptr) xcache->SetSnapshot(warm_snapshot_);
   }
@@ -189,17 +187,14 @@ void QueryService::Execute(WorkerState& state, ServingTask& task) {
   Result<QueryResult> result = state.engine->Run(task.query, task.options);
 
   // Shared-cache deltas are folded per query (not per worker-loop turn) so
-  // the slow-query log can attach this query's exact hit profile.
-  int64_t d_fwd_hits = 0;
-  int64_t d_fwd_misses = 0;
+  // the slow-query log can attach this query's slot reuses.
   int64_t d_resume_reuses = 0;
   if (state.xcache != nullptr) {
     const SharedCacheCounters now = state.xcache->Counters();
     const int64_t bytes = state.xcache->ResidentBytes();
-    d_fwd_hits = now.fwd_hits - state.seen.fwd_hits;
-    d_fwd_misses = now.fwd_misses - state.seen.fwd_misses;
     d_resume_reuses = now.resume_reuses - state.seen.resume_reuses;
-    metrics_.RecordXCache(d_fwd_hits, d_fwd_misses,
+    metrics_.RecordXCache(now.fwd_hits - state.seen.fwd_hits,
+                          now.fwd_misses - state.seen.fwd_misses,
                           now.fwd_evictions - state.seen.fwd_evictions,
                           d_resume_reuses,
                           now.resume_evictions - state.seen.resume_evictions,
@@ -233,8 +228,6 @@ void QueryService::Execute(WorkerState& state, ServingTask& task) {
     rec.execute_ms = exec_timer.ElapsedMillis();
     rec.routes = static_cast<int64_t>(result->routes.size());
     rec.stats = result->stats;
-    rec.xcache_fwd_hits = d_fwd_hits;
-    rec.xcache_fwd_misses = d_fwd_misses;
     rec.xcache_resume_reuses = d_resume_reuses;
     rec.query_id = qid;
     rec.explain = result->explain;

@@ -81,9 +81,6 @@ struct ServiceConfig {
   /// mutable is worker-private); results are bit-identical on or off, cold
   /// or warm. The forward-search side engages only when `buckets` is set.
   bool shared_query_cache = true;
-  /// Per-worker forward-search cache capacity, in (source, settle-list)
-  /// entries.
-  size_t xcache_fwd_capacity = 1024;
   /// PoI vertices (first N in PoiId order, duplicates skipped) whose
   /// forward searches are precomputed into the shared snapshot before the
   /// workers start; 0 skips the snapshot. Needs `buckets`.

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <cstdio>
 
-#include "service/prometheus.h"
-
 namespace skysr {
 
 namespace {
@@ -196,10 +194,6 @@ MetricsSnapshot ServiceMetrics::Snapshot() const {
   s.queue_wait_mean_ms =
       s.queue_wait_count > 0 ? s.queue_wait_sum_ms / s.queue_wait_count : 0;
   return s;
-}
-
-std::string ServiceMetrics::ToPrometheus() const {
-  return PrometheusText(Snapshot());
 }
 
 void ServiceMetrics::Reset() {

@@ -146,10 +146,6 @@ class ServiceMetrics {
 
   MetricsSnapshot Snapshot() const;
 
-  /// Prometheus text-exposition (format 0.0.4) of a current snapshot —
-  /// equivalent to PrometheusText(Snapshot()) (see service/prometheus.h).
-  std::string ToPrometheus() const;
-
   /// Zeroes every counter and restarts the uptime clock.
   void Reset();
 

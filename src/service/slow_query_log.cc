@@ -65,8 +65,8 @@ std::string SlowQueryRecord::ToString() const {
                     : "",
                 static_cast<long long>(stats.vertices_settled),
                 static_cast<long long>(routes),
-                static_cast<long long>(xcache_fwd_hits),
-                static_cast<long long>(xcache_fwd_misses),
+                static_cast<long long>(stats.bucket_fwd_reuses),
+                static_cast<long long>(stats.bucket_fwd_searches),
                 static_cast<long long>(xcache_resume_reuses),
                 key.empty() ? "<uncacheable>" : key.c_str());
   std::string out = buf;

@@ -5,7 +5,7 @@
 // key, the queue-wait / execute split of the end-to-end latency, the
 // engine's own SearchStats (effort, feasibility verdict and, when the
 // service runs with tracing enabled, the per-phase time breakdown) and the
-// per-query shared-cache hit profile.
+// query's resumable-slot reuses in its worker's shared cache.
 //
 // The log is thread-safe and cheap on the fast path: a query that cannot
 // displace the current floor is rejected on one relaxed atomic load, no
@@ -39,9 +39,8 @@ struct SlowQueryRecord {
   // all-zero for a result-cache hit, which ran no search. Phases stay
   // all-zero unless the service traces.
   SearchStats stats;
-  // Per-query shared-cache (src/cache/) activity deltas.
-  int64_t xcache_fwd_hits = 0;
-  int64_t xcache_fwd_misses = 0;
+  // Per-query resumable-slot reuses in the worker's shared cache
+  // (src/cache/); forward-search hits and misses are in `stats`.
   int64_t xcache_resume_reuses = 0;
   // Service-assigned sequence number (the exemplar trace_id "q<N>" in the
   // Prometheus exposition refers to this); 0 when unassigned.

@@ -16,10 +16,14 @@
 #include <gtest/gtest.h>
 
 #include "core/bssr_engine.h"
+#include "index/ch_oracle.h"
 #include "obs/explain.h"
 #include "obs/mini_json.h"
+#include "retrieval/category_buckets.h"
+#include "scenario/scenario.h"
 #include "service/debug_page.h"
 #include "service/metrics_endpoint.h"
+#include "service/prometheus.h"
 #include "service/query_service.h"
 #include "service/service_metrics.h"
 #include "tests/test_util.h"
@@ -146,6 +150,67 @@ TEST(ExplainTest, JsonRoundTripsThroughMiniJson) {
   EXPECT_EQ(positions->array.size(), r->explain->positions.size());
 }
 
+// The forward-search layer has one writer, the engine's SearchStats: on
+// attached and detached CH + bucket engines alike, a query's fwd_search
+// hits and misses are its forward-search reuses and searches, and on the
+// attached engine they are also exactly the cache's counter deltas.
+TEST(ExplainTest, FwdSearchLayerEqualsSearchStats) {
+  ScenarioSpec spec;
+  spec.name = "explain-fwd";
+  spec.graph.family = GraphFamily::kCluster;
+  spec.graph.target_vertices = 300;
+  spec.graph.weights = WeightModel::kEuclidean;
+  spec.taxonomy.num_trees = 3;
+  spec.pois.num_pois = 80;
+  spec.pois.multi_category_rate = 0.2;  // keeps queries in deferred mode
+  spec.workload.num_queries = 12;
+  spec.workload.min_sequence = 2;
+  spec.workload.max_sequence = 3;
+  spec.workload.destination_rate = 0.25;
+  SeedScenarioSpec(&spec, 941);
+  const Scenario sc = MakeScenario(spec);
+  const Graph& g = sc.dataset.graph;
+  const ChOracle ch = ChOracle::Build(g);
+  const CategoryBucketIndex buckets = CategoryBucketIndex::Build(g, ch);
+
+  BssrEngine detached(g, sc.dataset.forest, &ch, &buckets);
+  BssrEngine attached(g, sc.dataset.forest, &ch, &buckets);
+  SharedQueryCache xcache;
+  attached.AttachSharedCache(&xcache);
+
+  int64_t lookups = 0;
+  for (const RetrieverKind rk :
+       {RetrieverKind::kAuto, RetrieverKind::kBucket}) {
+    QueryOptions opts;
+    opts.explain = true;
+    opts.retriever = rk;
+    for (BssrEngine* engine : {&detached, &attached}) {
+      const char* what = engine == &attached ? "attached" : "detached";
+      for (size_t i = 0; i < sc.queries.size(); ++i) {
+        const SharedCacheCounters before = xcache.Counters();
+        auto r = engine->Run(sc.queries[i], opts);
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        ASSERT_NE(r->explain, nullptr);
+        const SearchStats& st = r->stats;
+        const ExplainCacheLayer& fwd = r->explain->fwd_search;
+        EXPECT_EQ(fwd.hits, st.bucket_fwd_reuses) << what << " query " << i;
+        EXPECT_EQ(fwd.misses, st.bucket_fwd_searches)
+            << what << " query " << i;
+        if (engine == &attached) {
+          const SharedCacheCounters after = xcache.Counters();
+          EXPECT_EQ(after.fwd_hits - before.fwd_hits, st.bucket_fwd_reuses)
+              << "query " << i;
+          EXPECT_EQ(after.fwd_misses - before.fwd_misses,
+                    st.bucket_fwd_searches)
+              << "query " << i;
+        }
+        lookups += st.bucket_fwd_reuses + st.bucket_fwd_searches;
+      }
+    }
+  }
+  EXPECT_GT(lookups, 0);  // the forward-search layer actually ran
+}
+
 TEST(ExplainTest, TreeStringShowsPlanCachesAndPruningShares) {
   const testing::TinyDataset tiny = testing::MakeTinyDataset(7);
   QueryOptions opts;
@@ -166,7 +231,7 @@ TEST(ExplainTest, TreeStringShowsPlanCachesAndPruningShares) {
 TEST(ExemplarTest, LatencyBucketCarriesLastExemplar) {
   ServiceMetrics m;
   m.RecordCompleted(/*latency_ms=*/1.5, 10, 20, 1, /*exemplar_id=*/7);
-  const std::string text = m.ToPrometheus();
+  const std::string text = PrometheusText(m.Snapshot());
   // OpenMetrics exemplar syntax on the latency bucket the observation
   // landed in, keyed by the service query id.
   EXPECT_NE(text.find(" # {trace_id=\"q7\"} 1.5\n"), std::string::npos)
@@ -180,7 +245,7 @@ TEST(ExemplarTest, LatencyBucketCarriesLastExemplar) {
 TEST(ExemplarTest, NoExemplarKeepsPlainExpositionBytes) {
   ServiceMetrics with_id;
   with_id.RecordCompleted(2.0, 0, 0, 1);  // default exemplar_id = 0
-  const std::string text = with_id.ToPrometheus();
+  const std::string text = PrometheusText(with_id.Snapshot());
   EXPECT_EQ(text.find("trace_id"), std::string::npos);
 }
 
@@ -188,7 +253,7 @@ TEST(ExemplarTest, LastWriterWinsPerBucket) {
   ServiceMetrics m;
   m.RecordCompleted(1.5, 0, 0, 1, /*exemplar_id=*/3);
   m.RecordCompleted(1.5, 0, 0, 1, /*exemplar_id=*/9);
-  const std::string text = m.ToPrometheus();
+  const std::string text = PrometheusText(m.Snapshot());
   EXPECT_NE(text.find("trace_id=\"q9\""), std::string::npos);
   EXPECT_EQ(text.find("trace_id=\"q3\""), std::string::npos);
 }

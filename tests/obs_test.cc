@@ -58,10 +58,22 @@ void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
 void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
   return operator new(size, tag);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// noinline: once inlined into a caller that used the library's new
+// expression, GCC pairs that new with free() and warns
+// (-Wmismatched-new-delete), though the replacement new above is malloc.
+__attribute__((noinline)) void operator delete(void* p) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete[](void* p) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete[](void* p,
+                                                  std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace skysr {
 namespace {
@@ -398,7 +410,7 @@ TEST(PrometheusTest, ServiceMetricsRecordsQueueWait) {
   EXPECT_DOUBLE_EQ(s.queue_wait_max_ms, 100.0);
   EXPECT_NEAR(s.queue_wait_mean_ms, 50.5, 1e-9);
 
-  const std::string text = m.ToPrometheus();
+  const std::string text = PrometheusText(m.Snapshot());
   EXPECT_NE(text.find("skysr_queue_wait_ms_count 2\n"), std::string::npos);
 
   m.Reset();
@@ -433,7 +445,7 @@ TEST(PrometheusTest, ServiceMetricsExposesRecordedCounts) {
   m.RecordSubmitted();
   m.RecordSubmitted();
   m.RecordCompleted(/*latency_ms=*/1.0, 10, 20, 1);
-  const std::string text = m.ToPrometheus();
+  const std::string text = PrometheusText(m.Snapshot());
   EXPECT_NE(text.find("skysr_queries_submitted_total 2\n"), std::string::npos);
   EXPECT_NE(text.find("skysr_queries_completed_total 1\n"), std::string::npos);
   EXPECT_NE(text.find("skysr_query_latency_ms_count 1\n"), std::string::npos);

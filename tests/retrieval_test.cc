@@ -104,6 +104,7 @@ TEST(CategoryBucketTest, ExactDistancesBitEqualDijkstra) {
       const CategoryBucketIndex buckets = CategoryBucketIndex::Build(g, ch);
       const BucketRetriever retriever(buckets);
       BucketScanState state;
+      SharedQueryCache cache;
       OracleWorkspace ows;
       DijkstraWorkspace dws;
       std::vector<Weight> ref;
@@ -113,7 +114,7 @@ TEST(CategoryBucketTest, ExactDistancesBitEqualDijkstra) {
       }
       sources.push_back(g.VertexOfPoi(g.num_pois() / 2));
       for (const VertexId src : sources) {
-        retriever.EnsureForward(src, ows, state, nullptr);
+        retriever.EnsureForward(src, ows, state, cache, nullptr);
         ref.assign(static_cast<size_t>(g.num_vertices()), kInfWeight);
         RunDijkstra(g, src, dws, [&](VertexId v, Weight d, VertexId) {
           ref[static_cast<size_t>(v)] = d;
@@ -182,7 +183,7 @@ TEST(ResumableRetrieverTest, MatchesHashMapResumableDijkstra) {
   const Graph& g = sc.dataset.graph;
   const auto matchers = MatchersOf(sc, sc.queries[0]);
   ResumablePool pool;
-  pool.Reset(4);
+  pool.Prepare(4);
   for (int i = 0; i < 4; ++i) {
     const auto src = static_cast<VertexId>((g.num_vertices() * i) / 4);
     ResumableSlot* slot = pool.FindOrCreate(g, src);
@@ -221,7 +222,7 @@ TEST(ResumableRetrieverTest, GrowingBudgetsMatchFreshSearches) {
   });
 
   ResumablePool pool;
-  pool.Reset(1);
+  pool.Prepare(1);
   ResumableSlot* slot = pool.FindOrCreate(g, src);
   ASSERT_NE(slot, nullptr);
   int64_t settles_before = 0;

@@ -1,6 +1,6 @@
 // Cross-query shared-cache subsystem (src/cache/): CLOCK cache unit
-// behavior, snapshot lookup, generation invalidation, persistent resumable
-// slots, and — the serving contract — cold/warm bit-identity on one engine
+// behavior, snapshot lookup, generation invalidation, resumable slots,
+// and — the serving contract — cold/warm bit-identity on one engine
 // replaying repeated-source workloads, standalone and through QueryService.
 
 #include <memory>
@@ -143,27 +143,22 @@ TEST(SharedQueryCacheTest, RebindInvalidatesAndRefusesMismatchedSnapshots) {
   EXPECT_EQ(cache.snapshot(), nullptr);
 }
 
-// Engine-lifetime resumable slots: PrepareServing keeps suspended state
-// across queries, reuses are counted once per slot per query, CLOCK spares
-// the slot the current query touched, and per-query mode still refuses
-// (returns null) at capacity instead of evicting.
-TEST(ResumablePoolTest, PersistentModeKeepsReusesAndEvicts) {
+// Resumable slots: Prepare keeps suspended state across queries, reuses
+// are counted once per slot per query, CLOCK spares the slot the current
+// query touched, and a shrinking bound drops every suspended search.
+TEST(ResumablePoolTest, KeepsSlotsCountsReusesAndEvictsByClock) {
   const Scenario sc = MakeScenario(ServingSpec(GraphFamily::kGrid, 930));
   const Graph& g = sc.dataset.graph;
 
   ResumablePool pool;
-  pool.PrepareServing(2);
-  EXPECT_TRUE(pool.persistent());
+  pool.Prepare(2);
   ResumableSlot* s0 = pool.FindOrCreate(g, 0);
   ResumableSlot* s1 = pool.FindOrCreate(g, 1);
-  ASSERT_NE(s0, nullptr);
-  ASSERT_NE(s1, nullptr);
   EXPECT_EQ(pool.reuses(), 0);  // creations are not reuses
 
   // Next query: suspended state survives, and touching a kept slot counts
   // as exactly one reuse.
-  pool.PrepareServing(2);
-  pool.BeginQuery();
+  pool.Prepare(2);
   EXPECT_EQ(pool.FindOrCreate(g, 0), s0);
   EXPECT_EQ(pool.FindOrCreate(g, 0), s0);
   EXPECT_EQ(pool.reuses(), 1);
@@ -175,12 +170,14 @@ TEST(ResumablePoolTest, PersistentModeKeepsReusesAndEvicts) {
   EXPECT_EQ(s2, s1);
   EXPECT_EQ(s2->source, 2);
 
-  // Per-query mode: capacity overflow falls back (nullptr), never evicts.
-  pool.Reset(1);
-  EXPECT_FALSE(pool.persistent());
-  EXPECT_NE(pool.FindOrCreate(g, 3), nullptr);
-  EXPECT_EQ(pool.FindOrCreate(g, 4), nullptr);
-  EXPECT_EQ(pool.evictions(), 1);
+  // A smaller bound drops the suspended searches; past it, the one slot
+  // is recycled for each new source.
+  pool.Prepare(1);
+  EXPECT_EQ(pool.live(), 0);
+  EXPECT_EQ(pool.FindOrCreate(g, 3)->source, 3);
+  EXPECT_EQ(pool.FindOrCreate(g, 4)->source, 4);
+  EXPECT_EQ(pool.live(), 1);
+  EXPECT_EQ(pool.evictions(), 2);
 }
 
 TEST(SharedQueryCacheTest, WarmStateChecksumSeparatesStructures) {
@@ -189,6 +186,62 @@ TEST(SharedQueryCacheTest, WarmStateChecksumSeparatesStructures) {
   const ChOracle ch = ChOracle::Build(g);
   EXPECT_EQ(WarmStateChecksum(g, &ch), WarmStateChecksum(g, &ch));
   EXPECT_NE(WarmStateChecksum(g, &ch), WarmStateChecksum(g, nullptr));
+}
+
+// The deterministic work counters of one query execution.
+std::vector<int64_t> WorkCounters(const SearchStats& s) {
+  return {s.mdijkstra_runs,        s.mdijkstra_cache_hits,
+          s.cache_reruns,          s.vertices_settled,
+          s.edges_relaxed,         s.retriever_bucket_runs,
+          s.retriever_resume_runs, s.bucket_fwd_searches,
+          s.bucket_fwd_reuses,     s.bucket_candidates,
+          s.routes_enqueued,       s.routes_dequeued,
+          s.cand_examined,         s.cand_pruned,
+          s.peak_queue_size,       s.route_nodes};
+}
+
+// A detached engine empties its own warm state before every query, so it
+// stays cold: replaying a workload twice on one CH + bucket engine repeats
+// every query's work counters exactly, and each matches a fresh engine's.
+TEST(XCacheColdEngineTest, DetachedEngineStaysColdPerQuery) {
+  const Scenario sc = MakeScenario(ServingSpec(GraphFamily::kGrid, 935));
+  const Graph& g = sc.dataset.graph;
+  const ChOracle ch = ChOracle::Build(g);
+  const CategoryBucketIndex buckets = CategoryBucketIndex::Build(g, ch);
+
+  int64_t fwd_lookups = 0;
+  int64_t resume_runs = 0;
+  for (const RetrieverKind rk : {RetrieverKind::kSettle, RetrieverKind::kAuto,
+                                 RetrieverKind::kBucket}) {
+    QueryOptions opts;
+    opts.retriever = rk;
+    BssrEngine engine(g, sc.dataset.forest, &ch, &buckets);
+    std::vector<std::vector<int64_t>> first_pass;
+    for (int pass = 0; pass < 2; ++pass) {
+      for (size_t i = 0; i < sc.queries.size(); ++i) {
+        auto r = engine.Run(sc.queries[i], opts);
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        const std::vector<int64_t> work = WorkCounters(r->stats);
+        if (pass == 0) {
+          BssrEngine fresh(g, sc.dataset.forest, &ch, &buckets);
+          auto f = fresh.Run(sc.queries[i], opts);
+          ASSERT_TRUE(f.ok()) << f.status().ToString();
+          EXPECT_EQ(work, WorkCounters(f->stats))
+              << RetrieverKindName(rk) << " query " << i << " vs fresh";
+          first_pass.push_back(work);
+          fwd_lookups +=
+              r->stats.bucket_fwd_searches + r->stats.bucket_fwd_reuses;
+          resume_runs += r->stats.retriever_resume_runs;
+        } else {
+          EXPECT_EQ(work, first_pass[i])
+              << RetrieverKindName(rk) << " query " << i << " second pass";
+        }
+      }
+    }
+  }
+  // Both kinds of warm state were exercised.
+  EXPECT_GT(fwd_lookups, 0);
+  EXPECT_GT(resume_runs, 0);
 }
 
 // The serving contract: one engine with an attached cache (prewarm snapshot
