@@ -84,7 +84,7 @@ struct SimDecisionMemo {
   uint64_t sim_bits[kSlots] = {};
   double nacc[kSlots];
   double nsem[kSlots];
-  Weight th[kSlots];     // Threshold(nsem)
+  Weight th[kSlots];     // Threshold at the semantic floor (last: nsem)
   Weight th_b[kSlots];   // Lemma 5.8 bumped threshold (when qualified)
   bool has58[kSlots];    // δ > 0 and th_b finite
   // Smallest extended length seen pruned for this sim this generation; the
@@ -367,8 +367,28 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
         std::max(sigma_suffix[static_cast<size_t>(m) + 1],
                  matchers[static_cast<size_t>(m)].max_non_perfect_sim());
   }
+
+  // Completion bounds (DESIGN.md §6), on exactly when the §5.3.3 bounds
+  // are: the semantic floor, from the best similarity any PoI offers each
+  // position (one scan per position, stopped at the first perfect match),
+  // and the destination tail.
+  const bool completion_bounds = feasible && options.use_lower_bounds;
+  const bool tail_bound = completion_bounds && dest_dist != nullptr;
+  std::vector<double>& best_sim = ws_.best_sim;
+  best_sim.clear();
+  if (completion_bounds) {
+    best_sim.assign(static_cast<size_t>(k), 0.0);
+    for (int m = 0; m < k; ++m) {
+      double& best = best_sim[static_cast<size_t>(m)];
+      for (PoiId p = 0; p < g_->num_pois() && best < 1.0; ++p) {
+        best = std::max(best, matchers[static_cast<size_t>(m)].SimOfPoi(p));
+      }
+    }
+  }
   const ThresholdPolicy policy(skyline, agg, lb_ptr,
-                               std::span<const double>(sigma_suffix), k);
+                               std::span<const double>(sigma_suffix), k,
+                               std::span<const double>(best_sim));
+  stats.semantic_floor = policy.SemanticFloor(agg.Identity(), 0);
 
   // Per-prefix dominance pruning engages only where same-set duplicate
   // prefixes can exist at all: deferred-Lemma-5.5 mode (a PoI matching only
@@ -446,7 +466,8 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
         memo.sim_bits[slot] = bits;
         memo.nacc[slot] = nacc;
         memo.nsem[slot] = nsem;
-        memo.th[slot] = skyline.Threshold(nsem);
+        memo.th[slot] = skyline.Threshold(
+            last ? nsem : policy.SemanticFloor(nacc, m + 1));
         memo.has58[slot] = false;
         memo.pruned_at[slot] = kInfWeight;
         if (!last && lb_ptr != nullptr && memo.th[slot] != kInfWeight) {
@@ -494,8 +515,9 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
         skyline.Update(RouteScores{flen, memo.nsem[slot]},
                        std::span<const PoiId>(ws_.route_buf));
       } else {
-        // ShouldPrunePartial(nacc, nlen, m + 1), operand for operand, with
-        // the thresholds read from the memo.
+        // The decision of ShouldPrunePartial(nacc, nlen, m + 1, tail_lb),
+        // with the thresholds read from the memo and the tests that do not
+        // read the vertex first.
         if (nlen >= memo.pruned_at[slot]) {
           ++stats.cand_pruned;
           ++stats.cand_pruned_floor;
@@ -510,6 +532,15 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
           ++stats.cand_pruned;
           ++stats.cand_pruned_threshold;
           return true;
+        }
+        // The destination tail: per vertex, so it licenses no floor.
+        if (tail_bound &&
+            nlen + DestTailLowerBound(
+                       (*dest_dist)[static_cast<size_t>(cand.vertex)]) >=
+                th) {
+          ++stats.cand_pruned;
+          ++stats.cand_pruned_threshold;
+          return false;
         }
         const PoiId poi = g_->PoiAtVertex(cand.vertex);
         if (node_idx != RouteArena::kEmpty && arena.Contains(node_idx, poi)) {
@@ -718,7 +749,11 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
       const QbEntry entry = qb.pop();
       ++stats.routes_dequeued;
       const RouteArena::Node& nd = arena.node(entry.node);
-      if (policy.ShouldPrunePartial(nd.acc, nd.length, nd.size)) {
+      const Weight tail_lb =
+          tail_bound ? DestTailLowerBound(
+                           (*dest_dist)[static_cast<size_t>(nd.vertex)])
+                     : 0;
+      if (policy.ShouldPrunePartial(nd.acc, nd.length, nd.size, tail_lb)) {
         ++stats.routes_pruned;
         continue;
       }
@@ -757,6 +792,7 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
     exp->simd_floor_skips = stats.cand_simd_skipped;
     exp->cand_pruned = stats.cand_pruned;
     exp->infeasible = stats.infeasible;
+    exp->semantic_floor = stats.semantic_floor;
   }
 
   stats.skyline_size = skyline.size();

@@ -37,6 +37,11 @@ void DenseLegBounds(const Graph& g, const PositionMatcher& next,
   }
 }
 
+/// The ball radius for l̄(∅) = `radius`, widened by kSumOrderSlack.
+Weight BallRadius(Weight radius) {
+  return radius == kInfWeight ? radius : radius * (1.0 + kSumOrderSlack);
+}
+
 /// Shared tail of both variants: suffix sums plus stats accounting.
 void FinishBounds(LowerBounds* lb, int k, WallTimer* timer,
                   SearchStats* stats) {
@@ -85,6 +90,7 @@ LowerBounds ComputeLowerBounds(const Graph& g,
   }
   LowerBoundScratch local;
   if (scratch == nullptr) scratch = &local;
+  radius = BallRadius(radius);
 
   // Ball membership: D(v_q, v) < radius. Every leg of a surviving route lies
   // inside the ball (its prefix length bounds the distance from v_q of every
@@ -146,6 +152,7 @@ LowerBounds ComputeLowerBoundsWithBuckets(
   }
   LowerBoundScratch local;
   if (scratch == nullptr) scratch = &local;
+  radius = BallRadius(radius);
 
   // Ball membership D(v_q, v) < radius via one radius-truncated Dijkstra —
   // it settles only the ball, and the classic fallback legs additionally

@@ -23,6 +23,13 @@ namespace skysr {
 
 struct BucketDistances;  // retrieval/bucket_retriever.h
 
+/// Relative slack between two float sums of the same non-negative edge
+/// weights taken in different orders (a route's length against a search
+/// distance). A route length sums at most |V|·k terms, so the two differ
+/// by a relative <= |V|·k·2⁻⁵³ — about 1.5e-11 on a 26k-vertex city at
+/// k = 5 — so 1e-9 covers any |V|·k up to 2⁵³·1e-9 ≈ 9·10⁶.
+inline constexpr double kSumOrderSlack = 1e-9;
+
 /// Per-leg and per-suffix minimum distances for one query.
 ///
 /// Legs are 0-based: leg i connects sequence position i to i+1
@@ -57,10 +64,12 @@ struct LowerBoundScratch {
 
 /// Computes the bounds. `radius` is l̄(∅) — the length of the best
 /// perfect-match route known after the initial search (kInfWeight when
-/// unknown, in which case no ball restriction applies). Updates
-/// stats->lb_ms / ls_total / lp_total and the global search counters.
-/// `scratch` (optional) supplies reusable buffers; null falls back to
-/// function-local storage.
+/// unknown, in which case no ball restriction applies). The ball is taken
+/// with a kSumOrderSlack margin: a route 1 ulp shorter than l̄(∅) can hold
+/// a vertex whose ball distance, summed in another order, rounds up to
+/// l̄(∅). Updates stats->lb_ms / ls_total / lp_total and the global search
+/// counters. `scratch` (optional) supplies reusable buffers; null falls
+/// back to function-local storage.
 LowerBounds ComputeLowerBounds(const Graph& g,
                                const std::vector<PositionMatcher>& matchers,
                                VertexId start, Weight radius,

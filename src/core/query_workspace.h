@@ -198,6 +198,7 @@ struct QueryWorkspace {
   // resetting for the next query is O(1).
   std::vector<StampedArray<double>> sim_memo;
   std::vector<double> sigma_suffix;
+  std::vector<double> best_sim;  // per position: the semantic floor's σ*
   std::vector<Weight> dest_dist;
   std::vector<PoiId> route_buf;  // complete-route materialization
   LowerBounds lb;

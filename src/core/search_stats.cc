@@ -25,7 +25,7 @@ std::string Infeasibility::ToString() const {
 }
 
 std::string SearchStats::ToString() const {
-  char buf[1024];
+  char buf[2048];
   std::snprintf(
       buf, sizeof(buf),
       "elapsed=%.3fms%s%s%s skyline=%lld\n"
@@ -37,7 +37,7 @@ std::string SearchStats::ToString() const {
       "fwd_reuses=%lld bucket_cands=%lld\n"
       "nninit: %.3fms routes=%lld weight_sum=%.4f perfect_len=%.4f "
       "max_sem_len=%.4f\n"
-      "bounds: %.3fms ls=%.4f lp=%.4f\n"
+      "bounds: %.3fms ls=%.4f lp=%.4f semantic_floor=%.4f\n"
       "queue: enq=%lld deq=%lld pruned=%lld dom_pruned=%lld peak=%lld "
       "nodes=%lld logical_bytes=%lld",
       elapsed_ms, timed_out ? " TIMED-OUT" : "",
@@ -62,7 +62,7 @@ std::string SearchStats::ToString() const {
       static_cast<long long>(bucket_candidates), nninit_ms,
       static_cast<long long>(nninit_routes), nninit_weight_sum,
       nninit_perfect_length, nninit_max_semantic_length, lb_ms, ls_total,
-      lp_total, static_cast<long long>(routes_enqueued),
+      lp_total, semantic_floor, static_cast<long long>(routes_enqueued),
       static_cast<long long>(routes_dequeued),
       static_cast<long long>(routes_pruned),
       static_cast<long long>(qb_dominance_pruned),

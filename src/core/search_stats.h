@@ -75,6 +75,10 @@ struct SearchStats {
   double lb_ms = 0;
   Weight ls_total = 0;  // sum of finite semantic-match leg bounds
   Weight lp_total = 0;  // sum of finite perfect-match leg bounds
+  // Semantic floor (DESIGN.md §6): the best semantic score any route of
+  // this query can reach; 0 when no bound applies (lower bounds off, or
+  // every position has a perfect PoI).
+  double semantic_floor = 0;
 
   // Bulk queue (§5.3.2).
   int64_t routes_enqueued = 0;

@@ -1,6 +1,7 @@
 // Branch-and-bound pruning policy: combines the skyline threshold
-// (Definition 5.4 / Lemma 5.3) with the lower bounds of §5.3.3 and the
-// conditional perfect-match pruning of Lemma 5.8.
+// (Definition 5.4 / Lemma 5.3) with the lower bounds of §5.3.3, the
+// conditional perfect-match pruning of Lemma 5.8 and two completion bounds
+// (DESIGN.md §6): the semantic floor and the destination tail.
 
 #ifndef SKYSR_CORE_THRESHOLD_H_
 #define SKYSR_CORE_THRESHOLD_H_
@@ -14,11 +15,22 @@
 
 namespace skysr {
 
+/// Admissible lower bound on the rest of a destination route that ends at
+/// v, from its exact tail D(v, destination). A route's length and the
+/// reverse search's tail sum the same edges in different orders, so the
+/// tail is shaved by kSumOrderSlack (see lower_bound.h) before it is
+/// compared with a route length; +inf stays +inf.
+inline Weight DestTailLowerBound(Weight tail) {
+  return tail * (1.0 - kSumOrderSlack);
+}
+
 /// Pruning decisions against a live SkylineSet. `sigma_max_suffix[m]` must
 /// hold the largest non-perfect similarity over positions m..k-1 (input to
-/// δ); `k` is the sequence size. The span is borrowed — the caller keeps the
-/// storage alive for the policy's lifetime (the engine parks it in its
-/// query workspace).
+/// δ); `k` is the sequence size. `best_sim[m]`, when given (size k), is
+/// the largest similarity any PoI offers position m; it enables the
+/// semantic floor (SemanticFloor), an empty span disables it. The spans are
+/// borrowed — the caller keeps the storage alive for the policy's lifetime
+/// (the engine parks it in its query workspace).
 ///
 /// Threshold lookups are memoized per skyline generation: the staircase
 /// binary search reruns only when the skyline actually changed or a
@@ -30,20 +42,35 @@ class ThresholdPolicy {
  public:
   ThresholdPolicy(const SkylineSet& skyline, const SemanticAggregator& agg,
                   const LowerBounds* lb /* null disables lower bounds */,
-                  std::span<const double> sigma_max_suffix, int k)
+                  std::span<const double> sigma_max_suffix, int k,
+                  std::span<const double> best_sim = {})
       : skyline_(&skyline),
         agg_(agg),
         lb_(lb),
         sigma_max_suffix_(sigma_max_suffix),
+        best_sim_(best_sim),
         k_(k) {}
 
   const SkylineSet& skyline() const { return *skyline_; }
+
+  /// Semantic floor: no completion of a route with accumulator `acc` whose
+  /// next position is m scores below this. It extends `acc` by every
+  /// remaining position's best similarity, left to right — the order the
+  /// route itself extends in — so, Extend, Score and IEEE rounding all
+  /// being monotone, every completion's computed score is >= the floor bit
+  /// for bit. Score(acc) when the floor is off or m == k.
+  double SemanticFloor(double acc, int m) const {
+    for (size_t j = static_cast<size_t>(m); j < best_sim_.size(); ++j) {
+      acc = agg_.Extend(acc, best_sim_[j]);
+    }
+    return agg_.Score(acc);
+  }
 
   /// Break budget for an expansion out of a partial route of size m with
   /// length `len` and semantic accumulator `acc` (Algorithm 2, line 8):
   /// candidates at distance >= budget cannot lead to skyline routes.
   Weight ExpansionBudget(double acc, Weight len, int m) const {
-    const Weight th = CachedThreshold(agg_.Score(acc));
+    const Weight th = CachedThreshold(SemanticFloor(acc, m));
     if (th == kInfWeight) return kInfWeight;
     Weight budget = th - len;
     if (lb_ != nullptr && m + 1 < k_) {
@@ -55,9 +82,15 @@ class ThresholdPolicy {
   }
 
   /// Full pruning test for a partial route of size m (1 <= m < k).
-  bool ShouldPrunePartial(double acc, Weight len, int m) const {
+  /// `tail_lb` is DestTailLowerBound of the route's end vertex for a
+  /// destination query, 0 otherwise.
+  bool ShouldPrunePartial(double acc, Weight len, int m,
+                          Weight tail_lb = 0) const {
     const double sem = agg_.Score(acc);
-    const Weight th = CachedThreshold(sem);
+    const Weight th = CachedThreshold(SemanticFloor(acc, m));
+    // The destination tail; an unreachable destination (+inf tail) prunes
+    // even while the threshold is still infinite.
+    if (len + tail_lb >= th) return true;
     if (th == kInfWeight) return false;
 
     // Lemma 5.3 with the unconditional semantic-match bound.
@@ -66,7 +99,9 @@ class ThresholdPolicy {
     if (len + ls >= th) return true;
 
     // Lemma 5.8: if any non-perfect future match gets the route dominated
-    // (a), and an all-perfect completion is dominated too (b), prune.
+    // (a), and an all-perfect completion is dominated too (b), prune. (b)
+    // reads the floor's threshold: the floor is sem itself whenever an
+    // all-perfect completion exists, and (b) is vacuous when none does.
     if (lb_ != nullptr && m < k_) {
       const double sigma = sigma_max_suffix_[static_cast<size_t>(m)];
       const double delta = agg_.MinIncrementDelta(acc, sigma);
@@ -111,9 +146,10 @@ class ThresholdPolicy {
   SemanticAggregator agg_;
   const LowerBounds* lb_;
   std::span<const double> sigma_max_suffix_;
+  std::span<const double> best_sim_;
   int k_;
 
-  // ShouldPrunePartial probes (sem, sem + delta) per route and consecutive
+  // ShouldPrunePartial probes (floor, sem + delta) per route and consecutive
   // routes frequently share semantic scores (the proposed queue discipline
   // groups equal-semantic routes together), so a handful of slots catches
   // the bulk of repeats.

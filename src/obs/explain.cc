@@ -31,6 +31,7 @@ std::string QueryExplain::ToTreeString() const {
           " settle_density=%.4f vertices=%" PRId64 "\n",
           cost_fwd_settles, cost_settle_density, cost_num_vertices);
   Appendf(&out, "├─ infeasible: %s\n", infeasible.ToString().c_str());
+  Appendf(&out, "├─ semantic_floor: %.17g\n", semantic_floor);
   out += "├─ positions\n";
   for (size_t m = 0; m < positions.size(); ++m) {
     const ExplainPositionBackends& p = positions[m];
@@ -77,6 +78,7 @@ std::string QueryExplain::ToJson() const {
           cost_settle_density, cost_num_vertices);
   Appendf(&out, "\"infeasible\":{\"reason\":\"%s\",\"position\":%d},",
           InfeasibleReasonName(infeasible.reason), infeasible.position);
+  Appendf(&out, "\"semantic_floor\":%.17g,", semantic_floor);
   out += "\"positions\":[";
   for (size_t m = 0; m < positions.size(); ++m) {
     const ExplainPositionBackends& p = positions[m];

@@ -58,6 +58,9 @@ struct QueryExplain {
   // Feasibility-gate verdict, assigned from SearchStats::infeasible; when
   // it fired, no search ran and every counter below stays 0.
   Infeasibility infeasible;
+  // Query shape, assigned from SearchStats::semantic_floor: the best
+  // semantic score any route can reach (0 when no bound applies).
+  double semantic_floor = 0;
 
   // --- Per-position expansion backends (index = sequence position). ---
   std::vector<ExplainPositionBackends> positions;

@@ -450,6 +450,38 @@ TEST(StampedSpanTableTest, CommitFindAndStampedClear) {
   EXPECT_EQ(table.size(), 0);
 }
 
+TEST(ThresholdPolicyTest, CompletionBounds) {
+  SkylineSet skyline;
+  skyline.Update({4.0, 0.5}, {2});  // no perfect route: Th(s) = inf below 0.5
+  const SemanticAggregator agg;
+  const std::vector<double> sigma = {0.0, 0.0, 0.0};
+  const std::vector<double> best_sim = {1.0, 0.5};  // position 1 tops at 0.5
+  const ThresholdPolicy plain(skyline, agg, nullptr, sigma, 2);
+  const ThresholdPolicy floored(skyline, agg, nullptr, sigma, 2, best_sim);
+
+  // Semantic floor: acc 1 extended by 1.0 then 0.5 scores 0.5.
+  EXPECT_EQ(plain.SemanticFloor(1.0, 0), 0.0);
+  EXPECT_EQ(floored.SemanticFloor(1.0, 0), 0.5);
+  EXPECT_EQ(floored.SemanticFloor(1.0, 2), 0.0);  // complete: Score(acc)
+  // The threshold is read at the floor (4) instead of at score 0 (inf).
+  EXPECT_FALSE(plain.ShouldPrunePartial(1.0, 5.0, 1));
+  EXPECT_TRUE(floored.ShouldPrunePartial(1.0, 5.0, 1));
+  EXPECT_FALSE(floored.ShouldPrunePartial(1.0, 3.0, 1));
+  EXPECT_EQ(plain.ExpansionBudget(1.0, 1.0, 0), kInfWeight);
+  EXPECT_EQ(floored.ExpansionBudget(1.0, 1.0, 0), 3.0);
+
+  // Destination tail: shaved, prunes at the floor threshold, and an
+  // unreachable destination prunes even at an infinite threshold.
+  EXPECT_LT(DestTailLowerBound(2.0), 2.0);
+  EXPECT_GT(DestTailLowerBound(2.0), 2.0 * (1 - 1e-8));
+  EXPECT_EQ(DestTailLowerBound(kInfWeight), kInfWeight);
+  EXPECT_TRUE(
+      floored.ShouldPrunePartial(1.0, 2.0, 1, DestTailLowerBound(2.5)));
+  EXPECT_FALSE(
+      floored.ShouldPrunePartial(1.0, 2.0, 1, DestTailLowerBound(1.5)));
+  EXPECT_TRUE(plain.ShouldPrunePartial(1.0, 0.0, 1, kInfWeight));
+}
+
 TEST(ThresholdPolicyTest, EmptySkylineNeverPrunes) {
   SkylineSet skyline;
   const SemanticAggregator agg;

@@ -9,13 +9,17 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "category/taxonomy_factory.h"
 #include "core/bssr_engine.h"
+#include "graph/graph_builder.h"
 #include "index/ch_oracle.h"
 #include "obs/explain.h"
 #include "obs/mini_json.h"
@@ -148,6 +152,60 @@ TEST(ExplainTest, JsonRoundTripsThroughMiniJson) {
   ASSERT_NE(positions, nullptr);
   ASSERT_TRUE(positions->is_array());
   EXPECT_EQ(positions->array.size(), r->explain->positions.size());
+}
+
+// The semantic floor has one writer, SearchStats: the explain copy, its
+// tree and JSON and SearchStats::ToString all show the value Run wrote, and
+// the JSON number round-trips bit for bit.
+TEST(ExplainTest, SemanticFloorRoundTripsFromSearchStats) {
+  // A gift shop, then an Italian restaurant where only a sushi place
+  // exists: no route is perfect, so the floor is 1 - sim(Italian, Sushi).
+  const CategoryForest forest = MakeFoursquareLikeForest();
+  const CategoryId gift = forest.FindByName("Gift Shop");
+  const CategoryId sushi = forest.FindByName("Sushi Restaurant");
+  const CategoryId italian = forest.FindByName("Italian Restaurant");
+  GraphBuilder b(/*directed=*/false);
+  for (int i = 0; i < 3; ++i) b.AddVertex();
+  b.AddEdge(0, 1, 1.0);
+  b.AddEdge(1, 2, 1.0);
+  b.AddPoi(1, {gift});
+  b.AddPoi(2, {sushi});
+  const Graph g = std::move(b.Build()).ValueOrDie();
+  const Query q = MakeSimpleQuery(0, {gift, italian});
+
+  BssrEngine engine(g, forest);
+  for (const bool bounds : {true, false}) {
+    QueryOptions opts;
+    opts.explain = true;
+    opts.use_lower_bounds = bounds;
+    auto r = engine.Run(q, opts);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_NE(r->explain, nullptr);
+    const double floor = r->stats.semantic_floor;
+    if (bounds) {
+      EXPECT_GT(floor, 0.0);
+      EXPECT_LT(floor, 1.0);
+      ASSERT_EQ(r->routes.size(), 1u);
+      EXPECT_LE(floor, r->routes[0].scores.semantic);
+    } else {
+      EXPECT_EQ(floor, 0.0);  // no bound applies
+    }
+    EXPECT_EQ(r->explain->semantic_floor, floor);
+
+    auto parsed = ParseJson(r->explain->ToJson());
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    const JsonValue* json_floor = parsed->Find("semantic_floor");
+    ASSERT_NE(json_floor, nullptr);
+    EXPECT_EQ(json_floor->number, floor);
+
+    char want[64];
+    std::snprintf(want, sizeof(want), "semantic_floor: %.17g", floor);
+    EXPECT_NE(r->explain->ToTreeString().find(want), std::string::npos)
+        << r->explain->ToTreeString();
+    std::snprintf(want, sizeof(want), "semantic_floor=%.4f", floor);
+    EXPECT_NE(r->stats.ToString().find(want), std::string::npos)
+        << r->stats.ToString();
+  }
 }
 
 // The forward-search layer has one writer, the engine's SearchStats: on
