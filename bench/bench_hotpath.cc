@@ -28,33 +28,6 @@
 namespace skysr::bench {
 namespace {
 
-/// The mixed workload of one graph family: sequence sizes 1-4, complex
-/// predicates, destinations and multi-category PoIs all present so every
-/// engine path is exercised.
-ScenarioSpec HotpathSpec(GraphFamily family) {
-  ScenarioSpec spec;
-  spec.name = GraphFamilyName(family);
-  spec.graph.family = family;
-  spec.graph.target_vertices = 800;
-  spec.graph.extra_edge_fraction = 0.3;
-  spec.graph.weights = WeightModel::kEuclidean;
-  spec.taxonomy.num_trees = 4;
-  spec.taxonomy.max_fanout = 4;
-  spec.taxonomy.max_levels = 3;
-  spec.pois.num_pois = 160;
-  spec.pois.zipf_theta = 0.5;
-  spec.pois.multi_category_rate = 0.1;
-  spec.workload.num_queries = 24;
-  spec.workload.min_sequence = 1;
-  spec.workload.max_sequence = 4;
-  spec.workload.multi_any_rate = 0.15;
-  spec.workload.all_of_rate = 0.1;
-  spec.workload.none_of_rate = 0.1;
-  spec.workload.destination_rate = 0.25;
-  SeedScenarioSpec(&spec, /*master_seed=*/20260730 + static_cast<int>(family));
-  return spec;
-}
-
 /// One engine configuration of the suite. "settle" is the classic path (no
 /// index); "auto" is the production cost model over CH + category-bucket
 /// tables (resume-dominated at this size); "bucket" forces the bucket scan
@@ -107,7 +80,7 @@ std::string GoldenRowText(const Scenario& sc, const BenchConfig& config) {
     sum.mdijkstra_runs += s.mdijkstra_runs;
     sum.mdijkstra_cache_hits += s.mdijkstra_cache_hits;
     sum.cand_examined += s.cand_examined;
-    sum.cand_simd_skipped += s.cand_simd_skipped;
+    sum.cand_floor_skipped += s.cand_floor_skipped;
     sum.qb_dominance_pruned += s.qb_dominance_pruned;
     sum.skyline_size += s.skyline_size;
     sum.retriever_bucket_runs += s.retriever_bucket_runs;
@@ -120,7 +93,7 @@ std::string GoldenRowText(const Scenario& sc, const BenchConfig& config) {
   std::snprintf(buf, sizeof(buf),
                 "%s/%s queries=%lld settled=%lld relaxed=%lld "
                 "enqueued=%lld dequeued=%lld runs=%lld cache_hits=%lld "
-                "cand_examined=%lld simd_skipped=%lld "
+                "cand_examined=%lld floor_skipped=%lld "
                 "dom_pruned=%lld skyline=%lld "
                 "bucket_runs=%lld resume_runs=%lld fwd_searches=%lld "
                 "fwd_reuses=%lld bucket_cands=%lld\n",
@@ -133,7 +106,7 @@ std::string GoldenRowText(const Scenario& sc, const BenchConfig& config) {
                 static_cast<long long>(sum.mdijkstra_runs),
                 static_cast<long long>(sum.mdijkstra_cache_hits),
                 static_cast<long long>(sum.cand_examined),
-                static_cast<long long>(sum.cand_simd_skipped),
+                static_cast<long long>(sum.cand_floor_skipped),
                 static_cast<long long>(sum.qb_dominance_pruned),
                 static_cast<long long>(sum.skyline_size),
                 static_cast<long long>(sum.retriever_bucket_runs),
@@ -148,10 +121,10 @@ std::string GoldenRowText(const Scenario& sc, const BenchConfig& config) {
 /// three graph families under every configuration. A byte-for-byte
 /// comparison is the whole check.
 std::string GoldenText() {
-  std::string out = "skysr hotpath golden counters v4\n";
+  std::string out = "skysr hotpath golden counters v5\n";
   for (const GraphFamily family :
        {GraphFamily::kGrid, GraphFamily::kCluster, GraphFamily::kSmallWorld}) {
-    const Scenario sc = MakeScenario(HotpathSpec(family));
+    const Scenario sc = MakeScenario(HotpathScenarioSpec(family));
     for (const BenchConfig& config : kConfigs) {
       out += GoldenRowText(sc, config);
     }

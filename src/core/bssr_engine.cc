@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <optional>
+#include <span>
 
 #include "core/candidate_stream.h"
 #include "core/feasibility.h"
@@ -87,10 +88,6 @@ struct SimDecisionMemo {
   Weight th[kSlots];     // Threshold at the semantic floor (last: nsem)
   Weight th_b[kSlots];   // Lemma 5.8 bumped threshold (when qualified)
   bool has58[kSlots];    // δ > 0 and th_b finite
-  // Smallest extended length seen pruned for this sim this generation; the
-  // prune decision is monotone in length (for fixed thresholds), so longer
-  // candidates short-circuit on one compare. Exact, not heuristic.
-  Weight pruned_at[kSlots];
 
   static int SlotOf(uint64_t bits) {
     return static_cast<int>((bits * 0x9e3779b97f4a7c15ull) >> 59);
@@ -446,12 +443,12 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
 
     // Returns true when the candidate was pruned by a condition monotone in
     // the extended length for its similarity (and whose thresholds only
-    // tighten for the rest of the query): any later candidate of this
-    // expansion with the same sim and extended length >= this one is
-    // certain to be pruned the same way. The block replay records such
-    // (sim, floor) pairs and skips provably-pruned candidates without
-    // calling back in. Prunes that depend on the candidate's vertex (the
-    // destination tail, duplicate-PoI rejects, dominance) return false.
+    // tighten for the rest of the query): any later candidate with the
+    // same (position, acc, sim) and extended length >= this one is certain
+    // to be pruned the same way. consume_filtered records such floors and
+    // skips provably-pruned candidates without calling in. Prunes that
+    // depend on the candidate's vertex (the destination tail, duplicate-PoI
+    // rejects, dominance) return false.
     const auto consume = [&](const ExpansionCandidate& cand) {
       ++stats.cand_examined;
 
@@ -469,7 +466,6 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
         memo.th[slot] = skyline.Threshold(
             last ? nsem : policy.SemanticFloor(nacc, m + 1));
         memo.has58[slot] = false;
-        memo.pruned_at[slot] = kInfWeight;
         if (!last && lb_ptr != nullptr && memo.th[slot] != kInfWeight) {
           const double delta = agg.MinIncrementDelta(nacc, sigma1);
           if (delta > 0) {
@@ -501,7 +497,6 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
         // licenses a floor here whether or not a destination is set.
         if (memo.th[slot] <= flen) {
           ++stats.cand_pruned;
-          ++stats.cand_pruned_threshold;
           return true;
         }
         const PoiId poi = g_->PoiAtVertex(cand.vertex);
@@ -518,19 +513,12 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
         // The decision of ShouldPrunePartial(nacc, nlen, m + 1, tail_lb),
         // with the thresholds read from the memo and the tests that do not
         // read the vertex first.
-        if (nlen >= memo.pruned_at[slot]) {
-          ++stats.cand_pruned;
-          ++stats.cand_pruned_floor;
-          return true;
-        }
         const Weight th = memo.th[slot];
         if (th != kInfWeight &&
             (nlen + ls1 >= th ||
              (memo.has58[slot] && memo.th_b[slot] <= nlen &&
               nlen + lp1 >= th))) {
-          memo.pruned_at[slot] = nlen;
           ++stats.cand_pruned;
-          ++stats.cand_pruned_threshold;
           return true;
         }
         // The destination tail: per vertex, so it licenses no floor.
@@ -539,7 +527,6 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
                        (*dest_dist)[static_cast<size_t>(cand.vertex)]) >=
                 th) {
           ++stats.cand_pruned;
-          ++stats.cand_pruned_threshold;
           return false;
         }
         const PoiId poi = g_->PoiAtVertex(cand.vertex);
@@ -593,47 +580,26 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
       if (probe_adds_tail) {
         const Weight tail = (*dest_dist)[static_cast<size_t>(cand.vertex)];
         if (tail == kInfWeight) {
-          ++stats.cand_simd_skipped;
+          ++stats.cand_floor_skipped;
           return;
         }
         plen += tail;
       }
       if (ws_.prune_floors.Skippable(acc_bits, m, cand.sim, plen)) {
-        ++stats.cand_simd_skipped;
+        ++stats.cand_floor_skipped;
         return;
       }
       if (consume(cand)) ws_.prune_floors.Note(acc_bits, m, cand.sim, plen);
     };
 
-    // Replays a dist-sorted SoA stream in 4-lane blocks: the vectorized
-    // scan finds the Lemma 5.3 budget break, the floor filter drops
-    // provably-pruned lanes (counted as cand_simd_skipped, never
-    // consume()d) and surviving lanes go through the unchanged decision
-    // logic, so the skyline trajectory is bit-identical to a scalar replay.
-    const auto replay = [&](const CandidateSpan& s) {
-      uint32_t i = 0;
-      while (i < s.size) {
-        const Weight b = budget();
-        if (s.size - i >= kCandidateBlock) {
-          const uint32_t in_budget = ScanCandidateBlock4(s.dist + i, b);
-          for (uint32_t j = 0; j < in_budget; ++j) {
-            const uint32_t at = i + j;
-            consume_filtered(
-                ExpansionCandidate{s.vertex[at], s.dist[at], s.sim[at]});
-          }
-          // A partial in-budget prefix means the blocking lane's dist
-          // reached the budget; the stream is dist-sorted and budgets only
-          // shrink, so the replay is over.
-          if (in_budget < kCandidateBlock) return;
-          i += kCandidateBlock;
-        } else {
-          // Scalar tail (< 4 lanes left): the identical predicates, so
-          // counters don't depend on where block boundaries fall.
-          if (s.dist[i] >= b) return;
-          consume_filtered(ExpansionCandidate{s.vertex[i], s.dist[i],
-                                              s.sim[i]});
-          ++i;
-        }
+    // Replays a dist-sorted candidate stream — a cache hit or a bucket
+    // scan, with the cache on or off. Budgets only shrink within an
+    // expansion, so the first candidate at or beyond the budget ends it
+    // (Lemma 5.3), exactly where a graph search would have stopped.
+    const auto replay = [&](std::span<const ExpansionCandidate> cands) {
+      for (const ExpansionCandidate& c : cands) {
+        if (c.dist >= budget()) return;
+        consume_filtered(c);
       }
     };
 
@@ -678,17 +644,12 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
                                          &stats);
       const std::vector<ExpansionCandidate>& cands = ws_.bucket_scan.cands;
       if (options.use_cache) {
-        CandidateSoA& pool = cache.pool();
+        std::vector<ExpansionCandidate>& pool = cache.pool();
         const size_t pool_offset = pool.size();
-        pool.Append(cands);
+        pool.insert(pool.end(), cands.begin(), cands.end());
         cache.Commit(src, m, pool_offset, outcome);
-        replay(pool.Span(pool_offset, cands.size()));
-      } else {
-        for (const ExpansionCandidate& cand : cands) {
-          if (cand.dist >= budget()) break;
-          consume_filtered(cand);
-        }
       }
+      replay(cands);
       return;
     }
 
@@ -701,7 +662,8 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
     // nothing is collected at all.
     TraceSpan retrieval_span(trace, TracePhase::kRetrieval);
     DijkstraRunStats run_stats;
-    CandidateSoA* out = options.use_cache ? &cache.pool() : nullptr;
+    std::vector<ExpansionCandidate>* out =
+        options.use_cache ? &cache.pool() : nullptr;
     const size_t pool_offset = options.use_cache ? cache.pool().size() : 0;
     ExpansionOutcome outcome;
     if (resume_backend) {
@@ -786,11 +748,9 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
     exp->resume_slots.hits = xc_after.resume_reuses - xc_before.resume_reuses;
     exp->resume_slots.misses =
         xc_after.resume_evictions - xc_before.resume_evictions;
-    exp->pruned_threshold = stats.cand_pruned_threshold;
-    exp->pruned_floor = stats.cand_pruned_floor;
-    exp->pruned_qb_dominance = stats.qb_dominance_pruned;
-    exp->simd_floor_skips = stats.cand_simd_skipped;
     exp->cand_pruned = stats.cand_pruned;
+    exp->pruned_qb_dominance = stats.qb_dominance_pruned;
+    exp->floor_skips = stats.cand_floor_skipped;
     exp->infeasible = stats.infeasible;
     exp->semantic_floor = stats.semantic_floor;
   }

@@ -1,19 +1,11 @@
-// Candidate streams in structure-of-arrays form, plus the vectorized block
-// scan the engine replays them with.
+// The candidate stream of one expansion and the prune-floor filter the
+// engine reads it through.
 //
-// An expansion search emits (vertex, dist, sim) triples; the on-the-fly
-// cache (§5.3.4) stores them per (source, position) and adversarial queries
-// replay the same streams tens of thousands of times. Replays touch `dist`
-// (budget break) and `sim` (decision memo key) for every candidate but
-// `vertex` only for the few survivors, so the pool keeps the three fields in
-// parallel flat arrays: a replay scans two dense double arrays at memory
-// bandwidth instead of striding through 24-byte records.
-//
-// ScanCandidateBlock4 evaluates one 4-lane block of a dist-sorted stream:
-// how many leading lanes are inside the Lemma 5.3 budget. The AVX2 / SSE2 /
-// scalar implementations perform the identical IEEE compares, so the block
-// break — and with it the deterministic work counters — never depends on
-// the ISA the binary was compiled for.
+// An expansion search emits (vertex, dist, sim) triples in non-decreasing
+// dist order; the on-the-fly cache (§5.3.4) keeps them per (source,
+// position) in one flat std::vector pool, and the engine replays a stream
+// with one scalar loop: stop at the first candidate at or beyond the
+// Lemma 5.3 budget, pass the rest through the floor filter below.
 //
 // PruneFloorTable holds the query-lifetime prune floors the engine skips
 // candidates with. The engine's consume() prune conditions for a candidate
@@ -34,15 +26,9 @@
 
 #include <bit>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "graph/types.h"
-#include "util/logging.h"
-
-#if defined(__AVX2__) || defined(__SSE2__)
-#include <immintrin.h>
-#endif
 
 namespace skysr {
 
@@ -52,93 +38,6 @@ struct ExpansionCandidate {
   Weight dist;
   double sim;
 };
-
-/// Borrowed view of one stream inside a CandidateSoA pool (non-decreasing
-/// dist order, as committed by the search that produced it).
-struct CandidateSpan {
-  const VertexId* vertex = nullptr;
-  const Weight* dist = nullptr;
-  const double* sim = nullptr;
-  uint32_t size = 0;
-};
-
-/// Append-only SoA pool of candidates; the storage behind MdijkstraCache.
-/// Mirrors the std::vector surface the stamped span table expects
-/// (size/clear/push_back) so it drops in as the table's pool type.
-class CandidateSoA {
- public:
-  size_t size() const { return dist_.size(); }
-  bool empty() const { return dist_.empty(); }
-  void clear() {
-    vertex_.clear();
-    dist_.clear();
-    sim_.clear();
-  }
-
-  void push_back(const ExpansionCandidate& c) {
-    vertex_.push_back(c.vertex);
-    dist_.push_back(c.dist);
-    sim_.push_back(c.sim);
-  }
-
-  void Append(std::span<const ExpansionCandidate> cands) {
-    vertex_.reserve(vertex_.size() + cands.size());
-    dist_.reserve(dist_.size() + cands.size());
-    sim_.reserve(sim_.size() + cands.size());
-    for (const ExpansionCandidate& c : cands) push_back(c);
-  }
-
-  ExpansionCandidate At(size_t i) const {
-    return ExpansionCandidate{vertex_[i], dist_[i], sim_[i]};
-  }
-
-  CandidateSpan Span(size_t offset, size_t count) const {
-    SKYSR_DCHECK(offset + count <= dist_.size());
-    return CandidateSpan{vertex_.data() + offset, dist_.data() + offset,
-                         sim_.data() + offset, static_cast<uint32_t>(count)};
-  }
-
-  int64_t MemoryBytes() const {
-    return static_cast<int64_t>(vertex_.capacity() * sizeof(VertexId) +
-                                dist_.capacity() * sizeof(Weight) +
-                                sim_.capacity() * sizeof(double));
-  }
-
- private:
-  std::vector<VertexId> vertex_;
-  std::vector<Weight> dist_;
-  std::vector<double> sim_;
-};
-
-/// Lanes per ScanCandidateBlock4 call. Fixed at 4 on every ISA so block
-/// boundaries — and therefore the deterministic work counters — never depend
-/// on the instruction set the binary was compiled for.
-inline constexpr uint32_t kCandidateBlock = 4;
-
-/// Counts the leading lanes of one 4-lane block of a dist-sorted stream
-/// that are inside the Lemma 5.3 budget. A count < 4 means the blocking
-/// lane's dist reached the budget; budgets only shrink, so the caller stops
-/// there.
-inline uint32_t ScanCandidateBlock4(const Weight* dist, Weight budget) {
-#if defined(__AVX2__)
-  const unsigned lt = static_cast<unsigned>(_mm256_movemask_pd(_mm256_cmp_pd(
-      _mm256_loadu_pd(dist), _mm256_set1_pd(budget), _CMP_LT_OQ)));
-  return static_cast<uint32_t>(std::countr_one(lt & 0xfu));
-#elif defined(__SSE2__)
-  const __m128d b = _mm_set1_pd(budget);
-  const unsigned lt =
-      static_cast<unsigned>(
-          _mm_movemask_pd(_mm_cmplt_pd(_mm_loadu_pd(dist), b))) |
-      (static_cast<unsigned>(
-           _mm_movemask_pd(_mm_cmplt_pd(_mm_loadu_pd(dist + 2), b)))
-       << 2);
-  return static_cast<uint32_t>(std::countr_one(lt & 0xfu));
-#else
-  uint32_t in_budget = 0;
-  while (in_budget < kCandidateBlock && dist[in_budget] < budget) ++in_budget;
-  return in_budget;
-#endif
-}
 
 /// Query-lifetime prune floors, direct-mapped on (position, accumulator
 /// bits, similarity bits). See the header comment for the exactness

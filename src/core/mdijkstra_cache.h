@@ -8,10 +8,9 @@
 //
 // Storage is allocation-free in steady state: a stamped span table (see
 // util/stamped_span_table.h) holds (offset, count) spans into one shared
-// candidate pool — no owning vector per entry, O(1) clear per query. The
-// pool is a CandidateSoA: vertex/dist/sim live in separate flat arrays so
-// replays can run the vectorized block scan of core/candidate_stream.h over
-// dense dist/sim columns.
+// candidate vector — no owning vector per entry, O(1) clear per query. A
+// hit hands the engine a span of that vector, which it replays with the one
+// scalar budget loop every candidate stream goes through.
 
 #ifndef SKYSR_CORE_MDIJKSTRA_CACHE_H_
 #define SKYSR_CORE_MDIJKSTRA_CACHE_H_
@@ -30,8 +29,7 @@ namespace skysr {
 /// Per-query memo of expansion searches. Entry metadata is the search's
 /// ExpansionOutcome: entry->meta.covered_radius / entry->meta.exhausted.
 class MdijkstraCache {
-  using Table =
-      StampedSpanTable<ExpansionCandidate, ExpansionOutcome, CandidateSoA>;
+  using Table = StampedSpanTable<ExpansionCandidate, ExpansionOutcome>;
 
  public:
   using Entry = Table::Entry;
@@ -41,31 +39,22 @@ class MdijkstraCache {
     return table_.Find(KeyOf(source, position));
   }
 
-  /// The candidates of a found entry, in non-decreasing distance order, as
-  /// an SoA view over the shared pool.
-  CandidateSpan CandidatesOf(const Entry& e) const {
-    return table_.pool().Span(e.offset, e.count);
+  /// The candidates of a found entry, in non-decreasing distance order: a
+  /// view into the shared pool, valid until the pool next grows.
+  std::span<const ExpansionCandidate> CandidatesOf(const Entry& e) const {
+    return table_.SpanOf(e);
   }
 
   /// The shared candidate pool. An expansion search appends its candidates
   /// here (remember the pool size beforehand), then Commit()s the span.
-  CandidateSoA& pool() { return table_.pool(); }
-  const CandidateSoA& pool() const { return table_.pool(); }
+  std::vector<ExpansionCandidate>& pool() { return table_.pool(); }
+  const std::vector<ExpansionCandidate>& pool() const { return table_.pool(); }
 
   /// Inserts or replaces the entry for (source, position), whose candidates
   /// are pool()[pool_offset..end).
   void Commit(VertexId source, int position, size_t pool_offset,
               const ExpansionOutcome& outcome) {
     table_.Commit(KeyOf(source, position), pool_offset, outcome);
-  }
-
-  /// Legacy owning-list insert, kept for tests and non-hot call sites:
-  /// appends the list's candidates to the pool and commits them.
-  void Put(VertexId source, int position, CandidateList&& list) {
-    const size_t offset = pool().size();
-    pool().Append(list.candidates);
-    Commit(source, position, offset,
-           ExpansionOutcome{list.covered_radius, list.exhausted});
   }
 
   void Clear() { table_.Clear(); }

@@ -7,13 +7,11 @@
 // distance order, streamed to a callback so that complete routes can tighten
 // the skyline threshold while the search is still running (the paper's
 // Algorithm 2 updates S inline), and optionally appended to a caller-owned
-// candidate vector — the storage behind the on-the-fly cache (§5.3.4).
+// std::vector<ExpansionCandidate> — the on-the-fly cache's pool (§5.3.4).
 //
 // RunExpansionInto is a template over both callbacks so the budget check and
 // candidate consumption inline into the Dijkstra loop (no type-erased call
-// per settled vertex). RunExpansion is the thin std::function wrapper kept
-// for call sites that need an ABI boundary (and for unit tests of the
-// wrapper itself); the engine's hot path uses the template directly.
+// per settled vertex).
 //
 // Lemma 5.5 soundness (see DESIGN.md): substituting the on-path blocker for
 // the candidate requires the blocker to be usable at this position — it must
@@ -27,7 +25,6 @@
 #ifndef SKYSR_CORE_MODIFIED_DIJKSTRA_H_
 #define SKYSR_CORE_MODIFIED_DIJKSTRA_H_
 
-#include <functional>
 #include <vector>
 
 #include "core/candidate_stream.h"
@@ -37,26 +34,6 @@
 #include "util/stamped_array.h"
 
 namespace skysr {
-
-// ExpansionCandidate (and the SoA pool replays scan) lives in
-// core/candidate_stream.h; included above so existing call sites keep
-// working unchanged.
-
-/// Result of one expansion search; also the cache value type of the legacy
-/// owning API.
-struct CandidateList {
-  std::vector<ExpansionCandidate> candidates;  // non-decreasing dist
-  /// Candidates with dist < covered_radius are complete; a later consumer
-  /// needing a larger radius must re-run the search.
-  Weight covered_radius = 0;
-  /// The whole reachable region was searched (covered_radius is unbounded).
-  bool exhausted = false;
-
-  int64_t MemoryBytes() const {
-    return static_cast<int64_t>(candidates.capacity() *
-                                sizeof(ExpansionCandidate));
-  }
-};
 
 /// Coverage metadata of one expansion search (the candidates themselves go
 /// to the caller's vector / callback).
@@ -85,8 +62,8 @@ struct ExpansionScratch {
 /// maximum useful distance (Lemma 5.3); it may shrink while the search runs
 /// as the consumer tightens the skyline. `on_candidate` is invoked for each
 /// emitted candidate in non-decreasing distance order. When `out` is
-/// non-null every emitted candidate is also appended to it (cache fill into
-/// the SoA pool); null skips collection entirely (cache-off ablations).
+/// non-null every emitted candidate is also appended to it (cache fill);
+/// null skips collection entirely (cache-off ablations).
 ///
 /// Both callbacks are taken by forwarding reference and invoked directly —
 /// a stateful budget functor passed as an lvalue keeps its memo across the
@@ -97,7 +74,7 @@ ExpansionOutcome RunExpansionInto(const Graph& g,
                                   VertexId source, BudgetFn&& budget_fn,
                                   bool apply_lemma55,
                                   ExpansionScratch& scratch,
-                                  CandidateSoA* out,
+                                  std::vector<ExpansionCandidate>* out,
                                   OnCandidate&& on_candidate,
                                   DijkstraRunStats* stats_out) {
   ExpansionOutcome outcome;
@@ -169,15 +146,6 @@ ExpansionOutcome RunExpansionInto(const Graph& g,
   if (stats_out != nullptr) *stats_out += stats;
   return outcome;
 }
-
-/// Type-erased wrapper returning an owning CandidateList. One std::function
-/// call per settle/candidate — use RunExpansionInto in hot paths.
-CandidateList RunExpansion(
-    const Graph& g, const PositionMatcher& matcher, VertexId source,
-    const std::function<Weight()>& budget_fn, bool apply_lemma55,
-    ExpansionScratch& scratch,
-    const std::function<void(const ExpansionCandidate&)>& on_candidate,
-    DijkstraRunStats* stats_out);
 
 }  // namespace skysr
 

@@ -31,8 +31,8 @@ std::string SearchStats::ToString() const {
       "elapsed=%.3fms%s%s%s skyline=%lld\n"
       "searches: runs=%lld cache_hits=%lld reruns=%lld "
       "settled=%lld relaxed=%lld weight_sum=%.4f first_weight_sum=%.4f\n"
-      "candidates: examined=%lld pruned=%lld (th=%lld floor=%lld) "
-      "dup_rejected=%lld simd_skipped=%lld\n"
+      "candidates: examined=%lld pruned=%lld dup_rejected=%lld "
+      "floor_skipped=%lld\n"
       "retrieval: bucket_runs=%lld resume_runs=%lld fwd_searches=%lld "
       "fwd_reuses=%lld bucket_cands=%lld\n"
       "nninit: %.3fms routes=%lld weight_sum=%.4f perfect_len=%.4f "
@@ -51,10 +51,8 @@ std::string SearchStats::ToString() const {
       static_cast<long long>(edges_relaxed), weight_sum,
       first_search_weight_sum, static_cast<long long>(cand_examined),
       static_cast<long long>(cand_pruned),
-      static_cast<long long>(cand_pruned_threshold),
-      static_cast<long long>(cand_pruned_floor),
       static_cast<long long>(cand_rejected),
-      static_cast<long long>(cand_simd_skipped),
+      static_cast<long long>(cand_floor_skipped),
       static_cast<long long>(retriever_bucket_runs),
       static_cast<long long>(retriever_resume_runs),
       static_cast<long long>(bucket_fwd_searches),

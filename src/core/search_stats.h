@@ -84,14 +84,9 @@ struct SearchStats {
   int64_t routes_enqueued = 0;
   int64_t cand_examined = 0;   // consume() invocations (replay + search)
   int64_t cand_rejected = 0;   // Definition 3.4(iii) duplicate-PoI rejects
-  int64_t cand_pruned = 0;     // partial-route candidates pruned pre-enqueue
-  // Attribution split of cand_pruned (DESIGN.md §9): threshold-comparison
-  // prunes (Lemma 5.3/5.8 length tests) vs memoized prune-floor
-  // short-circuits. Invariant: threshold + floor == cand_pruned.
-  int64_t cand_pruned_threshold = 0;
-  int64_t cand_pruned_floor = 0;
-  int64_t cand_simd_skipped = 0;  // replay candidates skipped by the
-                                  // hot-floor block scan, never consume()d
+  int64_t cand_pruned = 0;     // candidates pruned by a threshold test
+  int64_t cand_floor_skipped = 0;  // skipped by the prune-floor table,
+                                   // never consume()d
   int64_t qb_dominance_pruned = 0;  // routes dropped by the Q_b dominance
                                     // store (enqueue- and dequeue-time)
   int64_t routes_dequeued = 0;

@@ -57,11 +57,9 @@ std::string QueryExplain::ToTreeString() const {
           "│  └─ resume_slots: %" PRId64 " reuse / %" PRId64 " evict\n",
           resume_slots.hits, resume_slots.misses);
   Appendf(&out,
-          "└─ pruning: cand_pruned=%" PRId64 " = threshold %" PRId64
-          " + prune-floor %" PRId64 " (qb_dominance=%" PRId64
-          " simd_floor_skips=%" PRId64 ")\n",
-          cand_pruned, pruned_threshold, pruned_floor, pruned_qb_dominance,
-          simd_floor_skips);
+          "└─ pruning: cand_pruned=%" PRId64 " qb_dominance=%" PRId64
+          " floor_skips=%" PRId64 "\n",
+          cand_pruned, pruned_qb_dominance, floor_skips);
   return out;
 }
 
@@ -103,11 +101,9 @@ std::string QueryExplain::ToJson() const {
   layer("resume_slots", resume_slots, true);
   out += "},";
   Appendf(&out,
-          "\"pruning\":{\"cand_pruned\":%" PRId64 ",\"threshold\":%" PRId64
-          ",\"prune_floor\":%" PRId64 ",\"qb_dominance\":%" PRId64
-          ",\"simd_floor_skips\":%" PRId64 "}}",
-          cand_pruned, pruned_threshold, pruned_floor, pruned_qb_dominance,
-          simd_floor_skips);
+          "\"pruning\":{\"cand_pruned\":%" PRId64
+          ",\"qb_dominance\":%" PRId64 ",\"floor_skips\":%" PRId64 "}}",
+          cand_pruned, pruned_qb_dominance, floor_skips);
   return out;
 }
 

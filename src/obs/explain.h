@@ -3,8 +3,8 @@
 // explain records *which mechanism decided* to do (or skip) it: the
 // retriever cost model's inputs and verdict, which backend answered each
 // sequence position, what every cache layer contributed, how the pruned
-// candidates split across the three pruning layers (DESIGN.md §9 maps each
-// field to its paper mechanism).
+// candidates split across the pruning layers (DESIGN.md §9 maps each field
+// to its paper mechanism).
 //
 // Discipline matches the tracing subsystem (query_trace.h): explain is
 // off by default (`QueryOptions::explain`), costs one branch per
@@ -14,8 +14,7 @@
 // any decision.
 //
 // Rendering: ToTreeString() for humans (`skysr_cli query --explain`),
-// ToJson() for machines (parses with obs/mini_json.h; nightly publishes
-// EXPLAIN_scale.json). Attached to QueryResult as a shared_ptr so the
+// ToJson() for machines (nightly publishes EXPLAIN_scale.json). Attached to QueryResult as a shared_ptr so the
 // slow-query log shares the caller's instance.
 
 #ifndef SKYSR_OBS_EXPLAIN_H_
@@ -74,20 +73,17 @@ struct QueryExplain {
   ExplainCacheLayer result_cache;  // service result cache (service fills)
   ExplainCacheLayer resume_slots;  // resumable-slot reuses vs evictions
 
-  // --- Pruning attribution. threshold + prune_floor == cand_pruned
-  // exactly (the split of SearchStats::cand_pruned); qb_dominance and
-  // simd_floor_skips are the other two layers, counted separately because
-  // their candidates never reach the consume() decision. ---
-  int64_t pruned_threshold = 0;
-  int64_t pruned_floor = 0;
-  int64_t pruned_qb_dominance = 0;
-  int64_t simd_floor_skips = 0;
+  // --- Pruning attribution, one field per layer: threshold prunes
+  // (SearchStats::cand_pruned), Q_b dominance drops, and prune-floor skips
+  // (candidates that never reach the consume() decision). ---
   int64_t cand_pruned = 0;
+  int64_t pruned_qb_dominance = 0;
+  int64_t floor_skips = 0;
 
   /// Human-readable tree (skysr_cli query --explain).
   std::string ToTreeString() const;
 
-  /// JSON object, parseable by obs/mini_json.h.
+  /// One JSON object.
   std::string ToJson() const;
 };
 

@@ -166,7 +166,7 @@ ExpansionOutcome RetrieveResumable(const Graph& g,
                                    const PositionMatcher& matcher,
                                    ResumableSlot& slot, BudgetFn&& budget_fn,
                                    OnCandidate&& on_candidate,
-                                   CandidateSoA* out,
+                                   std::vector<ExpansionCandidate>* out,
                                    DijkstraRunStats* stats_out) {
   const auto emit = [&](VertexId v, Weight d, double sim) {
     const ExpansionCandidate cand{v, d, sim};

@@ -410,4 +410,28 @@ ScenarioSpec ScenarioSuiteSpec(int index, uint64_t master_seed) {
   return s;
 }
 
+ScenarioSpec HotpathScenarioSpec(GraphFamily family) {
+  ScenarioSpec spec;
+  spec.name = GraphFamilyName(family);
+  spec.graph.family = family;
+  spec.graph.target_vertices = 800;
+  spec.graph.extra_edge_fraction = 0.3;
+  spec.graph.weights = WeightModel::kEuclidean;
+  spec.taxonomy.num_trees = 4;
+  spec.taxonomy.max_fanout = 4;
+  spec.taxonomy.max_levels = 3;
+  spec.pois.num_pois = 160;
+  spec.pois.zipf_theta = 0.5;
+  spec.pois.multi_category_rate = 0.1;
+  spec.workload.num_queries = 24;
+  spec.workload.min_sequence = 1;
+  spec.workload.max_sequence = 4;
+  spec.workload.multi_any_rate = 0.15;
+  spec.workload.all_of_rate = 0.1;
+  spec.workload.none_of_rate = 0.1;
+  spec.workload.destination_rate = 0.25;
+  SeedScenarioSpec(&spec, /*master_seed=*/20260730 + static_cast<int>(family));
+  return spec;
+}
+
 }  // namespace skysr

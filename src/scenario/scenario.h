@@ -147,6 +147,12 @@ std::vector<Query> MakeScenarioQueries(const Dataset& dataset,
 /// are coprime). Instances are tiny enough for brute force.
 ScenarioSpec ScenarioSuiteSpec(int index, uint64_t master_seed);
 
+/// The hot-path mix of one graph family that bench_hotpath pins golden work
+/// counters on: 800 vertices, 160 PoIs, 24 queries of sequence sizes 1-4
+/// with complex predicates, destinations and multi-category PoIs, so every
+/// engine path is exercised.
+ScenarioSpec HotpathScenarioSpec(GraphFamily family);
+
 }  // namespace skysr
 
 #endif  // SKYSR_SCENARIO_SCENARIO_H_

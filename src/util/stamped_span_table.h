@@ -1,11 +1,12 @@
-// Open-addressing hash table whose values are (offset, count) spans into a
-// shared append-only pool, with O(1) whole-table clear via epoch stamping.
+// Open-addressing hash table whose values are (offset, count) spans into one
+// shared append-only std::vector pool, with O(1) whole-table clear via epoch
+// stamping.
 //
 // This is the storage shape behind the per-query caches of the BSSR hot
 // path (the §5.3.4 candidate cache, the Q_b dominance store): entries are
 // written once per key per round, read many times, and the whole structure
-// resets between rounds. Neither the table nor the pool shrinks on Clear(), so a
-// steady-state round allocates nothing. Replacing an entry orphans its old
+// resets between rounds. Neither the table nor the pool shrinks on Clear(),
+// so a steady-state round allocates nothing. Replacing an entry orphans its old
 // span until the next Clear(); orphaned bytes are bounded by the work that
 // produced them.
 
@@ -21,12 +22,7 @@
 namespace skysr {
 
 /// Record: the pooled element type. Meta: per-entry metadata stored inline.
-/// Pool: the append-only storage; any type with the vector-like subset
-/// size()/clear()/push_back(Record) works (e.g. CandidateSoA keeps the
-/// records as flat structure-of-arrays columns). SpanOf/MutableSpanOf are
-/// only available for contiguous vector pools; SoA pools expose their own
-/// views via pool().
-template <typename Record, typename Meta, typename Pool = std::vector<Record>>
+template <typename Record, typename Meta>
 class StampedSpanTable {
  public:
   struct Entry {
@@ -64,17 +60,16 @@ class StampedSpanTable {
     return {pool_.data() + e.offset, e.count};
   }
 
-  /// Mutable span view (vector pools only): lets a committed entry's records
-  /// be updated in place, e.g. dominance records strengthened by later
-  /// routes.
+  /// Mutable span view: lets a committed entry's records be updated in
+  /// place, e.g. dominance records strengthened by later routes.
   std::span<Record> MutableSpanOf(const Entry& e) {
     return {pool_.data() + e.offset, e.count};
   }
 
   /// The shared pool. A producer appends its records here (remember the
   /// pool size beforehand), then Commit()s the span.
-  Pool& pool() { return pool_; }
-  const Pool& pool() const { return pool_; }
+  std::vector<Record>& pool() { return pool_; }
+  const std::vector<Record>& pool() const { return pool_; }
 
   /// Inserts or replaces the entry for `key`, whose records are
   /// pool()[pool_offset..end).
@@ -109,14 +104,8 @@ class StampedSpanTable {
   int64_t replacements() const { return replacements_; }
 
   int64_t MemoryBytes() const {
-    int64_t pool_bytes;
-    if constexpr (requires(const Pool& p) { p.MemoryBytes(); }) {
-      pool_bytes = pool_.MemoryBytes();
-    } else {
-      pool_bytes = static_cast<int64_t>(pool_.capacity() * sizeof(Record));
-    }
-    return static_cast<int64_t>(slots_.capacity() * sizeof(Entry)) +
-           pool_bytes;
+    return static_cast<int64_t>(slots_.capacity() * sizeof(Entry) +
+                                pool_.capacity() * sizeof(Record));
   }
 
  private:
@@ -151,7 +140,7 @@ class StampedSpanTable {
   }
 
   std::vector<Entry> slots_;  // power-of-two size
-  Pool pool_;
+  std::vector<Record> pool_;
   uint32_t stamp_ = 1;
   size_t size_ = 0;
   int64_t replacements_ = 0;

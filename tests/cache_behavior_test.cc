@@ -142,9 +142,9 @@ TEST(ExpansionDynamics, ShrinkingBudgetStopsEarly) {
   // Budget starts at infinity and collapses to 2.5 after the 1st candidate
   // (as if a complete route had tightened the skyline threshold).
   Weight budget = kInfWeight;
-  const CandidateList list = RunExpansion(
+  const ExpansionOutcome outcome = RunExpansionInto(
       graph, matcher, 0, [&] { return budget; },
-      /*apply_lemma55=*/false, scratch,
+      /*apply_lemma55=*/false, scratch, /*out=*/nullptr,
       [&](const ExpansionCandidate&) {
         ++emitted;
         budget = 2.5;
@@ -152,9 +152,9 @@ TEST(ExpansionDynamics, ShrinkingBudgetStopsEarly) {
       nullptr);
   // Candidates at distance 1 and 2 fit under the tightened budget; 3+ don't.
   EXPECT_EQ(emitted, 2);
-  EXPECT_FALSE(list.exhausted);
-  EXPECT_LE(list.covered_radius, 3.0);
-  EXPECT_GE(list.covered_radius, 2.5);
+  EXPECT_FALSE(outcome.exhausted);
+  EXPECT_LE(outcome.covered_radius, 3.0);
+  EXPECT_GE(outcome.covered_radius, 2.5);
 }
 
 // Stress: a query whose positions all use the same ROOT category on a

@@ -170,17 +170,17 @@ TEST(ExpansionTest, EmitsSemanticMatchesInDistanceOrder) {
                           MultiCategoryMode::kMaxSimilarity);
   ExpansionScratch scratch;
   std::vector<ExpansionCandidate> seen;
-  const CandidateList list = RunExpansion(
+  const ExpansionOutcome outcome = RunExpansionInto(
       fx.graph, m, /*source=*/0, [] { return kInfWeight; },
-      /*apply_lemma55=*/false, scratch,
-      [&](const ExpansionCandidate& c) { seen.push_back(c); }, nullptr);
+      /*apply_lemma55=*/false, scratch, &seen,
+      [](const ExpansionCandidate&) {}, nullptr);
   ASSERT_EQ(seen.size(), 3u);  // Sushi, Italian, Asian all in Food tree
   EXPECT_EQ(seen[0].vertex, 1);
   EXPECT_EQ(seen[0].sim, 1.0);
   for (size_t i = 1; i < seen.size(); ++i) {
     EXPECT_GE(seen[i].dist, seen[i - 1].dist);
   }
-  EXPECT_TRUE(list.exhausted);
+  EXPECT_TRUE(outcome.exhausted);
 }
 
 TEST(ExpansionTest, Lemma55StopsAtPerfectMatchAndFiltersBlocked) {
@@ -191,10 +191,10 @@ TEST(ExpansionTest, Lemma55StopsAtPerfectMatchAndFiltersBlocked) {
                           MultiCategoryMode::kMaxSimilarity);
   ExpansionScratch scratch;
   std::vector<ExpansionCandidate> seen;
-  RunExpansion(
+  RunExpansionInto(
       fx.graph, m, /*source=*/0, [] { return kInfWeight; },
-      /*apply_lemma55=*/true, scratch,
-      [&](const ExpansionCandidate& c) { seen.push_back(c); }, nullptr);
+      /*apply_lemma55=*/true, scratch, &seen,
+      [](const ExpansionCandidate&) {}, nullptr);
   // The perfect Sushi at vertex 1 blocks everything beyond it (Lemma 5.5ii).
   ASSERT_EQ(seen.size(), 1u);
   EXPECT_EQ(seen[0].vertex, 1);
@@ -208,31 +208,31 @@ TEST(ExpansionTest, BudgetTerminatesSearch) {
                           MultiCategoryMode::kMaxSimilarity);
   ExpansionScratch scratch;
   std::vector<ExpansionCandidate> seen;
-  const CandidateList list = RunExpansion(
+  const ExpansionOutcome outcome = RunExpansionInto(
       fx.graph, m, /*source=*/0, [] { return 1.5; },
-      /*apply_lemma55=*/false, scratch,
-      [&](const ExpansionCandidate& c) { seen.push_back(c); }, nullptr);
+      /*apply_lemma55=*/false, scratch, &seen,
+      [](const ExpansionCandidate&) {}, nullptr);
   ASSERT_EQ(seen.size(), 1u);  // only vertex 1 at distance 1 < 1.5
-  EXPECT_FALSE(list.exhausted);
-  EXPECT_LE(list.covered_radius, 2.0);
-  EXPECT_GE(list.covered_radius, 1.5);
+  EXPECT_FALSE(outcome.exhausted);
+  EXPECT_LE(outcome.covered_radius, 2.0);
+  EXPECT_GE(outcome.covered_radius, 1.5);
 }
 
-TEST(CacheTest, PutFindReplaceAndClear) {
+TEST(CacheTest, CommitFindReplaceAndClear) {
   MdijkstraCache cache;
   EXPECT_EQ(cache.Find(3, 1), nullptr);
-  CandidateList l1;
-  l1.covered_radius = 5;
-  cache.Put(3, 1, std::move(l1));
+  cache.pool().push_back(ExpansionCandidate{7, 1.0, 0.5});
+  cache.Commit(3, 1, /*pool_offset=*/0, ExpansionOutcome{5, false});
   const MdijkstraCache::Entry* hit = cache.Find(3, 1);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->meta.covered_radius, 5);
+  ASSERT_EQ(cache.CandidatesOf(*hit).size(), 1u);
+  EXPECT_EQ(cache.CandidatesOf(*hit)[0].vertex, 7);
   EXPECT_EQ(cache.Find(3, 2), nullptr);
   EXPECT_EQ(cache.Find(4, 1), nullptr);
-  CandidateList l2;
-  l2.covered_radius = 9;
-  cache.Put(3, 1, std::move(l2));
+  cache.Commit(3, 1, cache.pool().size(), ExpansionOutcome{9, true});
   EXPECT_EQ(cache.Find(3, 1)->meta.covered_radius, 9);
+  EXPECT_TRUE(cache.CandidatesOf(*cache.Find(3, 1)).empty());
   EXPECT_EQ(cache.replacements(), 1);
   cache.Clear();
   EXPECT_EQ(cache.Find(3, 1), nullptr);
@@ -337,12 +337,11 @@ TEST(CacheTest, FlatTableMatchesMapReferenceModel) {
         if (hit != nullptr) {
           EXPECT_EQ(hit->meta.covered_radius, it->second.covered_radius);
           EXPECT_EQ(hit->meta.exhausted, it->second.exhausted);
-          const CandidateSpan got = cache.CandidatesOf(*hit);
-          ASSERT_EQ(static_cast<size_t>(got.size),
-                    it->second.candidates.size());
-          for (size_t i = 0; i < it->second.candidates.size(); ++i) {
-            EXPECT_EQ(got.vertex[i], it->second.candidates[i].vertex);
-            EXPECT_EQ(got.dist[i], it->second.candidates[i].dist);
+          const auto got = cache.CandidatesOf(*hit);
+          ASSERT_EQ(got.size(), it->second.candidates.size());
+          for (size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i].vertex, it->second.candidates[i].vertex);
+            EXPECT_EQ(got[i].dist, it->second.candidates[i].dist);
           }
         }
       } else {

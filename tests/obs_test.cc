@@ -22,7 +22,6 @@
 
 #include "core/bssr_engine.h"
 #include "index/ch_oracle.h"
-#include "obs/mini_json.h"
 #include "obs/query_trace.h"
 #include "obs/trace_export.h"
 #include "retrieval/category_buckets.h"
@@ -31,6 +30,7 @@
 #include "service/query_service.h"
 #include "service/service_metrics.h"
 #include "service/slow_query_log.h"
+#include "tests/support/mini_json.h"
 #include "tests/test_util.h"
 #include "workload/dataset.h"
 #include "workload/query_gen.h"

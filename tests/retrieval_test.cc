@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -238,12 +239,12 @@ TEST(ResumableRetrieverTest, GrowingBudgetsMatchFreshSearches) {
     // Fresh search at the same budget.
     std::vector<Emitted> ref;
     ExpansionScratch scratch;
-    (void)RunExpansion(g, matcher, src, [budget] { return budget; },
-                       /*apply_lemma55=*/false, scratch,
-                       [&](const ExpansionCandidate& c) {
-                         ref.push_back(Emitted{c.vertex, c.dist, c.sim});
-                       },
-                       nullptr);
+    (void)RunExpansionInto(g, matcher, src, [budget] { return budget; },
+                           /*apply_lemma55=*/false, scratch, /*out=*/nullptr,
+                           [&](const ExpansionCandidate& c) {
+                             ref.push_back(Emitted{c.vertex, c.dist, c.sim});
+                           },
+                           nullptr);
     ExpectSameStream(got, ref, "resume growing budget");
     // The slot never re-settles its prefix: total settles stay bounded by
     // the log length.
@@ -289,6 +290,56 @@ TEST(RetrievalEngineTest, BitIdenticalAcrossRetrieverKinds) {
           EXPECT_EQ(got->routes[r].pois, ref->routes[r].pois)
               << RetrieverKindName(kind) << " route " << r;
         }
+      }
+    }
+  }
+}
+
+// The backend only decides where a candidate stream comes from: a graph
+// search, a resumable slot, a bucket scan or a cache hit. Every stream is
+// replayed through the same budget loop and prune-floor filter, so on the
+// hot-path golden mixes each query must make the same decisions under
+// every backend — not only the same skyline but the same candidate
+// counters. Engines are detached (no SharedQueryCache attached).
+TEST(RetrievalEngineTest, DecisionCountersIndependentOfBackend) {
+  for (const GraphFamily family : {GraphFamily::kGrid, GraphFamily::kCluster,
+                                   GraphFamily::kSmallWorld}) {
+    const Scenario sc = MakeScenario(HotpathScenarioSpec(family));
+    const Graph& g = sc.dataset.graph;
+    const ChOracle ch = ChOracle::Build(g);
+    const CategoryBucketIndex buckets = CategoryBucketIndex::Build(g, ch);
+    BssrEngine settle(g, sc.dataset.forest, &ch, &buckets);
+    BssrEngine bucket(g, sc.dataset.forest, &ch, &buckets);
+    BssrEngine automatic(g, sc.dataset.forest, &ch, &buckets);
+    for (size_t i = 0; i < sc.queries.size(); ++i) {
+      QueryOptions ref_opts;
+      ref_opts.retriever = RetrieverKind::kSettle;
+      const auto ref = settle.Run(sc.queries[i], ref_opts);
+      ASSERT_TRUE(ref.ok());
+      for (const auto& [engine, kind] :
+           {std::pair{&bucket, RetrieverKind::kBucket},
+            std::pair{&automatic, RetrieverKind::kAuto}}) {
+        QueryOptions opts;
+        opts.retriever = kind;
+        const auto got = engine->Run(sc.queries[i], opts);
+        ASSERT_TRUE(got.ok());
+        const std::string where = sc.spec.name + " query " +
+                                  std::to_string(i) + " " +
+                                  RetrieverKindName(kind);
+        ASSERT_EQ(got->routes.size(), ref->routes.size()) << where;
+        for (size_t r = 0; r < ref->routes.size(); ++r) {
+          EXPECT_EQ(got->routes[r].scores.length,
+                    ref->routes[r].scores.length) << where;
+          EXPECT_EQ(got->routes[r].scores.semantic,
+                    ref->routes[r].scores.semantic) << where;
+          EXPECT_EQ(got->routes[r].pois, ref->routes[r].pois) << where;
+        }
+        const SearchStats& a = got->stats;
+        const SearchStats& b = ref->stats;
+        EXPECT_EQ(a.cand_examined, b.cand_examined) << where;
+        EXPECT_EQ(a.cand_pruned, b.cand_pruned) << where;
+        EXPECT_EQ(a.cand_floor_skipped, b.cand_floor_skipped) << where;
+        EXPECT_EQ(a.routes_enqueued, b.routes_enqueued) << where;
       }
     }
   }

@@ -1,4 +1,4 @@
-#include "obs/mini_json.h"
+#include "tests/support/mini_json.h"
 
 #include <cctype>
 #include <cstdlib>

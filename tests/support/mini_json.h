@@ -1,10 +1,11 @@
-// A minimal recursive-descent JSON reader for the observability outputs
-// (tests parse the explain JSON and trace exports). Full JSON value model,
-// no external dependencies, no streaming — files here are kilobytes. Not
-// for untrusted input beyond what the depth cap guards.
+// A minimal recursive-descent JSON reader for the tests of the observability
+// outputs (explain JSON, trace exports); linked only into obs_test and
+// explain_test. Full JSON value model, no external dependencies, no
+// streaming — files here are kilobytes. Not for untrusted input beyond what
+// the depth cap guards.
 
-#ifndef SKYSR_OBS_MINI_JSON_H_
-#define SKYSR_OBS_MINI_JSON_H_
+#ifndef SKYSR_TESTS_SUPPORT_MINI_JSON_H_
+#define SKYSR_TESTS_SUPPORT_MINI_JSON_H_
 
 #include <string>
 #include <string_view>
@@ -54,4 +55,4 @@ Result<JsonValue> ParseJson(std::string_view text);
 
 }  // namespace skysr
 
-#endif  // SKYSR_OBS_MINI_JSON_H_
+#endif  // SKYSR_TESTS_SUPPORT_MINI_JSON_H_
