@@ -13,10 +13,12 @@
 namespace skysr {
 namespace {
 
-// Witness-search settle caps. The cheap cap serves the lazy priority
-// recomputations (run once per queue pop, so they dominate build time),
-// the thorough cap the actual contraction; hitting a cap conservatively
-// adds the shortcut, which costs space but never correctness.
+// Witness-search settle caps. The cheap cap serves the priority
+// simulations (one per vertex up front plus one per queue pop); on the
+// 26k-vertex Tokyo-like city they run 66k times and take about two thirds
+// of the build, the contractions with the thorough cap the rest. Hitting a
+// cap conservatively adds the shortcut, which costs space but never
+// correctness.
 constexpr int kSimWitnessCap = 64;
 constexpr int kContractWitnessCap = 800;
 
@@ -151,29 +153,69 @@ ChOracle ChOracle::Build(const Graph& g) {
   std::vector<int32_t> level(static_cast<size_t>(n), 0);
 
   // Bounded witness Dijkstra from `u` over the remaining graph, skipping
-  // `avoid`. Tentative (unsettled) distances are genuine path lengths, so
-  // callers may read ws_dist for any vertex afterwards.
+  // `avoid`, deciding for every target w (a live out-neighbor of `avoid`
+  // other than u, with candidate length cand = c(u,avoid) + c(avoid,w))
+  // whether a path of length <= cand avoids `avoid`. A target is witnessed
+  // as soon as a relaxation gives it a tentative distance <= cand — that
+  // distance is a real path length and later relaxations only shorten it —
+  // and needs a shortcut once it settles above cand or the search ends
+  // without witnessing it. The search stops when every target is decided;
+  // its limit is the largest undecided candidate, and relaxations past the
+  // limit are not pushed. The heap order is total (distance, vertex), so
+  // each cut drops only a suffix of the settle sequence the unpruned search
+  // to the largest candidate would run, a suffix that cannot change any
+  // verdict; settle-cap outcomes, and with them the hierarchy, are those of
+  // the unpruned search.
+  struct WitnessTarget {
+    VertexId to;
+    Weight cand;
+    bool witnessed;
+    bool decided;
+  };
+  std::vector<WitnessTarget> targets;
+  std::vector<int32_t> target_of(static_cast<size_t>(n), -1);
   DijkstraWorkspace wws;
   DaryHeap<UpItem> wheap;
-  const auto witness_search = [&](VertexId u, VertexId avoid, Weight limit,
-                                  int cap) {
+  const auto witness_search = [&](VertexId u, VertexId avoid, int cap) {
+    int64_t undecided = static_cast<int64_t>(targets.size());
+    Weight limit = -1;
+    for (const WitnessTarget& t : targets) limit = std::max(limit, t.cand);
+    const auto decide = [&](WitnessTarget& t, bool witnessed) {
+      t.witnessed = witnessed;
+      t.decided = true;
+      --undecided;
+      if (t.cand < limit) return;
+      limit = -1;
+      for (const WitnessTarget& o : targets) {
+        if (!o.decided) limit = std::max(limit, o.cand);
+      }
+    };
     wws.Prepare(n);
     wheap.clear();
     wws.SetDist(u, 0, kInvalidVertex);
     wheap.push(UpItem{0, u});
     int settles = 0;
-    while (!wheap.empty()) {
+    while (undecided > 0 && !wheap.empty()) {
       const UpItem item = wheap.pop();
       if (wws.Settled(item.vertex)) continue;
       if (item.dist > limit || ++settles > cap) break;
       wws.MarkSettled(item.vertex);
       ++ch.build_stats_.witness_settled;
+      const int32_t ti = target_of[static_cast<size_t>(item.vertex)];
+      if (ti >= 0 && !targets[static_cast<size_t>(ti)].decided &&
+          item.dist > targets[static_cast<size_t>(ti)].cand) {
+        decide(targets[static_cast<size_t>(ti)], /*witnessed=*/false);
+      }
       for (const BuildEdge& e : out[static_cast<size_t>(item.vertex)]) {
         if (e.to == avoid || contracted[static_cast<size_t>(e.to)]) continue;
         const Weight nd = item.dist + e.weight;
-        if (nd < wws.Dist(e.to)) {
-          wws.SetDist(e.to, nd, item.vertex);
-          wheap.push(UpItem{nd, e.to});
+        if (nd > limit || !(nd < wws.Dist(e.to))) continue;
+        wws.SetDist(e.to, nd, item.vertex);
+        wheap.push(UpItem{nd, e.to});
+        const int32_t wi = target_of[static_cast<size_t>(e.to)];
+        if (wi >= 0 && !targets[static_cast<size_t>(wi)].decided &&
+            nd <= targets[static_cast<size_t>(wi)].cand) {
+          decide(targets[static_cast<size_t>(wi)], /*witnessed=*/true);
         }
       }
     }
@@ -203,23 +245,25 @@ ChOracle ChOracle::Build(const Graph& g) {
       if (contracted[static_cast<size_t>(ie.to)]) continue;
       ++removed;
       const VertexId u = ie.to;
-      Weight max_cand = -1;
+      targets.clear();
       for (const BuildEdge& oe : vout) {
         if (oe.to == u || contracted[static_cast<size_t>(oe.to)]) continue;
-        max_cand = std::max(max_cand, ie.weight + oe.weight);
+        target_of[static_cast<size_t>(oe.to)] =
+            static_cast<int32_t>(targets.size());
+        targets.push_back(
+            WitnessTarget{oe.to, ie.weight + oe.weight, false, false});
       }
-      if (max_cand < 0) continue;
-      witness_search(u, v, max_cand, cap);
-      for (const BuildEdge& oe : vout) {
-        if (oe.to == u || contracted[static_cast<size_t>(oe.to)]) continue;
-        const Weight cand = ie.weight + oe.weight;
-        if (wws.Dist(oe.to) <= cand) continue;  // witness path suffices
+      if (targets.empty()) continue;
+      witness_search(u, v, cap);
+      for (const WitnessTarget& t : targets) {
+        target_of[static_cast<size_t>(t.to)] = -1;
+        if (t.witnessed) continue;  // witness path suffices
         ++shortcuts;
         if (apply) {
           const bool changed = AddOrImprove(&out[static_cast<size_t>(u)],
-                                            BuildEdge{oe.to, cand, v});
-          AddOrImprove(&in[static_cast<size_t>(oe.to)],
-                       BuildEdge{u, cand, v});
+                                            BuildEdge{t.to, t.cand, v});
+          AddOrImprove(&in[static_cast<size_t>(t.to)],
+                       BuildEdge{u, t.cand, v});
           if (changed) ++ch.num_shortcuts_;
         }
       }

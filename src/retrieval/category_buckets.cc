@@ -2,12 +2,31 @@
 
 #include <algorithm>
 #include <cmath>
+#include <condition_variable>
+#include <exception>
+#include <mutex>
+#include <thread>
 
 #include "index/distance_oracle.h"
 #include "util/binary_io.h"
 #include "util/timer.h"
 
 namespace skysr {
+namespace {
+
+// PoIs per block of the build's backward searches. An index with fewer
+// PoIs than one block is built on the calling thread alone.
+constexpr int64_t kPoiBlock = 256;
+
+/// One block's backward searches: the PoIs' vertex-sorted settle lists back
+/// to back, with each PoI's end offset.
+struct SettleBlock {
+  std::vector<PoiBucketSettle> settles;
+  std::vector<size_t> ends;
+  bool ready = false;  // guarded by the build's mutex
+};
+
+}  // namespace
 
 void CategoryBucketIndex::BuildDerived() {
   // Per-vertex entry CSR: the per-PoI settle lists inverted, so a forward
@@ -105,46 +124,146 @@ void CategoryBucketIndex::BuildCategoryTables() {
   }
 }
 
+void CategoryBucketIndex::BuildSettles() {
+  const Graph& g = *g_;
+  const ChOracle& ch = *ch_;
+  const int64_t num_pois = g.num_pois();
+  // Workers run the searches block by block into a ring of one slot per
+  // worker, and this thread appends the blocks in PoI order (it runs blocks
+  // itself while the next one to append is unfinished). A worker claims
+  // block b only once block b - workers is appended, so at most `workers`
+  // blocks are buffered beside the growing table. The slots are sized
+  // here, on the calling thread, for 1.5 times the oracle's mean search
+  // size: a block rarely outgrows them, so the workers allocate almost
+  // nothing that would stay resident in their own malloc arenas after the
+  // build.
+  const int64_t num_blocks = (num_pois + kPoiBlock - 1) / kPoiBlock;
+  const int64_t workers = std::clamp<int64_t>(
+      std::thread::hardware_concurrency(), 1, std::max<int64_t>(num_blocks, 1));
+  std::vector<SettleBlock> slots(static_cast<size_t>(workers));
+  for (SettleBlock& slot : slots) {
+    slot.settles.reserve(
+        static_cast<size_t>(3 * kPoiBlock * ch.ApproxSearchSettles() / 2));
+    slot.ends.reserve(static_cast<size_t>(kPoiBlock));
+  }
+  std::mutex mu;
+  std::condition_variable cv;
+  int64_t next_block = 0;  // next block to claim
+  int64_t appended = 0;    // blocks appended to the index
+  std::exception_ptr error;
+
+  // Runs the backward searches of block b into its slot.
+  const auto search_block = [&](int64_t b, OracleWorkspace& ws,
+                                std::vector<std::pair<VertexId, Weight>>&
+                                    settled) {
+    SettleBlock& slot = slots[static_cast<size_t>(b % workers)];
+    slot.settles.clear();
+    slot.ends.clear();
+    const auto end =
+        static_cast<PoiId>(std::min(num_pois, (b + 1) * kPoiBlock));
+    for (PoiId p = static_cast<PoiId>(b * kPoiBlock); p < end; ++p) {
+      settled.clear();
+      ch.BackwardUpwardSearch(g.VertexOfPoi(p), ws, &settled);
+      const size_t begin = slot.settles.size();
+      for (const auto& [v, d] : settled) {
+        slot.settles.push_back(
+            PoiBucketSettle{d, v, ws.bwd.Parent(v), ws.bwd_edge.Get(v), 0});
+      }
+      std::sort(slot.settles.begin() + static_cast<std::ptrdiff_t>(begin),
+                slot.settles.end(),
+                [](const PoiBucketSettle& x, const PoiBucketSettle& y) {
+                  return x.vertex < y.vertex;
+                });
+      slot.ends.push_back(slot.settles.size());
+    }
+  };
+  // True when some block is unclaimed and its slot is free (mu held).
+  const auto claimable = [&] {
+    return next_block < std::min(num_blocks, appended + workers);
+  };
+  const auto worker = [&] {
+    OracleWorkspace ws;
+    std::vector<std::pair<VertexId, Weight>> settled;
+    std::unique_lock<std::mutex> lock(mu);
+    while (true) {
+      cv.wait(lock, [&] {
+        return error || next_block >= num_blocks || claimable();
+      });
+      if (error || next_block >= num_blocks) return;
+      const int64_t b = next_block++;
+      lock.unlock();
+      try {
+        search_block(b, ws, settled);
+      } catch (...) {
+        lock.lock();
+        if (!error) error = std::current_exception();
+        cv.notify_all();
+        return;
+      }
+      lock.lock();
+      slots[static_cast<size_t>(b % workers)].ready = true;
+      cv.notify_all();
+    }
+  };
+
+  std::vector<std::thread> threads;
+  poi_offsets_.assign(static_cast<size_t>(num_pois) + 1, 0);
+  try {
+    for (int64_t t = 1; t < workers; ++t) threads.emplace_back(worker);
+    OracleWorkspace ws;
+    std::vector<std::pair<VertexId, Weight>> settled;
+    std::unique_lock<std::mutex> lock(mu);
+    for (int64_t b = 0; b < num_blocks && !error; ++b) {
+      SettleBlock& slot = slots[static_cast<size_t>(b % workers)];
+      while (true) {
+        cv.wait(lock, [&] { return slot.ready || error || claimable(); });
+        if (slot.ready || error) break;
+        const int64_t c = next_block++;
+        lock.unlock();
+        search_block(c, ws, settled);
+        lock.lock();
+        slots[static_cast<size_t>(c % workers)].ready = true;
+      }
+      if (error) break;
+      lock.unlock();
+      // Appended PoI by PoI, so the table's capacity (and MemoryBytes())
+      // grows the same whatever the worker count.
+      PoiId p = static_cast<PoiId>(b * kPoiBlock);
+      size_t begin = 0;
+      for (const size_t end : slot.ends) {
+        settles_.insert(
+            settles_.end(),
+            slot.settles.begin() + static_cast<std::ptrdiff_t>(begin),
+            slot.settles.begin() + static_cast<std::ptrdiff_t>(end));
+        poi_offsets_[static_cast<size_t>(p) + 1] =
+            static_cast<int64_t>(settles_.size());
+        ++build_stats_.backward_searches;
+        ++p;
+        begin = end;
+      }
+      lock.lock();
+      slot.ready = false;
+      appended = b + 1;
+      cv.notify_all();
+    }
+  } catch (...) {
+    std::lock_guard<std::mutex> lock(mu);
+    if (!error) error = std::current_exception();
+    cv.notify_all();
+  }
+  for (std::thread& t : threads) t.join();
+  if (error) std::rethrow_exception(error);
+}
+
 CategoryBucketIndex CategoryBucketIndex::Build(const Graph& g,
                                                const ChOracle& ch) {
   SKYSR_CHECK_MSG(&ch.graph() == &g,
                   "bucket index must be built over the oracle's own graph");
   WallTimer timer;
   CategoryBucketIndex index(g, ch);
-  const int64_t num_pois = g.num_pois();
-
   index.BuildCategoryTables();
-
-  // One backward upward search per PoI; the vertex-sorted settle list
-  // (with tree links) becomes the PoI's bucket. The vertex-major entry CSR
-  // and the edge unpack pools are derived afterwards.
-  OracleWorkspace ws;
-  std::vector<std::pair<VertexId, Weight>> settled;
-  std::vector<PoiBucketSettle> poi_settles;
-  index.poi_offsets_.assign(static_cast<size_t>(num_pois) + 1, 0);
-  for (PoiId p = 0; p < num_pois; ++p) {
-    settled.clear();
-    ch.BackwardUpwardSearch(g.VertexOfPoi(p), ws, &settled);
-    ++index.build_stats_.backward_searches;
-    poi_settles.clear();
-    poi_settles.reserve(settled.size());
-    for (const auto& [v, d] : settled) {
-      poi_settles.push_back(
-          PoiBucketSettle{d, v, ws.bwd.Parent(v), ws.bwd_edge.Get(v), 0});
-    }
-    std::sort(poi_settles.begin(), poi_settles.end(),
-              [](const PoiBucketSettle& a, const PoiBucketSettle& b) {
-                return a.vertex < b.vertex;
-              });
-    index.poi_offsets_[static_cast<size_t>(p) + 1] =
-        index.poi_offsets_[static_cast<size_t>(p)] +
-        static_cast<int64_t>(poi_settles.size());
-    index.settles_.insert(index.settles_.end(), poi_settles.begin(),
-                          poi_settles.end());
-  }
-
+  index.BuildSettles();
   index.BuildDerived();
-
   index.build_stats_.settles_stored =
       static_cast<int64_t>(index.settles_.size());
   index.build_stats_.build_ms = timer.ElapsedMillis();

@@ -16,6 +16,16 @@
 //     vertex + relaxing backward-CSR edge), powering the exact-distance
 //     walks and the explicit-candidate path NNinit uses.
 //
+// Build: the per-PoI searches are independent, so they run on
+// std::thread::hardware_concurrency() workers (the calling thread among
+// them), each with its own OracleWorkspace. Workers take fixed blocks of
+// consecutive PoIs, and the calling thread appends the finished blocks in
+// PoI order, so the tables are byte-identical to a one-thread build. At
+// most one block per worker is buffered, which keeps the buffered settles
+// far below the table itself. An index with fewer PoIs than one block
+// starts no thread. A worker's exception is rethrown to the caller after
+// every worker is joined.
+//
 // Additionally every upward CSR edge's unpacked original-weight sequence is
 // precomputed into pools (an edge's unpack is fixed at build time), so
 // query-time re-summing folds stored spans instead of recursing through
@@ -81,9 +91,9 @@ class CategoryBucketIndex {
     int64_t settles_stored = 0;
   };
 
-  /// Runs one backward upward search per PoI, freezes the tables and
-  /// unpacks every upward edge. The graph and oracle must outlive the
-  /// index.
+  /// Runs one backward upward search per PoI (on the build workers, see
+  /// the file comment), freezes the tables and unpacks every upward edge.
+  /// The graph and oracle must outlive the index.
   static CategoryBucketIndex Build(const Graph& g, const ChOracle& ch);
 
   const Graph& graph() const { return *g_; }
@@ -166,6 +176,12 @@ class CategoryBucketIndex {
   /// Fills the category tables (categories_, cat_slot_, cat_poi_offsets_,
   /// cat_pois_) from the graph's PoI assignment.
   void BuildCategoryTables();
+
+  /// Runs one backward upward search per PoI and stores its vertex-sorted
+  /// settle list with tree links (poi_offsets_, settles_) — the build's
+  /// worker phase (see the file comment). All its buffers are freed before
+  /// BuildDerived allocates.
+  void BuildSettles();
 
   /// Builds the derived structures not worth persisting: the per-vertex
   /// entry CSR (an inversion of the per-PoI settle lists) and the per-edge

@@ -93,8 +93,9 @@ struct DiffReport {
   int instances_checked = 0;  // (graph, taxonomy, query) triples
   int64_t engine_runs = 0;    // BssrEngine::Run invocations
   int64_t baseline_runs = 0;  // brute-force + naive invocations
-  /// SplitMix digest over every verified skyline's score bits, in suite
-  /// order; equal seeds must yield equal digests (determinism proof).
+  /// SplitMix digest over every brute-force skyline's score bits, in suite
+  /// order; equal seeds must yield equal digests (determinism proof). It
+  /// mixes no engine output: engine runs are checked by the comparisons.
   uint64_t result_digest = 0;
   /// Queries the feasibility gate (core/feasibility.h) short-circuited, by
   /// InfeasibleReason (index = enum value; kNone stays 0). Every engine run

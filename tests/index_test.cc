@@ -1,12 +1,14 @@
 // Distance-oracle index layer tests (tier1): randomized CH correctness
 // against plain Dijkstra over all three scenario graph families, the
-// bit-equality contract of distance_oracle.h, index save/load round-trips,
-// the graph-checksum mismatch guard, and index-backed engine / service /
-// OSR-baseline integration. The bucket-table distances the engine reads are
-// checked in retrieval_test.
+// bit-equality contract of distance_oracle.h, pinned CH and bucket-table
+// bytes, index save/load round-trips, the graph-checksum mismatch guard,
+// and index-backed engine / service / OSR-baseline integration. The
+// bucket-table distances the engine reads are checked in retrieval_test.
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <string>
@@ -20,11 +22,13 @@
 #include "graph/graph_builder.h"
 #include "index/ch_oracle.h"
 #include "index/index_io.h"
+#include "retrieval/bucket_io.h"
 #include "retrieval/category_buckets.h"
 #include "scenario/diff_check.h"
 #include "scenario/scenario.h"
 #include "service/query_service.h"
 #include "util/rng.h"
+#include "workload/dataset.h"
 
 namespace skysr {
 namespace {
@@ -114,6 +118,70 @@ TEST(ChOracleTest, DisconnectedAndDirectedGraphs) {
           << "directed CH " << s << "->" << t;
     }
   }
+}
+
+/// The bytes SaveBucketIndex writes for `buckets`.
+std::string BucketFileBytes(const CategoryBucketIndex& buckets,
+                            const std::string& name) {
+  const std::string path = ::testing::TempDir() + "/" + name + ".cbkt";
+  EXPECT_TRUE(SaveBucketIndex(buckets, path).ok());
+  std::ifstream in(path, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  std::remove(path.c_str());
+  return bytes;
+}
+
+/// FNV-1a over a byte string.
+uint64_t Fnv1a(const std::string& bytes) {
+  uint64_t h = 0xCBF29CE484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001B3ULL;
+  }
+  return h;
+}
+
+// The index builds are pinned byte for byte: the CH structure checksum and
+// the saved bucket tables of fixed graphs must never drift. Build-time
+// savings (witness-search cuts, bucket-build workers) may only change how
+// fast these bytes are produced. The 0.01-scale city has 1,744 PoIs, enough
+// for the bucket build to run on several workers, and two builds must write
+// the same bytes.
+TEST(IndexBytesTest, ChAndBucketBytesArePinned) {
+  struct Pin {
+    const char* name;
+    uint64_t ch;
+    uint64_t buckets;
+  };
+  const Pin hotpath[] = {
+      {"grid", 0xae3b80fa30612d8dULL, 0xc34333568595fc39ULL},
+      {"cluster", 0xcb66ba680d9e4736ULL, 0x22cf3df969a02a8aULL},
+      {"smallworld", 0x5a8dbf76a70eef86ULL, 0xf845c7e2817ed329ULL}};
+  const GraphFamily families[] = {GraphFamily::kGrid, GraphFamily::kCluster,
+                                  GraphFamily::kSmallWorld};
+  for (int i = 0; i < 3; ++i) {
+    const Scenario sc = MakeScenario(HotpathScenarioSpec(families[i]));
+    const ChOracle ch = ChOracle::Build(sc.dataset.graph);
+    EXPECT_EQ(ch.StructureChecksum(), hotpath[i].ch) << hotpath[i].name;
+    const CategoryBucketIndex buckets =
+        CategoryBucketIndex::Build(sc.dataset.graph, ch);
+    EXPECT_EQ(Fnv1a(BucketFileBytes(buckets, hotpath[i].name)),
+              hotpath[i].buckets)
+        << hotpath[i].name;
+  }
+
+  const Dataset city = MakeDataset(TokyoLikeSpec(0.01));
+  ASSERT_EQ(city.graph.num_pois(), 1744);
+  const ChOracle ch = ChOracle::Build(city.graph);
+  EXPECT_EQ(ch.StructureChecksum(), 0x3437513b3a0b516cULL);
+  const std::string first =
+      BucketFileBytes(CategoryBucketIndex::Build(city.graph, ch), "city");
+  EXPECT_EQ(Fnv1a(first), 0x84abf76074db0d81ULL);
+  EXPECT_TRUE(first ==
+              BucketFileBytes(CategoryBucketIndex::Build(city.graph, ch),
+                              "city"))
+      << "two bucket builds of one city wrote different bytes";
 }
 
 TEST(IndexIoTest, SaveLoadRoundTripsChOracle) {
