@@ -81,7 +81,6 @@ std::string GoldenRowText(const Scenario& sc, const BenchConfig& config) {
     sum.mdijkstra_cache_hits += s.mdijkstra_cache_hits;
     sum.cand_examined += s.cand_examined;
     sum.cand_floor_skipped += s.cand_floor_skipped;
-    sum.qb_dominance_pruned += s.qb_dominance_pruned;
     sum.skyline_size += s.skyline_size;
     sum.retriever_bucket_runs += s.retriever_bucket_runs;
     sum.retriever_resume_runs += s.retriever_resume_runs;
@@ -93,8 +92,7 @@ std::string GoldenRowText(const Scenario& sc, const BenchConfig& config) {
   std::snprintf(buf, sizeof(buf),
                 "%s/%s queries=%lld settled=%lld relaxed=%lld "
                 "enqueued=%lld dequeued=%lld runs=%lld cache_hits=%lld "
-                "cand_examined=%lld floor_skipped=%lld "
-                "dom_pruned=%lld skyline=%lld "
+                "cand_examined=%lld floor_skipped=%lld skyline=%lld "
                 "bucket_runs=%lld resume_runs=%lld fwd_searches=%lld "
                 "fwd_reuses=%lld bucket_cands=%lld\n",
                 sc.spec.name.c_str(), config.label,
@@ -107,7 +105,6 @@ std::string GoldenRowText(const Scenario& sc, const BenchConfig& config) {
                 static_cast<long long>(sum.mdijkstra_cache_hits),
                 static_cast<long long>(sum.cand_examined),
                 static_cast<long long>(sum.cand_floor_skipped),
-                static_cast<long long>(sum.qb_dominance_pruned),
                 static_cast<long long>(sum.skyline_size),
                 static_cast<long long>(sum.retriever_bucket_runs),
                 static_cast<long long>(sum.retriever_resume_runs),
@@ -121,7 +118,7 @@ std::string GoldenRowText(const Scenario& sc, const BenchConfig& config) {
 /// three graph families under every configuration. A byte-for-byte
 /// comparison is the whole check.
 std::string GoldenText() {
-  std::string out = "skysr hotpath golden counters v5\n";
+  std::string out = "skysr hotpath golden counters v6\n";
   for (const GraphFamily family :
        {GraphFamily::kGrid, GraphFamily::kCluster, GraphFamily::kSmallWorld}) {
     const Scenario sc = MakeScenario(HotpathScenarioSpec(family));

@@ -260,7 +260,6 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
   skyline.Clear();
   arena.Clear();
   cache.Clear();
-  ws_.qb_dom.Clear();
   ws_.prune_floors.Clear();
   ws_.bucket_scan.Clear();
   // Warm state (src/cache/): forward searches and resumable slots run
@@ -297,7 +296,6 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
         RetrieverCostModel::PreferBucket(oracle_->ApproxSearchSettles(),
                                          buckets_->SettleDensity(),
                                          g_->num_vertices())));
-  const bool resume_backend = needs_deferred_lemma55;
 
   // Exact source -> PoI distances off the bucket tables for NNinit hops,
   // lower-bound legs and (with bucket_backend) expansions: kAuto lets each
@@ -317,7 +315,6 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
     exp->deferred_lemma55 = needs_deferred_lemma55;
     exp->retriever_requested = RetrieverKindName(rk);
     exp->bucket_backend = bucket_backend;
-    exp->resume_backend = resume_backend;
     exp->cost_fwd_settles =
         oracle_ != nullptr ? oracle_->ApproxSearchSettles() : 0;
     exp->cost_settle_density =
@@ -387,15 +384,6 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
                                std::span<const double>(best_sim));
   stats.semantic_floor = policy.SemanticFloor(agg.Identity(), 0);
 
-  // Per-prefix dominance pruning engages only where same-set duplicate
-  // prefixes can exist at all: deferred-Lemma-5.5 mode (a PoI matching only
-  // one position forces a single visit order per PoI set) and route size
-  // >= 3 (the end vertex pins the last PoI, so two orders of the same set
-  // need at least two free prefix slots) — hence k >= 4. Everywhere else
-  // the store is never even touched.
-  const bool use_qb_dominance =
-      options.use_qb_dominance && needs_deferred_lemma55 && k >= 4;
-
   // Expands the partial route `node_idx` (kEmpty = the empty route at the
   // start vertex) by one position, via cache or a fresh search. The budget
   // functor and the candidate consumer are passed as template callbacks all
@@ -407,8 +395,6 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
     Weight len;
     double acc;
     int m;
-    uint64_t parent_mask = 0;
-    uint64_t parent_set_hash = 0;
     if (node_idx == RouteArena::kEmpty) {
       src = query.start;
       len = 0;
@@ -420,8 +406,6 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
       len = nd.length;
       acc = nd.acc;
       m = nd.size;
-      parent_mask = nd.poi_mask;
-      parent_set_hash = nd.set_hash;
     }
     const PositionMatcher& matcher = matchers[static_cast<size_t>(m)];
     GenStampedBudget budget{&policy, acc, len, m};
@@ -448,7 +432,7 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
     // to be pruned the same way. consume_filtered records such floors and
     // skips provably-pruned candidates without calling in. Prunes that
     // depend on the candidate's vertex (the destination tail, duplicate-PoI
-    // rejects, dominance) return false.
+    // rejects) return false.
     const auto consume = [&](const ExpansionCandidate& cand) {
       ++stats.cand_examined;
 
@@ -533,22 +517,6 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
         if (node_idx != RouteArena::kEmpty && arena.Contains(node_idx, poi)) {
           ++stats.cand_rejected;
           return false;  // Definition 3.4(iii): PoIs must be distinct
-        }
-        if (use_qb_dominance && m >= 2) {
-          const uint64_t cmask = parent_mask | RouteArena::PoiBit(poi);
-          const uint64_t chash = parent_set_hash ^ RouteArena::PoiSetHash(poi);
-          if (ws_.qb_dom.IsDominated(arena, cand.vertex, m + 1, chash, cmask,
-                                     node_idx, poi, nlen, memo.nacc[slot])) {
-            ++stats.qb_dominance_pruned;
-            return false;
-          }
-          const int32_t idx = arena.Add(node_idx, poi, cand.vertex, nlen,
-                                        memo.nacc[slot]);
-          ws_.qb_dom.Insert(arena, idx, cand.vertex, m + 1, chash, cmask,
-                            node_idx, poi, nlen, memo.nacc[slot]);
-          qb.push(QbEntry{idx, m + 1, memo.nsem[slot], nlen});
-          ++stats.routes_enqueued;
-          return false;
         }
         const int32_t idx = arena.Add(node_idx, poi, cand.vertex, nlen,
                                       memo.nacc[slot]);
@@ -666,7 +634,7 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
         options.use_cache ? &cache.pool() : nullptr;
     const size_t pool_offset = options.use_cache ? cache.pool().size() : 0;
     ExpansionOutcome outcome;
-    if (resume_backend) {
+    if (needs_deferred_lemma55) {
       ++stats.retriever_resume_runs;
       if (exp != nullptr) {
         ++exp->positions[static_cast<size_t>(m)].resume_runs;
@@ -719,13 +687,6 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
         ++stats.routes_pruned;
         continue;
       }
-      // Dequeue-time dominance: a strictly better permutation of the same
-      // PoI set may have been recorded AFTER this route was enqueued.
-      if (use_qb_dominance && nd.size >= 3 &&
-          ws_.qb_dom.DominatedAtDequeue(arena, entry.node)) {
-        ++stats.qb_dominance_pruned;
-        continue;
-      }
       expand(entry.node);
     }
   }
@@ -736,7 +697,7 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
       arena.MemoryBytes() +
       static_cast<int64_t>(qb.peak_size() * sizeof(QbEntry)) +
       skyline.MemoryBytes() + cache.MemoryBytes() +
-      ws_.qb_dom.MemoryBytes() + ws_.prune_floors.MemoryBytes();
+      ws_.prune_floors.MemoryBytes();
 
   if (exp != nullptr) {
     // Every forward-cache lookup is a counted search or reuse, so the
@@ -749,7 +710,6 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
     exp->resume_slots.misses =
         xc_after.resume_evictions - xc_before.resume_evictions;
     exp->cand_pruned = stats.cand_pruned;
-    exp->pruned_qb_dominance = stats.qb_dominance_pruned;
     exp->floor_skips = stats.cand_floor_skipped;
     exp->infeasible = stats.infeasible;
     exp->semantic_floor = stats.semantic_floor;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 
 #include "obs/query_trace.h"
 #include "retrieval/bucket_retriever.h"
@@ -40,6 +41,36 @@ void DenseLegBounds(const Graph& g, const PositionMatcher& next,
 /// The ball radius for l̄(∅) = `radius`, widened by kSumOrderSlack.
 Weight BallRadius(Weight radius) {
   return radius == kInfWeight ? radius : radius * (1.0 + kSumOrderSlack);
+}
+
+/// Ball set-up shared by both variants. With `search`, one Dijkstra from
+/// `start` truncated at `radius` records each settled vertex's distance in
+/// scratch->ball_dist (membership: D(v_q, v) < radius) and each settled
+/// PoI in scratch->ball_pois; without it there is no ball and every PoI is
+/// listed. The PoIs are left in id order, the order a scan over all PoIs
+/// gathers them in, so the legs seed their searches exactly as one would.
+DijkstraRunStats SetUpBall(const Graph& g, VertexId start, Weight radius,
+                           bool search, LowerBoundScratch* scratch) {
+  std::vector<PoiId>& pois = scratch->ball_pois;
+  pois.clear();
+  if (!search) {
+    pois.resize(static_cast<size_t>(g.num_pois()));
+    std::iota(pois.begin(), pois.end(), PoiId{0});
+    return {};
+  }
+  StampedArray<Weight>& ball_dist = scratch->ball_dist;
+  ball_dist.Prepare(g.num_vertices(), kInfWeight);
+  const DijkstraRunStats stats =
+      RunDijkstra(g, start, scratch->ws, [&](VertexId v, Weight d, VertexId) {
+        if (d >= radius) return VisitAction::kStop;
+        ball_dist.Set(v, d);
+        if (const PoiId p = g.PoiAtVertex(v); p != kInvalidPoi) {
+          pois.push_back(p);
+        }
+        return VisitAction::kContinue;
+      });
+  std::sort(pois.begin(), pois.end());
+  return stats;
 }
 
 /// Shared tail of both variants: suffix sums plus stats accounting.
@@ -95,16 +126,11 @@ LowerBounds ComputeLowerBounds(const Graph& g,
   // Ball membership: D(v_q, v) < radius. Every leg of a surviving route lies
   // inside the ball (its prefix length bounds the distance from v_q of every
   // point on the route), so restricting everything to the ball keeps the
-  // bounds valid for surviving routes. Distances are recorded at settle time
-  // into the epoch-stamped array — no post-search O(|V|) sweep.
-  StampedArray<Weight>& ball_dist = scratch->ball_dist;
-  ball_dist.Prepare(g.num_vertices(), kInfWeight);
-  DijkstraRunStats ball_stats =
-      RunDijkstra(g, start, scratch->ws, [&](VertexId v, Weight d, VertexId) {
-        if (d >= radius) return VisitAction::kStop;
-        ball_dist.Set(v, d);
-        return VisitAction::kContinue;
-      });
+  // bounds valid for surviving routes. The search runs even without a
+  // radius, where the ball is everything reachable from v_q.
+  const DijkstraRunStats ball_stats =
+      SetUpBall(g, start, radius, /*search=*/true, scratch);
+  const StampedArray<Weight>& ball_dist = scratch->ball_dist;
   const auto in_ball = [&](VertexId v) { return ball_dist.Get(v) < radius; };
 
   DijkstraRunStats leg_stats;
@@ -113,10 +139,9 @@ LowerBounds ComputeLowerBounds(const Graph& g,
   std::vector<SourceSeed>& seeds = scratch->seeds;
   for (int i = 0; i + 1 < k; ++i) {
     seeds.clear();
-    for (PoiId p = 0; p < g.num_pois(); ++p) {
-      const VertexId v = g.VertexOfPoi(p);
-      if (in_ball(v) && matchers[static_cast<size_t>(i)].SimOfPoi(p) > 0) {
-        seeds.push_back(SourceSeed{v, 0});
+    for (const PoiId p : scratch->ball_pois) {
+      if (matchers[static_cast<size_t>(i)].SimOfPoi(p) > 0) {
+        seeds.push_back(SourceSeed{g.VertexOfPoi(p), 0});
       }
     }
     if (seeds.empty()) continue;  // leg stays +inf: nothing can cross it
@@ -158,18 +183,10 @@ LowerBounds ComputeLowerBoundsWithBuckets(
   // it settles only the ball, and the classic fallback legs additionally
   // need it as a whole-vertex traversal filter. radius == +inf (no
   // threshold yet) means everything is in the ball and no search is needed.
-  DijkstraRunStats ball_stats;
   const bool have_ball = radius != kInfWeight;
-  StampedArray<Weight>& ball_dist = scratch->ball_dist;
-  if (have_ball) {
-    ball_dist.Prepare(g.num_vertices(), kInfWeight);
-    ball_stats = RunDijkstra(
-        g, start, scratch->ws, [&](VertexId v, Weight d, VertexId) {
-          if (d >= radius) return VisitAction::kStop;
-          ball_dist.Set(v, d);
-          return VisitAction::kContinue;
-        });
-  }
+  const DijkstraRunStats ball_stats =
+      SetUpBall(g, start, radius, have_ball, scratch);
+  const StampedArray<Weight>& ball_dist = scratch->ball_dist;
   const auto in_ball = [&](VertexId v) {
     return !have_ball || ball_dist.Get(v) < radius;
   };
@@ -201,9 +218,8 @@ LowerBounds ComputeLowerBoundsWithBuckets(
   std::vector<SourceSeed>& seeds = scratch->seeds;
   for (int i = 0; i + 1 < k; ++i) {
     sources.clear();
-    for (PoiId p = 0; p < g.num_pois(); ++p) {
-      if (matchers[static_cast<size_t>(i)].SimOfPoi(p) > 0 &&
-          in_ball(g.VertexOfPoi(p))) {
+    for (const PoiId p : scratch->ball_pois) {
+      if (matchers[static_cast<size_t>(i)].SimOfPoi(p) > 0) {
         sources.push_back(g.VertexOfPoi(p));
       }
     }
@@ -218,8 +234,8 @@ LowerBounds ComputeLowerBoundsWithBuckets(
     bool bucket_leg = sources.size() < max_table_endpoints;
     const size_t target_budget =
         bucket_leg ? max_table_endpoints - sources.size() : 0;
-    for (PoiId p = 0; bucket_leg && p < g.num_pois(); ++p) {
-      if (!in_ball(g.VertexOfPoi(p))) continue;
+    for (size_t j = 0; bucket_leg && j < scratch->ball_pois.size(); ++j) {
+      const PoiId p = scratch->ball_pois[j];
       if (next.SimOfPoi(p) > 0) sem_target_pois.push_back(p);
       if (next.IsPerfect(p)) perf_target_pois.push_back(p);
       if (sem_target_pois.size() + perf_target_pois.size() > target_budget) {

@@ -49,13 +49,14 @@ struct LowerBounds {
   bool empty() const { return ls_remaining.empty(); }
 };
 
-/// Reusable buffers for the lower-bound computation (ball distances, leg
-/// seeds/targets); engine-owned so steady-state queries pay
+/// Reusable buffers for the lower-bound computation (ball distances and
+/// PoIs, leg seeds/targets); engine-owned so steady-state queries pay
 /// no O(|V|) allocation here. The ball distances use an epoch-stamped array
 /// — resetting between queries is O(1).
 struct LowerBoundScratch {
   DijkstraWorkspace ws;
   StampedArray<Weight> ball_dist;
+  std::vector<PoiId> ball_pois;  // the ball's PoIs, in id order
   std::vector<SourceSeed> seeds;
   std::vector<VertexId> sources;
   std::vector<PoiId> sem_target_pois;

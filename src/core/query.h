@@ -91,13 +91,6 @@ struct QueryOptions {
   /// the engine; everything else runs the classic graph searches. Like the
   /// toggles above, every choice is exact.
   RetrieverKind retriever = RetrieverKind::kAuto;
-  /// Per-prefix dominance pruning in the bulk queue Q_b (see
-  /// core/qb_dominance.h): partial routes whose (length, acc) is
-  /// dominated by an already-enqueued permutation of the same PoI set at
-  /// the same (vertex, position) are dropped. Exact — the skyline is
-  /// bit-identical either way — so speed-only and NOT part of the
-  /// result-cache key.
-  bool use_qb_dominance = true;
   /// Diagnostics: when set, the engine allocates and fills a QueryExplain
   /// (src/obs/explain.h) attached to the QueryResult — which retrieval
   /// backend the cost model picked, per-layer cache hit/miss/bytes, and the

@@ -22,7 +22,6 @@
 #include "core/feasibility.h"
 #include "core/lower_bound.h"
 #include "core/mdijkstra_cache.h"
-#include "core/qb_dominance.h"
 #include "core/modified_dijkstra.h"
 #include "core/nn_init.h"
 #include "core/query.h"
@@ -169,9 +168,6 @@ struct QueryWorkspace {
   RouteArena arena;
   QbQueue qb;
   MdijkstraCache cache;
-  // Per-(vertex, position, PoI-set) dominance records over enqueued partial
-  // routes; see qb_dominance.h for the exactness argument.
-  QbDominanceStore qb_dom;
   // Query-lifetime (position, acc, sim) -> extended-length prune floors;
   // candidates at or beyond a floor skip consume() entirely (see
   // candidate_stream.h for why the floors transfer across expansions).

@@ -11,7 +11,6 @@
 #include "graph/graph.h"
 #include "graph/types.h"
 #include "util/logging.h"
-#include "util/rng.h"
 
 namespace skysr {
 
@@ -59,31 +58,23 @@ class RouteArena {
   /// Index of the empty route.
   static constexpr int32_t kEmpty = -1;
 
+  // The four 32-bit fields lead so the node packs into 40 bytes.
   struct Node {
     int32_t parent;   // kEmpty for size-1 routes
     PoiId poi;
     VertexId vertex;  // vertex hosting `poi`
+    int32_t size;     // number of PoIs in this partial route
     Weight length;    // cumulative length score
     double acc;       // semantic accumulator (see SemanticAggregator)
-    int32_t size;     // number of PoIs in this partial route
     // Bloom-style signature of the route's PoI set (one bit per PoI id mod
     // 64, OR of the parent's): a zero AND answers Contains() without the
     // parent-chain walk; only hash collisions pay the walk.
     uint64_t poi_mask;
-    // Order-independent full-width hash of the route's PoI set (XOR of
-    // per-PoI SplitMix64 values): routes visiting the same PoIs in a
-    // different order share it, which keys the Q_b dominance store.
-    uint64_t set_hash;
   };
+  static_assert(sizeof(Node) == 40);
 
   static uint64_t PoiBit(PoiId poi) {
     return uint64_t{1} << (static_cast<uint32_t>(poi) & 63u);
-  }
-
-  /// SplitMix64 of the PoI id; XORed into Node::set_hash per route member.
-  static uint64_t PoiSetHash(PoiId poi) {
-    uint64_t s = static_cast<uint64_t>(static_cast<uint32_t>(poi));
-    return SplitMix64(s);
   }
 
   /// Appends `poi` to the route `parent` (kEmpty to start a new route).
@@ -91,15 +82,12 @@ class RouteArena {
               double acc) {
     int32_t size = 1;
     uint64_t mask = PoiBit(poi);
-    uint64_t set_hash = PoiSetHash(poi);
     if (parent != kEmpty) {
       const Node& p = nodes_[static_cast<size_t>(parent)];
       size = p.size + 1;
       mask |= p.poi_mask;
-      set_hash ^= p.set_hash;
     }
-    nodes_.push_back(
-        Node{parent, poi, vertex, length, acc, size, mask, set_hash});
+    nodes_.push_back(Node{parent, poi, vertex, size, length, acc, mask});
     return static_cast<int32_t>(nodes_.size()) - 1;
   }
 

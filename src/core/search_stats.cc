@@ -38,7 +38,7 @@ std::string SearchStats::ToString() const {
       "nninit: %.3fms routes=%lld weight_sum=%.4f perfect_len=%.4f "
       "max_sem_len=%.4f\n"
       "bounds: %.3fms ls=%.4f lp=%.4f semantic_floor=%.4f\n"
-      "queue: enq=%lld deq=%lld pruned=%lld dom_pruned=%lld peak=%lld "
+      "queue: enq=%lld deq=%lld pruned=%lld peak=%lld "
       "nodes=%lld logical_bytes=%lld",
       elapsed_ms, timed_out ? " TIMED-OUT" : "",
       infeasible.fired() ? " INFEASIBLE=" : "",
@@ -63,7 +63,6 @@ std::string SearchStats::ToString() const {
       lp_total, semantic_floor, static_cast<long long>(routes_enqueued),
       static_cast<long long>(routes_dequeued),
       static_cast<long long>(routes_pruned),
-      static_cast<long long>(qb_dominance_pruned),
       static_cast<long long>(peak_queue_size),
       static_cast<long long>(route_nodes),
       static_cast<long long>(logical_peak_bytes));

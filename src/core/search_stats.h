@@ -87,8 +87,9 @@ struct SearchStats {
   int64_t cand_pruned = 0;     // candidates pruned by a threshold test
   int64_t cand_floor_skipped = 0;  // skipped by the prune-floor table,
                                    // never consume()d
-  int64_t qb_dominance_pruned = 0;  // routes dropped by the Q_b dominance
-                                    // store (enqueue- and dequeue-time)
+  // Always 0: nothing writes it. Kept only while perfbench still reads it
+  // (ROADMAP, leftovers for the benchmark); nothing else may read it.
+  int64_t qb_dominance_pruned = 0;
   int64_t routes_dequeued = 0;
   int64_t routes_pruned = 0;  // pruned at dequeue by the threshold
   int64_t peak_queue_size = 0;

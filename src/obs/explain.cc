@@ -25,7 +25,9 @@ std::string QueryExplain::ToTreeString() const {
           "├─ plan: oracle=%s lemma5.5=%s retriever=%s -> %s\n",
           oracle.c_str(), deferred_lemma55 ? "deferred" : "inline",
           retriever_requested.c_str(),
-          bucket_backend ? "bucket" : (resume_backend ? "resume" : "settle"));
+          bucket_backend     ? "bucket"
+          : deferred_lemma55 ? "resume"
+                             : "settle");
   Appendf(&out,
           "│  └─ cost model: fwd_settles=%" PRId64
           " settle_density=%.4f vertices=%" PRId64 "\n",
@@ -57,9 +59,8 @@ std::string QueryExplain::ToTreeString() const {
           "│  └─ resume_slots: %" PRId64 " reuse / %" PRId64 " evict\n",
           resume_slots.hits, resume_slots.misses);
   Appendf(&out,
-          "└─ pruning: cand_pruned=%" PRId64 " qb_dominance=%" PRId64
-          " floor_skips=%" PRId64 "\n",
-          cand_pruned, pruned_qb_dominance, floor_skips);
+          "└─ pruning: cand_pruned=%" PRId64 " floor_skips=%" PRId64 "\n",
+          cand_pruned, floor_skips);
   return out;
 }
 
@@ -72,7 +73,7 @@ std::string QueryExplain::ToJson() const {
                 ",\"cost_settle_density\":%.6f,\"cost_vertices\":%" PRId64
                 "},",
           retriever_requested.c_str(), bucket_backend ? "true" : "false",
-          resume_backend ? "true" : "false", cost_fwd_settles,
+          deferred_lemma55 ? "true" : "false", cost_fwd_settles,
           cost_settle_density, cost_num_vertices);
   Appendf(&out, "\"infeasible\":{\"reason\":\"%s\",\"position\":%d},",
           InfeasibleReasonName(infeasible.reason), infeasible.position);
@@ -101,9 +102,9 @@ std::string QueryExplain::ToJson() const {
   layer("resume_slots", resume_slots, true);
   out += "},";
   Appendf(&out,
-          "\"pruning\":{\"cand_pruned\":%" PRId64
-          ",\"qb_dominance\":%" PRId64 ",\"floor_skips\":%" PRId64 "}}",
-          cand_pruned, pruned_qb_dominance, floor_skips);
+          "\"pruning\":{\"cand_pruned\":%" PRId64 ",\"floor_skips\":%" PRId64
+          "}}",
+          cand_pruned, floor_skips);
   return out;
 }
 

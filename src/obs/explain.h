@@ -46,10 +46,11 @@ struct ExplainPositionBackends {
 struct QueryExplain {
   // --- Plan: what the engine decided before the drain. ---
   std::string oracle = "none";        // OracleKindName, "none" w/o an index
-  bool deferred_lemma55 = false;      // Lemma 5.5 deferral mode
+  // Lemma 5.5 deferral mode; also the plan verdict that every graph
+  // expansion runs on a resumable slot.
+  bool deferred_lemma55 = false;
   std::string retriever_requested = "auto";  // QueryOptions::retriever
   bool bucket_backend = false;        // plan verdict: bucket scans eligible
-  bool resume_backend = false;        // plan verdict: resumable slots eligible
   // Retriever cost-model inputs (RetrieverCostModel::PreferBucket).
   int64_t cost_fwd_settles = 0;       // oracle->ApproxSearchSettles()
   double cost_settle_density = 0.0;   // buckets->SettleDensity()
@@ -74,10 +75,9 @@ struct QueryExplain {
   ExplainCacheLayer resume_slots;  // resumable-slot reuses vs evictions
 
   // --- Pruning attribution, one field per layer: threshold prunes
-  // (SearchStats::cand_pruned), Q_b dominance drops, and prune-floor skips
-  // (candidates that never reach the consume() decision). ---
+  // (SearchStats::cand_pruned) and prune-floor skips (candidates that
+  // never reach the consume() decision). ---
   int64_t cand_pruned = 0;
-  int64_t pruned_qb_dominance = 0;
   int64_t floor_skips = 0;
 
   /// Human-readable tree (skysr_cli query --explain).

@@ -31,17 +31,16 @@ bool IsPlainQuery(const Query& q) {
   return true;
 }
 
-std::string RenderConfig(bool init, bool lb, bool cache, QueueDiscipline disc,
-                         OracleKind oracle, RetrieverKind retriever,
-                         bool dominance) {
+std::string RenderConfig(const QueryOptions& opts, OracleKind oracle) {
   char buf[112];
   std::snprintf(buf, sizeof(buf),
-                "init=%d lb=%d cache=%d queue=%s oracle=%s retriever=%s "
-                "dom=%d",
-                init, lb, cache,
-                disc == QueueDiscipline::kProposed ? "proposed" : "distance",
-                OracleKindName(oracle), RetrieverKindName(retriever),
-                dominance);
+                "init=%d lb=%d cache=%d queue=%s oracle=%s retriever=%s",
+                opts.use_initial_search, opts.use_lower_bounds,
+                opts.use_cache,
+                opts.queue_discipline == QueueDiscipline::kProposed
+                    ? "proposed"
+                    : "distance",
+                OracleKindName(oracle), RetrieverKindName(opts.retriever));
   return buf;
 }
 
@@ -265,37 +264,25 @@ DiffReport RunDifferentialCheck(const DiffCheckParams& params) {
               opts.use_cache = (bits & 4) != 0;
               opts.queue_discipline = disc;
               opts.retriever = rkind;
-              opts.use_qb_dominance = params.qb_dominance;
               auto got = engines[ki].Run(q, opts);
               ++report.engine_runs;
+              const auto fail = [&](const std::string& detail) {
+                record(static_cast<int>(qi), RenderConfig(opts, kinds[ki]),
+                       detail);
+              };
               if (!got.ok()) {
-                record(static_cast<int>(qi),
-                       RenderConfig(opts.use_initial_search,
-                                    opts.use_lower_bounds, opts.use_cache,
-                                    disc, kinds[ki], rkind,
-                                    opts.use_qb_dominance),
-                       got.status().ToString());
+                fail(got.status().ToString());
                 continue;
               }
               const Infeasibility& gate = got->stats.infeasible;
               if (!verdict) verdict = gate;
               if (gate != *verdict) {
-                record(static_cast<int>(qi),
-                       RenderConfig(opts.use_initial_search,
-                                    opts.use_lower_bounds, opts.use_cache,
-                                    disc, kinds[ki], rkind,
-                                    opts.use_qb_dominance),
-                       "feasibility verdict " + gate.ToString() + ", first " +
-                           verdict->ToString());
+                fail("feasibility verdict " + gate.ToString() + ", first " +
+                     verdict->ToString());
               }
               if (!BitIdenticalSkylines(got->routes, *brute)) {
-                record(static_cast<int>(qi),
-                       RenderConfig(opts.use_initial_search,
-                                    opts.use_lower_bounds, opts.use_cache,
-                                    disc, kinds[ki], rkind,
-                                    opts.use_qb_dominance),
-                       "expected " + RenderSkyline(*brute) + " got " +
-                           RenderSkyline(got->routes));
+                fail("expected " + RenderSkyline(*brute) + " got " +
+                     RenderSkyline(got->routes));
               }
               if (ki == 0 && bits == 7 &&
                   disc == QueueDiscipline::kProposed &&

@@ -54,11 +54,6 @@ struct DiffCheckParams {
   /// shared_cache=false run's digest with a shared_cache=true run's (the
   /// CI SKYSR_XCACHE axis) proves cold/warm bit-identity end to end.
   bool shared_cache = false;
-  /// Per-prefix Q_b dominance pruning (core/qb_dominance.h) applied to
-  /// every ablation run. Both settings must be bit-identical to brute
-  /// force; the CI SKYSR_QB_DOMINANCE=off axis runs the sweep disabled so
-  /// the pruned and unpruned engines are each verified end to end.
-  bool qb_dominance = true;
   /// Tolerance for the naive baseline only: its OSR engines sum leg
   /// distances in different orders, so a few ULPs of drift are legitimate.
   /// Engine-vs-brute-force comparisons are always exact (tolerance 0).
@@ -70,12 +65,13 @@ struct DiffCheckParams {
   std::vector<OracleKind> oracle_kinds = {OracleKind::kFlat, OracleKind::kCh};
   /// Retriever sweep: on the CH engine the ablation grid runs once per
   /// retriever kind (kBucket pins the bucket-served NNinit hops, leg bounds
-  /// and expansions, kSettle the graph searches). The kind has no effect
-  /// without bucket tables, so the flat engine runs the grid once, with
-  /// the first kind. Every combination must stay bit-identical to brute
-  /// force.
-  std::vector<RetrieverKind> retriever_kinds = {
-      RetrieverKind::kAuto, RetrieverKind::kSettle, RetrieverKind::kBucket};
+  /// and expansions). The kind has no effect without bucket tables, so the
+  /// flat engine runs the grid once, with the first kind. kSettle is left
+  /// out by default: a CH engine asked for it gets no bucket work at all
+  /// and takes exactly the flat engine's path. Every combination must stay
+  /// bit-identical to brute force.
+  std::vector<RetrieverKind> retriever_kinds = {RetrieverKind::kAuto,
+                                                RetrieverKind::kBucket};
 };
 
 /// One disagreement, with everything needed to reproduce it.

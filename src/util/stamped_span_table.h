@@ -2,10 +2,9 @@
 // shared append-only std::vector pool, with O(1) whole-table clear via epoch
 // stamping.
 //
-// This is the storage shape behind the per-query caches of the BSSR hot
-// path (the §5.3.4 candidate cache, the Q_b dominance store): entries are
-// written once per key per round, read many times, and the whole structure
-// resets between rounds. Neither the table nor the pool shrinks on Clear(),
+// This is the storage shape behind the §5.3.4 candidate cache of the BSSR
+// hot path: entries are written once per key per round, read many times,
+// and the whole structure resets between rounds. Neither the table nor the pool shrinks on Clear(),
 // so a steady-state round allocates nothing. Replacing an entry orphans its old
 // span until the next Clear(); orphaned bytes are bounded by the work that
 // produced them.
@@ -44,25 +43,7 @@ class StampedSpanTable {
     }
   }
 
-  /// Mutable lookup; the pointer is valid until the next Commit() (which may
-  /// grow the slot array) or Clear().
-  Entry* FindMutable(uint64_t key) {
-    if (slots_.empty()) return nullptr;
-    const size_t mask = slots_.size() - 1;
-    for (size_t i = Hash(key) & mask;; i = (i + 1) & mask) {
-      Entry& slot = slots_[i];
-      if (slot.stamp != stamp_) return nullptr;  // empty this round
-      if (slot.key == key) return &slot;
-    }
-  }
-
   std::span<const Record> SpanOf(const Entry& e) const {
-    return {pool_.data() + e.offset, e.count};
-  }
-
-  /// Mutable span view: lets a committed entry's records be updated in
-  /// place, e.g. dominance records strengthened by later routes.
-  std::span<Record> MutableSpanOf(const Entry& e) {
     return {pool_.data() + e.offset, e.count};
   }
 

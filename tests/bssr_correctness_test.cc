@@ -425,7 +425,7 @@ struct BoundFixture {
 
 // Partial routes that were expanded: dequeued and not pruned.
 int64_t Expansions(const SearchStats& s) {
-  return s.routes_dequeued - s.routes_pruned - s.qb_dominance_pruned;
+  return s.routes_dequeued - s.routes_pruned;
 }
 
 TEST(CompletionBoundsTest, DestinationTailPrunesAlone) {

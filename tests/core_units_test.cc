@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "cache/shared_query_cache.h"
 #include "category/taxonomy_factory.h"
 #include "core/lower_bound.h"
 #include "core/mdijkstra_cache.h"
@@ -18,6 +19,9 @@
 #include "core/skyline_set.h"
 #include "core/threshold.h"
 #include "graph/graph_builder.h"
+#include "index/ch_oracle.h"
+#include "retrieval/bucket_retriever.h"
+#include "retrieval/category_buckets.h"
 #include "tests/test_util.h"
 #include "util/rng.h"
 #include "util/stamped_span_table.h"
@@ -282,6 +286,64 @@ TEST(LowerBoundTest, LegBoundsAreValidMinima) {
   ASSERT_EQ(lb.ls_remaining.size(), 3u);
   EXPECT_DOUBLE_EQ(lb.ls_remaining[1], 1.0);
   EXPECT_DOUBLE_EQ(lb.ls_remaining[2], 0.0);
+}
+
+// A finite ball: the legs gather their sources and targets from the ball's
+// own PoIs, so a matching PoI just outside it seeds no leg, and the classic
+// and bucket-table variants agree on every leg, whether the tables serve
+// the leg (`force`) or it falls back to the ball-restricted search.
+TEST(LowerBoundTest, FiniteBallExcludesPoisJustOutside) {
+  const LineFixture fx;  // for the forest and category ids
+  // 0 -1- 1 (Asian A) -2.5- 2 (Gift G) -0.6- 3 (Asian B): with l̄(∅) = 4
+  // the ball holds 0..2, and B at distance 4.1 lies just outside it.
+  GraphBuilder b;
+  for (int i = 0; i < 4; ++i) b.AddVertex();
+  b.AddEdge(0, 1, 1.0);
+  b.AddEdge(1, 2, 2.5);
+  b.AddEdge(2, 3, 0.6);
+  b.AddPoi(1, {fx.asian}, "A");
+  b.AddPoi(2, {fx.gift}, "G");
+  b.AddPoi(3, {fx.asian}, "B");
+  const Graph g = std::move(b.Build()).ValueOrDie();
+  const WuPalmerSimilarity fn;
+  std::vector<PositionMatcher> matchers;
+  for (const CategoryId c : {fx.asian, fx.gift, fx.asian}) {
+    matchers.emplace_back(g, fx.forest, fn, CategoryPredicate::Single(c),
+                          MultiCategoryMode::kMaxSimilarity);
+  }
+
+  // Without a ball, B seeds leg 0 and is leg 1's nearest target: 0.6.
+  const LowerBounds open = ComputeLowerBounds(g, matchers, 0, kInfWeight,
+                                              nullptr);
+  ASSERT_EQ(open.ls_leg.size(), 2u);
+  EXPECT_DOUBLE_EQ(open.ls_leg[0], 0.6);
+  EXPECT_DOUBLE_EQ(open.ls_leg[1], 0.6);
+
+  // Inside the ball only A -> G and G -> A remain: 2.5 on both legs.
+  const Weight radius = 4.0;
+  const LowerBounds classic =
+      ComputeLowerBounds(g, matchers, 0, radius, nullptr);
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_DOUBLE_EQ(classic.ls_leg[i], 2.5) << "leg " << i;
+    EXPECT_DOUBLE_EQ(classic.lp_leg[i], 2.5) << "leg " << i;
+  }
+
+  const ChOracle ch = ChOracle::Build(g);
+  const CategoryBucketIndex buckets = CategoryBucketIndex::Build(g, ch);
+  for (const bool force : {false, true}) {
+    OracleWorkspace ows;
+    BucketScanState scan;
+    SharedQueryCache shared;
+    const BucketDistances dist{BucketRetriever(buckets), &ows, &scan,
+                               &shared, force};
+    SearchStats stats;
+    const LowerBounds tables = ComputeLowerBoundsWithBuckets(
+        g, matchers, 0, radius, dist, &stats);
+    EXPECT_EQ(tables.ls_leg, classic.ls_leg) << "force=" << force;
+    EXPECT_EQ(tables.lp_leg, classic.lp_leg) << "force=" << force;
+    // Only `force` hands the legs to the tables' forward searches.
+    EXPECT_EQ(stats.bucket_fwd_searches > 0, force);
+  }
 }
 
 TEST(ThresholdPolicyTest, PruningLogic) {

@@ -43,16 +43,6 @@ bool EnvXCache() {
   return std::string_view(v) == "on" || std::string_view(v) == "1";
 }
 
-// SKYSR_QB_DOMINANCE=off|0 disables per-prefix Q_b dominance pruning for
-// the whole sweep — the CI axis proving the unpruned engine is bit-identical
-// to brute force too (the default run proves the pruned one). Anything else
-// (or unset) keeps pruning on.
-bool EnvQbDominance() {
-  const char* v = std::getenv("SKYSR_QB_DOMINANCE");
-  if (v == nullptr) return true;
-  return !(std::string_view(v) == "off" || std::string_view(v) == "0");
-}
-
 // The acceptance bar: >= 200 instances, every ablation combo bit-identical
 // to brute force under EVERY oracle kind and EVERY retriever kind, naive
 // baseline and QueryService replay (sharing the index + bucket tables)
@@ -61,7 +51,6 @@ TEST(DifferentialTest, EngineMatchesBaselinesOnGeneratedScenarios) {
   DiffCheckParams params;
   params.num_instances = EnvInstances(216);
   params.shared_cache = EnvXCache();
-  params.qb_dominance = EnvQbDominance();
   const DiffReport report = RunDifferentialCheck(params);
   EXPECT_GE(report.instances_checked, params.num_instances);
   // 8 toggle combos x 2 queue disciplines per instance: once on the flat

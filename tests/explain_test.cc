@@ -100,7 +100,6 @@ TEST(ExplainTest, PruningAttributionCopiesSearchStats) {
     const QueryExplain& e = *r->explain;
     // One field per pruning layer, each the query's own counter.
     EXPECT_EQ(e.cand_pruned, r->stats.cand_pruned);
-    EXPECT_EQ(e.pruned_qb_dominance, r->stats.qb_dominance_pruned);
     EXPECT_EQ(e.floor_skips, r->stats.cand_floor_skipped);
     // One backend entry per sequence position, and the expansions that ran
     // are attributed somewhere.
@@ -128,13 +127,12 @@ TEST(ExplainTest, JsonRoundTripsThroughMiniJson) {
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString() << "\n" << json;
   ASSERT_TRUE(parsed->is_object());
   EXPECT_EQ(parsed->StringOr("oracle", ""), "none");
-  // The pruning block holds exactly the three layer counters.
+  // The pruning block holds exactly the two layer counters.
   const JsonValue* pruning = parsed->Find("pruning");
   ASSERT_NE(pruning, nullptr);
   ASSERT_TRUE(pruning->is_object());
   const std::pair<const char*, int64_t> layers[] = {
       {"cand_pruned", r->stats.cand_pruned},
-      {"qb_dominance", r->stats.qb_dominance_pruned},
       {"floor_skips", r->stats.cand_floor_skipped},
   };
   ASSERT_EQ(pruning->object.size(), std::size(layers));
@@ -284,6 +282,34 @@ TEST(ExplainTest, TreeStringShowsPlanCachesAndPruningShares) {
   EXPECT_NE(tree.find("caches"), std::string::npos);
   EXPECT_NE(tree.find("pruning"), std::string::npos);
   EXPECT_NE(tree.find("cand_pruned="), std::string::npos);
+}
+
+// The resume backend is not a field of its own: every deferred-Lemma-5.5
+// graph search runs on a resumable slot, so the tree and the JSON render it
+// from the deferral mode (bucket scans take precedence in the tree).
+TEST(ExplainTest, ResumeBackendRendersFromDeferralMode) {
+  for (const bool deferred : {false, true}) {
+    for (const bool bucket : {false, true}) {
+      QueryExplain e;
+      e.deferred_lemma55 = deferred;
+      e.bucket_backend = bucket;
+      const std::string want = bucket ? "bucket" : deferred ? "resume"
+                                                            : "settle";
+      EXPECT_NE(e.ToTreeString().find("retriever=auto -> " + want + "\n"),
+                std::string::npos)
+          << e.ToTreeString();
+      auto parsed = ParseJson(e.ToJson());
+      ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+      EXPECT_EQ(parsed->StringOr("lemma55", ""),
+                deferred ? "deferred" : "inline");
+      const JsonValue* retriever = parsed->Find("retriever");
+      ASSERT_NE(retriever, nullptr);
+      const JsonValue* resume = retriever->Find("resume");
+      ASSERT_NE(resume, nullptr);
+      ASSERT_EQ(resume->kind, JsonValue::Kind::kBool);
+      EXPECT_EQ(resume->boolean, deferred);
+    }
+  }
 }
 
 // -------------------------------------------------------------- exemplars --

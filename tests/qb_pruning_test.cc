@@ -1,25 +1,17 @@
-// Q_b queue ordering and per-prefix dominance pruning
-// (core/query_workspace.h, core/qb_dominance.h).
+// Q_b queue ordering (core/query_workspace.h).
 //
 // The bucketed proposed-discipline queue claims the IDENTICAL total order as
 // a flat comparator-based queue over QbLess — including the signed-zero and
 // equal-key edge cases the raw-bit SlimLess compare is sensitive to — so the
 // headline test drives randomized interleaved push/pop traffic against a
-// std::set reference model ordered by QbLess itself. The dominance-store
-// tests pin the insert / dominate-or-equal / strict-dequeue / epoch-clear
-// semantics on hand-built arena routes (same-set permutations need size-3
-// routes: two orders of the prefix plus the pinned last PoI).
+// std::set reference model ordered by QbLess itself.
 
-#include <cmath>
 #include <iterator>
 #include <set>
-#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/qb_dominance.h"
 #include "core/query_workspace.h"
-#include "core/route.h"
 #include "util/rng.h"
 
 namespace skysr {
@@ -115,148 +107,6 @@ TEST(QbQueueTest, DrainAndRefillAcrossSizes) {
   EXPECT_EQ(queue.pop().node, 3);  // bound re-raised by the push
   EXPECT_EQ(queue.pop().node, 2);
   EXPECT_TRUE(queue.empty());
-}
-
-// ---------------------------------------------------------------------------
-// QbDominanceStore.
-
-struct SameSetRoutes {
-  RouteArena arena;
-  // Two permutations of the set {a=1, b=2} followed by the pinned last PoI
-  // p=3 at vertex 30: same (vertex, size, set), different prefix order.
-  int32_t abp = RouteArena::kEmpty;  // [a, b, p]
-  int32_t ab = RouteArena::kEmpty;   // its parent [a, b]
-  int32_t ba = RouteArena::kEmpty;   // [b, a]
-  // A different set {a, c=4} + p, same end vertex and size.
-  int32_t ac = RouteArena::kEmpty;
-
-  SameSetRoutes() {
-    const int32_t a = arena.Add(RouteArena::kEmpty, /*poi=*/1, /*vertex=*/10,
-                                /*length=*/1.0, /*acc=*/0.9);
-    ab = arena.Add(a, /*poi=*/2, /*vertex=*/20, 2.0, 0.8);
-    abp = arena.Add(ab, /*poi=*/3, /*vertex=*/30, 3.0, 0.7);
-    const int32_t b = arena.Add(RouteArena::kEmpty, 2, 20, 1.5, 0.85);
-    ba = arena.Add(b, 1, 10, 2.5, 0.75);
-    ac = arena.Add(a, /*poi=*/4, /*vertex=*/40, 2.0, 0.8);
-  }
-
-  const RouteArena::Node& Node(int32_t idx) const { return arena.node(idx); }
-};
-
-TEST(QbDominanceStoreTest, DominateOrEqualAtEnqueueSameSetOnly) {
-  SameSetRoutes r;
-  QbDominanceStore store;
-  store.Clear();
-  const RouteArena::Node& rec = r.Node(r.abp);
-  store.Insert(r.arena, r.abp, rec.vertex, rec.size, rec.set_hash,
-               rec.poi_mask, rec.parent, rec.poi, rec.length, rec.acc);
-
-  // Candidate [b, a] + p: same set/vertex/size. Strictly worse, equal, and
-  // strictly better scores than the record (length 3.0, acc 0.7).
-  const RouteArena::Node& ba = r.Node(r.ba);
-  const auto dominated = [&](Weight len, double acc) {
-    return store.IsDominated(r.arena, rec.vertex, rec.size, rec.set_hash,
-                             rec.poi_mask, r.ba, /*poi=*/3, len, acc);
-  };
-  ASSERT_EQ(ba.poi_mask | RouteArena::PoiBit(3), rec.poi_mask);
-  ASSERT_EQ(ba.set_hash ^ RouteArena::PoiSetHash(3), rec.set_hash);
-  EXPECT_TRUE(dominated(/*len=*/3.5, /*acc=*/0.6));   // worse in both
-  EXPECT_TRUE(dominated(/*len=*/3.0, /*acc=*/0.7));   // equal
-  EXPECT_FALSE(dominated(/*len=*/2.5, /*acc=*/0.7));  // shorter
-  EXPECT_FALSE(dominated(/*len=*/3.0, /*acc=*/0.8));  // semantically better
-
-  // Candidate [a, c] + p at the record's vertex: different PoI set, so even
-  // strictly-worse scores must never be pruned (its completions may use b).
-  const RouteArena::Node& ac = r.Node(r.ac);
-  EXPECT_FALSE(store.IsDominated(
-      r.arena, rec.vertex, rec.size, ac.set_hash ^ RouteArena::PoiSetHash(3),
-      ac.poi_mask | RouteArena::PoiBit(3), r.ac, /*poi=*/3, /*length=*/9.0,
-      /*acc=*/0.1));
-}
-
-TEST(QbDominanceStoreTest, DequeuePruneIsStrictAndSkipsSelf) {
-  SameSetRoutes r;
-  QbDominanceStore store;
-  store.Clear();
-  const RouteArena::Node& rec = r.Node(r.abp);
-  store.Insert(r.arena, r.abp, rec.vertex, rec.size, rec.set_hash,
-               rec.poi_mask, rec.parent, rec.poi, rec.length, rec.acc);
-
-  // Its own record never prunes the route.
-  EXPECT_FALSE(store.DominatedAtDequeue(r.arena, r.abp));
-
-  // An equal-score permutation [b, a, p] must survive dequeue (strictness —
-  // equal routes must not prune each other cyclically)...
-  const int32_t bap_equal =
-      r.arena.Add(r.ba, /*poi=*/3, /*vertex=*/30, rec.length, rec.acc);
-  EXPECT_FALSE(store.DominatedAtDequeue(r.arena, bap_equal));
-  // ...but a strictly longer one is dominated.
-  const int32_t bap_worse =
-      r.arena.Add(r.ba, /*poi=*/3, /*vertex=*/30, rec.length + 1.0, rec.acc);
-  EXPECT_TRUE(store.DominatedAtDequeue(r.arena, bap_worse));
-
-  // Insert strengthens in place: the equal-score permutation replaces the
-  // record (same set, dominates-or-equal), after which the ORIGINAL route is
-  // still not pruned — the recorded scores are equal, not strictly better.
-  const RouteArena::Node& eq = r.arena.node(bap_equal);
-  store.Insert(r.arena, bap_equal, eq.vertex, eq.size, eq.set_hash,
-               eq.poi_mask, eq.parent, eq.poi, eq.length, eq.acc);
-  EXPECT_FALSE(store.DominatedAtDequeue(r.arena, r.abp));
-  EXPECT_FALSE(store.DominatedAtDequeue(r.arena, bap_equal));
-  EXPECT_TRUE(store.DominatedAtDequeue(r.arena, bap_worse));
-}
-
-TEST(QbDominanceStoreTest, ClearDropsRecordsInConstantTime) {
-  SameSetRoutes r;
-  QbDominanceStore store;
-  store.Clear();
-  const RouteArena::Node& rec = r.Node(r.abp);
-  store.Insert(r.arena, r.abp, rec.vertex, rec.size, rec.set_hash,
-               rec.poi_mask, rec.parent, rec.poi, rec.length, rec.acc);
-  ASSERT_TRUE(store.IsDominated(r.arena, rec.vertex, rec.size, rec.set_hash,
-                                rec.poi_mask, r.ba, /*poi=*/3,
-                                /*length=*/9.0, /*acc=*/0.1));
-  // Epoch-stamp clear: the next query's lookups see an empty store even
-  // though the backing pool keeps its capacity.
-  store.Clear();
-  EXPECT_FALSE(store.IsDominated(r.arena, rec.vertex, rec.size, rec.set_hash,
-                                 rec.poi_mask, r.ba, /*poi=*/3,
-                                 /*length=*/9.0, /*acc=*/0.1));
-  EXPECT_FALSE(store.DominatedAtDequeue(r.arena, r.abp));
-  // And re-inserting after the clear works from scratch.
-  store.Insert(r.arena, r.abp, rec.vertex, rec.size, rec.set_hash,
-               rec.poi_mask, rec.parent, rec.poi, rec.length, rec.acc);
-  EXPECT_TRUE(store.IsDominated(r.arena, rec.vertex, rec.size, rec.set_hash,
-                                rec.poi_mask, r.ba, /*poi=*/3,
-                                /*length=*/9.0, /*acc=*/0.1));
-}
-
-TEST(QbDominanceStoreTest, FullKeySkipsInsertButNeverMisprunes) {
-  // kRecsPerKey incomparable records fill the key; one more incomparable
-  // route is silently NOT recorded (pruning is a license, not an
-  // obligation) and must then not be pruned at dequeue.
-  SameSetRoutes r;
-  QbDominanceStore store;
-  store.Clear();
-  std::vector<int32_t> nodes;
-  for (uint32_t i = 0; i < QbDominanceStore::kRecsPerKey + 1; ++i) {
-    // Strictly increasing length with strictly increasing acc: pairwise
-    // incomparable, so every Insert appends rather than strengthens.
-    const int32_t n = r.arena.Add(r.ab, /*poi=*/3, /*vertex=*/30,
-                                  3.0 + static_cast<double>(i),
-                                  0.5 + 0.05 * static_cast<double>(i));
-    nodes.push_back(n);
-    const RouteArena::Node& nd = r.arena.node(n);
-    store.Insert(r.arena, n, nd.vertex, nd.size, nd.set_hash, nd.poi_mask,
-                 nd.parent, nd.poi, nd.length, nd.acc);
-  }
-  for (const int32_t n : nodes) {
-    EXPECT_FALSE(store.DominatedAtDequeue(r.arena, n));
-  }
-  // A route strictly worse than a recorded one still gets pruned.
-  const int32_t worse = r.arena.Add(r.ab, /*poi=*/3, /*vertex=*/30,
-                                    /*length=*/10.0, /*acc=*/0.4);
-  EXPECT_TRUE(store.DominatedAtDequeue(r.arena, worse));
 }
 
 }  // namespace
