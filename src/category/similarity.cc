@@ -40,10 +40,7 @@ SimilarityTable::SimilarityTable(const CategoryForest& forest,
   const auto n = static_cast<size_t>(forest.num_categories());
   sims_.resize(n);
   for (size_t c = 0; c < n; ++c) {
-    const double s =
-        fn.Similarity(forest, query_cat, static_cast<CategoryId>(c));
-    sims_[c] = s;
-    if (s < 1.0 && s > max_non_perfect_) max_non_perfect_ = s;
+    sims_[c] = fn.Similarity(forest, query_cat, static_cast<CategoryId>(c));
   }
 }
 

@@ -97,28 +97,13 @@ class SemanticAggregator {
   /// Semantic score of a route with accumulator `acc`.
   double Score(double acc) const { return 1.0 - acc; }
 
-  /// Lower bound on the semantic-score increase if at least one future
-  /// position matches non-perfectly, given that the best possible non-perfect
-  /// similarity among remaining positions is `sigma_max` (< 1). This is the
-  /// paper's δ of Lemma 5.8. Always >= 0; 0 is a valid (vacuous) bound.
-  double MinIncrementDelta(double acc, double sigma_max) const {
-    if (mode_ == SemanticAggregation::kProduct) {
-      // score jumps from 1-acc to at least 1-acc*sigma_max.
-      return acc * (1.0 - sigma_max);
-    }
-    // min-mode: if sigma_max >= acc the min may not change at all.
-    const double delta = (1.0 - sigma_max) - (1.0 - acc);
-    return delta > 0 ? delta : 0.0;
-  }
-
  private:
   SemanticAggregation mode_;
 };
 
 /// Per-query-position dense similarity table: sim(query_cat, c') for every
 /// category c' in the forest, so PoI checks during graph traversal are O(#
-/// categories of the PoI). Also exposes the largest strictly-non-perfect
-/// similarity (used for δ).
+/// categories of the PoI).
 class SimilarityTable {
  public:
   SimilarityTable(const CategoryForest& forest, const SimilarityFunction& fn,
@@ -128,14 +113,10 @@ class SimilarityTable {
     return sims_[static_cast<size_t>(poi_cat)];
   }
   CategoryId query_category() const { return query_cat_; }
-  /// max { sim(c, c') : sim(c, c') < 1 }, or 0 when every category either
-  /// matches perfectly or not at all.
-  double max_non_perfect_sim() const { return max_non_perfect_; }
 
  private:
   CategoryId query_cat_;
   std::vector<double> sims_;
-  double max_non_perfect_ = 0.0;
 };
 
 /// Returns the library default similarity (Eq. (6) Wu–Palmer).

@@ -9,7 +9,6 @@
 
 #include "core/candidate_stream.h"
 #include "core/feasibility.h"
-#include "core/lower_bound.h"
 #include "core/nn_init.h"
 #include "core/skyline_set.h"
 #include "core/threshold.h"
@@ -17,7 +16,9 @@
 #include "obs/query_trace.h"
 #include "graph/dijkstra.h"
 #include "graph/graph_builder.h"
+#include "retrieval/bucket_retriever.h"
 #include "retrieval/poi_retriever.h"
+#include "retrieval/resumable_retriever.h"
 #include "util/timer.h"
 
 namespace skysr {
@@ -63,9 +64,9 @@ struct GenStampedBudget {
 /// acc, len, m) and one skyline generation, a candidate's accept/prune
 /// decision depends only on (sim, dist [, destination tail]) — and the
 /// sim-dependent ingredients (extended accumulator, semantic score,
-/// staircase thresholds, Lemma 5.8 δ qualification) are identical for every
-/// candidate sharing a similarity value, of which a position has only a
-/// handful (category-tree similarity values). Memoizing them turns the
+/// staircase threshold) are identical for every candidate sharing a
+/// similarity value, of which a position has only a handful (category-tree
+/// similarity values). Memoizing them turns the
 /// per-candidate work into a slot scan plus the ORIGINAL threshold
 /// comparisons on the original operands — decisions stay bit-exact, only
 /// the recomputation of their inputs is skipped. Generation moves drop the
@@ -85,9 +86,7 @@ struct SimDecisionMemo {
   uint64_t sim_bits[kSlots] = {};
   double nacc[kSlots];
   double nsem[kSlots];
-  Weight th[kSlots];     // Threshold at the semantic floor (last: nsem)
-  Weight th_b[kSlots];   // Lemma 5.8 bumped threshold (when qualified)
-  bool has58[kSlots];    // δ > 0 and th_b finite
+  Weight th[kSlots];  // Threshold at the semantic floor (last: nsem)
 
   static int SlotOf(uint64_t bits) {
     return static_cast<int>((bits * 0x9e3779b97f4a7c15ull) >> 59);
@@ -142,9 +141,9 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
   // Tracing (src/obs/): resolved to null unless attached AND enabled, so
   // every span site below is one predictable branch in the default
   // configuration. The oracle workspace carries the pointer into the
-  // bucket-served NNinit hops and lower-bound legs. Aggregates are
-  // per-trace-window; the snapshot cuts out this query's delta for
-  // SearchStats regardless of when the caller Clear()ed.
+  // bucket-served NNinit hops. Aggregates are per-trace-window; the
+  // snapshot cuts out this query's delta for SearchStats regardless of when
+  // the caller Clear()ed.
   QueryTrace* const trace =
       (trace_ != nullptr && trace_->enabled()) ? trace_ : nullptr;
   ws_.oracle_ws.trace = trace;
@@ -297,11 +296,10 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
                                          buckets_->SettleDensity(),
                                          g_->num_vertices())));
 
-  // Exact source -> PoI distances off the bucket tables for NNinit hops,
-  // lower-bound legs and (with bucket_backend) expansions: kAuto lets each
-  // hop and leg's cost model choose, kBucket serves them all, kSettle uses
-  // no bucket work. The forward searches land in the warm-state cache the
-  // bulk search reuses.
+  // Exact source -> PoI distances off the bucket tables for NNinit hops
+  // and (with bucket_backend) expansions: kAuto lets each hop's cost model
+  // choose, kBucket serves them all, kSettle uses no bucket work. The
+  // forward searches land in the warm-state cache the bulk search reuses.
   std::optional<BucketDistances> bucket_dist;
   if (buckets_ != nullptr && rk != RetrieverKind::kSettle) {
     bucket_dist.emplace(BucketDistances{BucketRetriever(*buckets_),
@@ -339,38 +337,16 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
               bucket_dist ? &*bucket_dist : nullptr);
   }
 
-  // --- Optimization 3: minimum-distance lower bounds (§5.3.3). ---
-  const LowerBounds* lb_ptr = nullptr;
-  if (feasible && options.use_lower_bounds && k >= 2) {
-    TraceSpan lb_span(trace, TracePhase::kLowerBound);
-    ws_.lb = bucket_dist
-                 ? ComputeLowerBoundsWithBuckets(
-                       *g_, matchers, query.start, skyline.Threshold(0.0),
-                       *bucket_dist, &stats, &ws_.lower_bound)
-                 : ComputeLowerBounds(*g_, matchers, query.start,
-                                      skyline.Threshold(0.0), &stats,
-                                      &ws_.lower_bound);
-    lb_ptr = &ws_.lb;
-  }
-
-  // σ_max over remaining positions, input to Lemma 5.8's δ.
-  std::vector<double>& sigma_suffix = ws_.sigma_suffix;
-  sigma_suffix.assign(static_cast<size_t>(k) + 1, 0.0);
-  for (int m = k - 1; m >= 0; --m) {
-    sigma_suffix[static_cast<size_t>(m)] =
-        std::max(sigma_suffix[static_cast<size_t>(m) + 1],
-                 matchers[static_cast<size_t>(m)].max_non_perfect_sim());
-  }
-
-  // Completion bounds (DESIGN.md §6), on exactly when the §5.3.3 bounds
-  // are: the semantic floor, from the best similarity any PoI offers each
-  // position (one scan per position, stopped at the first perfect match),
-  // and the destination tail.
+  // --- Optimization 3: completion bounds (DESIGN.md §6), in place of the
+  // paper's §5.3.3 leg bounds: the semantic floor, from the best similarity
+  // any PoI offers each position (one scan per position, stopped at the
+  // first perfect match), and the destination tail. ---
   const bool completion_bounds = feasible && options.use_lower_bounds;
   const bool tail_bound = completion_bounds && dest_dist != nullptr;
   std::vector<double>& best_sim = ws_.best_sim;
   best_sim.clear();
   if (completion_bounds) {
+    TraceSpan lb_span(trace, TracePhase::kLowerBound);
     best_sim.assign(static_cast<size_t>(k), 0.0);
     for (int m = 0; m < k; ++m) {
       double& best = best_sim[static_cast<size_t>(m)];
@@ -379,8 +355,7 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
       }
     }
   }
-  const ThresholdPolicy policy(skyline, agg, lb_ptr,
-                               std::span<const double>(sigma_suffix), k,
+  const ThresholdPolicy policy(skyline, agg,
                                std::span<const double>(best_sim));
   stats.semantic_floor = policy.SemanticFloor(agg.Identity(), 0);
 
@@ -410,19 +385,7 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
     const PositionMatcher& matcher = matchers[static_cast<size_t>(m)];
     GenStampedBudget budget{&policy, acc, len, m};
 
-    // Expansion-wide constants of the candidate decision (see
-    // SimDecisionMemo): the next position's remaining-leg bounds and σ.
     const bool last = m + 1 == k;
-    const Weight ls1 =
-        (!last && lb_ptr != nullptr)
-            ? lb_ptr->ls_remaining[static_cast<size_t>(m) + 1]
-            : 0;
-    const Weight lp1 =
-        (!last && lb_ptr != nullptr)
-            ? lb_ptr->lp_remaining[static_cast<size_t>(m) + 1]
-            : 0;
-    const double sigma1 =
-        last ? 0.0 : sigma_suffix[static_cast<size_t>(m) + 1];
     SimDecisionMemo memo(skyline.generation());
 
     // Returns true when the candidate was pruned by a condition monotone in
@@ -449,17 +412,6 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
         memo.nsem[slot] = nsem;
         memo.th[slot] = skyline.Threshold(
             last ? nsem : policy.SemanticFloor(nacc, m + 1));
-        memo.has58[slot] = false;
-        if (!last && lb_ptr != nullptr && memo.th[slot] != kInfWeight) {
-          const double delta = agg.MinIncrementDelta(nacc, sigma1);
-          if (delta > 0) {
-            const Weight th_b = skyline.Threshold(nsem + delta);
-            if (th_b != kInfWeight) {
-              memo.th_b[slot] = th_b;
-              memo.has58[slot] = true;
-            }
-          }
-        }
       }
 
       const Weight nlen = len + cand.dist;
@@ -495,13 +447,10 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
                        std::span<const PoiId>(ws_.route_buf));
       } else {
         // The decision of ShouldPrunePartial(nacc, nlen, m + 1, tail_lb),
-        // with the thresholds read from the memo and the tests that do not
+        // with the threshold read from the memo and the test that does not
         // read the vertex first.
         const Weight th = memo.th[slot];
-        if (th != kInfWeight &&
-            (nlen + ls1 >= th ||
-             (memo.has58[slot] && memo.th_b[slot] <= nlen &&
-              nlen + lp1 >= th))) {
+        if (nlen >= th) {
           ++stats.cand_pruned;
           return true;
         }

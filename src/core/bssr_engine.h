@@ -58,9 +58,9 @@ class BssrEngine {
   /// `buckets` (optional) attaches the category-bucket tables of the
   /// retrieval subsystem; they must be built over exactly this graph and
   /// this oracle (else they are ignored) and outlive the engine. With them,
-  /// NNinit hops, lower-bound legs and deferred expansions may be answered
-  /// off the tables (QueryOptions::retriever decides); without them the
-  /// engine runs the classic Dijkstra code paths. Both are shared and
+  /// NNinit hops and deferred expansions may be answered off the tables
+  /// (QueryOptions::retriever decides); without them the engine runs the
+  /// classic Dijkstra code paths. Both are shared and
   /// immutable; the engine owns the per-thread query workspace, preserving
   /// the one-engine-per-thread contract.
   BssrEngine(const Graph& graph, const CategoryForest& forest,

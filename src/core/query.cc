@@ -38,13 +38,6 @@ PositionMatcher::PositionMatcher(const Graph& g, const CategoryForest& forest,
       trees_.push_back(t);
     }
   }
-  if (mode_ == MultiCategoryMode::kAverageSimilarity) {
-    max_non_perfect_ = 1.0;  // conservative: δ = 0
-  } else {
-    for (const SimilarityTable& t : tables_) {
-      max_non_perfect_ = std::max(max_non_perfect_, t.max_non_perfect_sim());
-    }
-  }
 }
 
 double PositionMatcher::EvalSimOfPoi(PoiId p) const {

@@ -75,7 +75,9 @@ enum class MultiCategoryMode {
 /// the paper calls "BSSR"); switching all four off gives "BSSR w/o Opt".
 struct QueryOptions {
   bool use_initial_search = true;   // §5.3.1 NNinit
-  bool use_lower_bounds = true;     // §5.3.3 ls / lp minimum distances
+  // Lower bounds (§5.3.3, Figure 4's toggle): the completion bounds of
+  // DESIGN.md §6, which stand in for the paper's ls / lp leg bounds.
+  bool use_lower_bounds = true;
   bool use_cache = true;            // §5.3.4 on-the-fly caching
   QueueDiscipline queue_discipline = QueueDiscipline::kProposed;  // §5.3.2
   MultiCategoryMode multi_category = MultiCategoryMode::kMaxSimilarity;
@@ -86,10 +88,10 @@ struct QueryOptions {
   /// timed_out (used to reproduce the paper's "did not finish" bars).
   double time_budget_seconds = std::numeric_limits<double>::infinity();
   /// How much of the query the category-bucket tables answer (see
-  /// src/retrieval/retriever_kind.h): NNinit hops, lower-bound legs and
-  /// deferred-Lemma-5.5 expansions. Bucket work requires tables attached to
-  /// the engine; everything else runs the classic graph searches. Like the
-  /// toggles above, every choice is exact.
+  /// src/retrieval/retriever_kind.h): NNinit hops and deferred-Lemma-5.5
+  /// expansions. Bucket work requires tables attached to the engine;
+  /// everything else runs the classic graph searches. Like the toggles
+  /// above, every choice is exact.
   RetrieverKind retriever = RetrieverKind::kAuto;
   /// Diagnostics: when set, the engine allocates and fills a QueryExplain
   /// (src/obs/explain.h) attached to the QueryResult — which retrieval
@@ -100,8 +102,8 @@ struct QueryOptions {
   bool explain = false;
 };
 
-/// Resolves one sequence position against PoIs: similarity (0 = no match),
-/// perfect-match tests, and the largest non-perfect similarity (δ input).
+/// Resolves one sequence position against PoIs: similarity (0 = no match)
+/// and perfect-match tests.
 class PositionMatcher {
  public:
   PositionMatcher(const Graph& g, const CategoryForest& forest,
@@ -112,9 +114,9 @@ class PositionMatcher {
   /// g.num_pois() slots with default -1 and keep it alive). PoI similarity
   /// is fixed for the matcher's lifetime, so the first evaluation per PoI is
   /// cached; every later lookup — per-settle in the expansion search, the
-  /// full-PoI scans of NNinit and the lower bounds — is an array read. The
-  /// engine wires its workspace memos here; matchers without one just
-  /// evaluate each time.
+  /// full-PoI scans of NNinit, the feasibility gate and the semantic floor
+  /// — is an array read. The engine wires its workspace memos here;
+  /// matchers without one just evaluate each time.
   void AttachSimCache(StampedArray<double>* cache) { sim_cache_ = cache; }
 
   /// Similarity of the PoI for this position; 0 when the PoI does not match
@@ -136,11 +138,6 @@ class PositionMatcher {
 
   bool IsPerfect(PoiId p) const { return SimOfPoi(p) == 1.0; }
 
-  /// Largest achievable similarity strictly below 1 (Lemma 5.8's σ).
-  /// Conservatively 1.0 in average mode, where mixtures can exceed any
-  /// single-category similarity (a δ of 0 is always safe; see DESIGN.md).
-  double max_non_perfect_sim() const { return max_non_perfect_; }
-
   /// The trees reachable by this position's any_of categories (used to
   /// decide whether Lemma 5.5 blocker tracking is required; see DESIGN.md).
   const std::vector<TreeId>& trees() const { return trees_; }
@@ -156,7 +153,6 @@ class PositionMatcher {
   std::vector<CategoryId> all_of_;
   std::vector<CategoryId> none_of_;
   std::vector<TreeId> trees_;
-  double max_non_perfect_ = 0.0;
   StampedArray<double>* sim_cache_ = nullptr;  // borrowed, may be null
 };
 

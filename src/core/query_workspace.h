@@ -1,8 +1,8 @@
 // Engine-owned, query-lifetime state reused across queries: the skyline,
 // route arena, bulk queue Q_b, on-the-fly cache (flat table + candidate
-// pool), the engine's own warm-state cache, matcher/sigma/destination
-// staging and the scratch of every sub-search (expansion, NNinit, lower
-// bounds, oracle). In steady state a query allocates only what it returns
+// pool), the engine's own warm-state cache, matcher/floor/destination
+// staging and the scratch of every sub-search (expansion, NNinit,
+// feasibility, oracle). In steady state a query allocates only what it returns
 // (the skyline routes) plus O(k) matcher tables — everything sized by the
 // search itself keeps its capacity from previous queries.
 //
@@ -20,7 +20,6 @@
 
 #include "cache/shared_query_cache.h"
 #include "core/feasibility.h"
-#include "core/lower_bound.h"
 #include "core/mdijkstra_cache.h"
 #include "core/modified_dijkstra.h"
 #include "core/nn_init.h"
@@ -184,7 +183,6 @@ struct QueryWorkspace {
   DijkstraWorkspace dijkstra_ws;  // NNinit chain + destination distances
   OracleWorkspace oracle_ws;
   NnInitScratch nn_init;
-  LowerBoundScratch lower_bound;
   FeasibilityScratch feasibility;
 
   // Per-query staging.
@@ -193,11 +191,9 @@ struct QueryWorkspace {
   // to the matchers (PositionMatcher::AttachSimCache). Epoch-stamped:
   // resetting for the next query is O(1).
   std::vector<StampedArray<double>> sim_memo;
-  std::vector<double> sigma_suffix;
   std::vector<double> best_sim;  // per position: the semantic floor's σ*
   std::vector<Weight> dest_dist;
   std::vector<PoiId> route_buf;  // complete-route materialization
-  LowerBounds lb;
 };
 
 }  // namespace skysr

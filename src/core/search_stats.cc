@@ -37,7 +37,7 @@ std::string SearchStats::ToString() const {
       "fwd_reuses=%lld bucket_cands=%lld\n"
       "nninit: %.3fms routes=%lld weight_sum=%.4f perfect_len=%.4f "
       "max_sem_len=%.4f\n"
-      "bounds: %.3fms ls=%.4f lp=%.4f semantic_floor=%.4f\n"
+      "bounds: semantic_floor=%.4f\n"
       "queue: enq=%lld deq=%lld pruned=%lld peak=%lld "
       "nodes=%lld logical_bytes=%lld",
       elapsed_ms, timed_out ? " TIMED-OUT" : "",
@@ -59,8 +59,8 @@ std::string SearchStats::ToString() const {
       static_cast<long long>(bucket_fwd_reuses),
       static_cast<long long>(bucket_candidates), nninit_ms,
       static_cast<long long>(nninit_routes), nninit_weight_sum,
-      nninit_perfect_length, nninit_max_semantic_length, lb_ms, ls_total,
-      lp_total, semantic_floor, static_cast<long long>(routes_enqueued),
+      nninit_perfect_length, nninit_max_semantic_length, semantic_floor,
+      static_cast<long long>(routes_enqueued),
       static_cast<long long>(routes_dequeued),
       static_cast<long long>(routes_pruned),
       static_cast<long long>(peak_queue_size),

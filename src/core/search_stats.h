@@ -71,13 +71,10 @@ struct SearchStats {
   Weight nninit_max_semantic_length =
       std::numeric_limits<Weight>::infinity();  // route w/ largest semantic
 
-  // Lower bounds (§5.3.3, Figure 4).
-  double lb_ms = 0;
-  Weight ls_total = 0;  // sum of finite semantic-match leg bounds
-  Weight lp_total = 0;  // sum of finite perfect-match leg bounds
-  // Semantic floor (DESIGN.md §6): the best semantic score any route of
-  // this query can reach; 0 when no bound applies (lower bounds off, or
-  // every position has a perfect PoI).
+  // Completion bounds (DESIGN.md §6, Figure 4's toggle): the semantic
+  // floor, the best semantic score any route of this query can reach; 0
+  // when no bound applies (lower bounds off, or every position has a
+  // perfect PoI).
   double semantic_floor = 0;
 
   // Bulk queue (§5.3.2).

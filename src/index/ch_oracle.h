@@ -21,9 +21,9 @@
 //
 // Many-to-many distances are not answered here: the category-bucket tables
 // (src/retrieval/category_buckets.h) freeze every PoI's backward upward
-// search once, and NNinit hops, lower-bound legs and deferred expansions
-// scan them against one forward upward search per source, with the same
-// epsilon-window re-summing as Distance().
+// search once, and NNinit hops and deferred expansions scan them against
+// one forward upward search per source, with the same epsilon-window
+// re-summing as Distance().
 //
 // Topology caveat: contraction hierarchies assume road-like graphs (low
 // highway dimension). Measured single-threaded (Release, 4-vCPU x86 VM):

@@ -4,7 +4,7 @@
 //
 // The one distance index is ChOracle (contraction hierarchies). The engine
 // reaches it through the category-bucket tables (src/retrieval/), which
-// answer NNinit hops, lower-bound legs and deferred expansions;
+// answer NNinit hops and deferred expansions;
 // ChOracle::Distance() answers the OSR baselines' destination tails. "flat"
 // names the index-free configuration: plain graph searches throughout.
 //
@@ -82,9 +82,9 @@ struct OracleWorkspace {
   std::vector<VertexId> meets;     // Distance()'s meeting candidates
   std::vector<std::pair<VertexId, int32_t>> chain;  // forward tree walk
   std::vector<Weight> weights;     // unpacked original-edge weights
-  /// Borrowed tracer (src/obs/): the bucket-served NNinit hops and
-  /// lower-bound legs record kOracleTable spans into it. Null or disabled —
-  /// the default — costs one branch per hop or leg. The workspace is
+  /// Borrowed tracer (src/obs/): the bucket-served NNinit hops, and only
+  /// they, record kOracleTable spans into it. Null or disabled — the
+  /// default — costs one branch per hop. The workspace is
   /// per-engine like the trace, so sharing the oracle across threads stays
   /// sound.
   QueryTrace* trace = nullptr;

@@ -30,7 +30,7 @@ uint64_t GraphChecksum(const Graph& g) {
       Mix(&d, std::bit_cast<uint64_t>(nb.weight));
     }
   }
-  // PoI placement matters to oracle consumers (NNinit tables, leg bounds),
+  // PoI placement matters to oracle consumers (bucket tables, NNinit hops),
   // so fold it in too.
   for (PoiId p = 0; p < g.num_pois(); ++p) {
     Mix(&d, static_cast<uint64_t>(static_cast<uint32_t>(g.VertexOfPoi(p))));

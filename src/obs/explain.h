@@ -38,7 +38,7 @@ struct ExplainCacheLayer {
 /// Which backend answered each expansion of one sequence position.
 struct ExplainPositionBackends {
   int64_t cache_replays = 0;      // intra-query MdijkstraCache replays
-  int64_t bucket_runs = 0;        // category-bucket scans (§5.3.3 tables)
+  int64_t bucket_runs = 0;        // category-bucket table scans
   int64_t resume_runs = 0;        // resumable suspended searches
   int64_t fresh_searches = 0;     // classic modified-Dijkstra settles
 };

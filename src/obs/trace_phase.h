@@ -6,7 +6,8 @@
 // Each phase maps to a stage of the paper's evaluation (see DESIGN.md §5):
 // NNinit is §5.3.1 / Table 7's "initial search" column, expansion +
 // retrieval are the bulk-search body behind Tables 7-9, the lower bound is
-// §5.3.3 / Figure 4, and the service phases decompose the end-to-end
+// the set-up of the completion bounds that stand in for §5.3.3 (Figure 4's
+// toggle; DESIGN.md §6), and the service phases decompose the end-to-end
 // latency perfbench's serve_city workload reports.
 
 #ifndef SKYSR_OBS_TRACE_PHASE_H_
@@ -22,8 +23,8 @@ enum class TracePhase : uint8_t {
   kQuery = 0,       // root span: one whole BssrEngine::Run
   kNnInit,          // §5.3.1 initial search
   kDestTails,       // §6 destination-distance table (reverse Dijkstra / LRU)
-  kLowerBound,      // §5.3.3 leg lower bounds
-  kOracleTable,     // bucket-served NNinit hops / LB legs (inside init/LB)
+  kLowerBound,      // completion-bound set-up: the semantic-floor scan
+  kOracleTable,     // bucket-served NNinit hops (inside nn_init)
   kQbDrain,         // Algorithm 1's bulk-queue drain loop
   kExpansion,       // one expand(): cache replay or fresh search
   kRetrieval,       // the expansion's backend work (settle/bucket/resume)

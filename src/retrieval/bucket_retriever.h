@@ -125,13 +125,13 @@ class BucketRetriever {
   const CategoryBucketIndex* index_;
 };
 
-/// Bucket-table access for NNinit hops and lower-bound legs: exact
-/// source -> PoI distances through EnsureForward + ExactDistanceTo, kept in
-/// the caller's per-thread scan state, oracle workspace and warm-state
-/// cache (`shared`, never null). With `force` (RetrieverKind::kBucket)
-/// every hop and leg is answered from the tables; otherwise each
-/// consumer's cost model picks, per hop or leg, between the tables and its
-/// classic graph search.
+/// Bucket-table access for NNinit hops only: exact source -> PoI distances
+/// through EnsureForward + ExactDistanceTo, kept in the caller's per-thread
+/// scan state, oracle workspace and warm-state cache (`shared`, never
+/// null). With `force` (RetrieverKind::kBucket) every hop is answered from
+/// the tables; otherwise NNinit's cost model picks, per hop, between the
+/// tables and its classic graph search. (The engine's bucket-served
+/// expansions borrow `retriever` but go through Collect, not this.)
 struct BucketDistances {
   BucketRetriever retriever;
   OracleWorkspace* oracle_ws;

@@ -1,6 +1,6 @@
-// PoI-retrieval subsystem: pluggable backends answering the engine's
-// expansion searches ("every PoI matching this position within the budget
-// radius, in (dist, vertex) order, with the budget re-evaluated between
+// PoI-retrieval subsystem: the backends answering the engine's expansion
+// searches ("every PoI matching this position within the budget radius,
+// in (dist, vertex) order, with the budget re-evaluated between
 // candidates").
 //
 // Three backends, all bit-identical in results (the differential harness
@@ -13,30 +13,20 @@
 //                       (category_buckets + bucket_retriever) — answers
 //                       deferred-mode expansions without settling road
 //                       vertices; wins grow with graph size
-//   ResumableRetriever  flat suspend/resume settle state per hot source
+//   RetrieveResumable   flat suspend/resume settle state per hot source
 //                       (resumable_retriever) — one suspended search serves
 //                       every position, and a larger budget extends it
 //                       instead of rebuilding it
 //
-// BssrEngine calls the backends' monomorphized primitives directly (the
-// budget functor and candidate consumer inline into each loop; see
-// bssr_engine.cc). The PoiRetriever virtual interface below is the
-// type-erased seam for unit tests, tools and experiments, built on the same
-// primitives. RetrieverCostModel holds the deterministic per-expansion
-// choice "auto" makes between them.
+// BssrEngine calls these primitives directly (the budget functor and
+// candidate consumer inline into each loop; see bssr_engine.cc).
+// RetrieverCostModel holds the deterministic choice "auto" makes between
+// them.
 
 #ifndef SKYSR_RETRIEVAL_POI_RETRIEVER_H_
 #define SKYSR_RETRIEVAL_POI_RETRIEVER_H_
 
-#include <functional>
-#include <memory>
-
-#include "core/modified_dijkstra.h"
-#include "core/query.h"
-#include "retrieval/bucket_retriever.h"
-#include "retrieval/category_buckets.h"
-#include "retrieval/resumable_retriever.h"
-#include "retrieval/retriever_kind.h"
+#include <cstdint>
 
 namespace skysr {
 
@@ -77,33 +67,6 @@ struct RetrieverCostModel {
     return static_cast<int>(slots);
   }
 };
-
-/// Type-erased retrieval interface (deferred-Lemma-5.5 contract: the full
-/// matching stream, unfiltered by on-path blockers). One std::function call
-/// per candidate/settle — tests and tools only; hot paths use the
-/// monomorphized primitives.
-class PoiRetriever {
- public:
-  virtual ~PoiRetriever() = default;
-
-  /// Streams every PoI matching `matcher` from `source` in non-decreasing
-  /// (dist, vertex) order, re-evaluating `budget_fn` between emissions
-  /// (Lemma 5.3); returns the coverage achieved.
-  virtual ExpansionOutcome Retrieve(
-      const PositionMatcher& matcher, VertexId source,
-      const std::function<Weight()>& budget_fn,
-      const std::function<void(const ExpansionCandidate&)>& on_candidate) = 0;
-};
-
-/// Settle-loop backend over `g` (deferred mode: apply_lemma55 off).
-std::unique_ptr<PoiRetriever> MakePoiRetriever(const Graph& g);
-/// Bucket backend over a prebuilt index (scan categories derived from the
-/// matcher per call).
-std::unique_ptr<PoiRetriever> MakePoiRetriever(
-    const CategoryBucketIndex& index);
-/// Resumable backend over `g` (suspends one search per distinct source,
-/// evicting the coldest beyond the pool default).
-std::unique_ptr<PoiRetriever> MakeResumablePoiRetriever(const Graph& g);
 
 }  // namespace skysr
 

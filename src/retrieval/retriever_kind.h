@@ -11,21 +11,21 @@
 namespace skysr {
 
 /// How much of a query the category-bucket tables answer: NNinit hops
-/// (§5.3.1), lower-bound legs (§5.3.3) and the modified-Dijkstra expansions
-/// of deferred-Lemma-5.5 mode (§5's Algorithm 2 searches). It takes effect
+/// (§5.3.1) and the modified-Dijkstra expansions of deferred-Lemma-5.5
+/// mode (§5's Algorithm 2 searches). It takes effect
 /// only on engines with bucket tables attached; without them every choice
 /// runs the classic graph searches. Every choice is exact — skylines are
 /// bit-identical across all of them; the knob trades nothing but speed.
 enum class RetrieverKind {
-  /// Cost models per hop, leg and expansion: bucket tables where the
-  /// candidate or endpoint set is sparse enough to beat a graph search,
-  /// graph searches otherwise. The production default.
+  /// Cost models per hop and expansion: bucket tables where the candidate
+  /// set is sparse enough to beat a graph search, graph searches otherwise.
+  /// The production default.
   kAuto,
-  /// Never use the bucket tables: every hop, leg and expansion is a graph
+  /// Never use the bucket tables: every hop and expansion is a graph
   /// search (the classic settle loop, or a resumable slot in
   /// deferred-Lemma-5.5 mode).
   kSettle,
-  /// Answer every NNinit hop, lower-bound leg and eligible expansion
+  /// Answer every NNinit hop and eligible expansion
   /// (deferred-Lemma-5.5 mode) from the tables; the differential harness
   /// uses this to pin the bucket paths.
   kBucket,

@@ -64,8 +64,8 @@ struct DiffCheckParams {
   /// skyline must be bit-identical to brute force either way.
   std::vector<OracleKind> oracle_kinds = {OracleKind::kFlat, OracleKind::kCh};
   /// Retriever sweep: on the CH engine the ablation grid runs once per
-  /// retriever kind (kBucket pins the bucket-served NNinit hops, leg bounds
-  /// and expansions). The kind has no effect without bucket tables, so the
+  /// retriever kind (kBucket pins the bucket-served NNinit hops and
+  /// expansions). The kind has no effect without bucket tables, so the
   /// flat engine runs the grid once, with the first kind. kSettle is left
   /// out by default: a CH engine asked for it gets no bucket work at all
   /// and takes exactly the flat engine's path. Every combination must stay

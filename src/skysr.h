@@ -35,7 +35,9 @@
 #include "index/ch_oracle.h"           // IWYU pragma: export
 #include "index/index_io.h"           // IWYU pragma: export
 #include "retrieval/bucket_io.h"       // IWYU pragma: export
+#include "retrieval/bucket_retriever.h" // IWYU pragma: export
 #include "retrieval/poi_retriever.h"   // IWYU pragma: export
+#include "retrieval/resumable_retriever.h"  // IWYU pragma: export
 #include "scenario/diff_check.h"       // IWYU pragma: export
 #include "scenario/scenario.h"         // IWYU pragma: export
 #include "service/query_service.h"     // IWYU pragma: export

@@ -169,16 +169,29 @@ Result<std::vector<Query>> LoadWorkloadFile(const std::string& path,
       return Status::InvalidArgument(path + ":" + std::to_string(lineno) +
                                      ": " + what);
     };
+    // A vertex id of the dataset's graph: range-checked before the
+    // narrowing cast, so 2^32 cannot wrap to vertex 0.
+    const auto parse_vertex = [&](std::string_view field, VertexId* out) {
+      int64_t v = 0;
+      if (!ParseInt64(Trim(field), &v) || v < 0 ||
+          v >= dataset.graph.num_vertices()) {
+        return false;
+      }
+      *out = static_cast<VertexId>(v);
+      return true;
+    };
     const auto fields = Split(trimmed, '|');
     if (fields.size() != 3) return err("expected start|dest|categories");
     Query q;
-    int64_t start = 0;
-    if (!ParseInt64(Trim(fields[0]), &start)) return err("bad start vertex");
-    q.start = static_cast<VertexId>(start);
+    if (!parse_vertex(fields[0], &q.start)) {
+      return err("bad or out-of-range start vertex");
+    }
     if (Trim(fields[1]) != "-") {
-      int64_t dest = 0;
-      if (!ParseInt64(Trim(fields[1]), &dest)) return err("bad destination");
-      q.destination = static_cast<VertexId>(dest);
+      VertexId dest = 0;
+      if (!parse_vertex(fields[1], &dest)) {
+        return err("bad or out-of-range destination");
+      }
+      q.destination = dest;
     }
     for (const auto pos : Split(fields[2], ';')) {
       CategoryPredicate pred;

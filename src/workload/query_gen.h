@@ -59,7 +59,11 @@ std::vector<Query> GenerateQueries(const Dataset& dataset,
 Status WriteWorkloadFile(const std::string& path, const Dataset& dataset,
                          std::span<const Query> queries);
 
-/// Parses a workload file written by WriteWorkloadFile.
+/// Parses a workload file written by WriteWorkloadFile. Every query it
+/// returns passes ValidateQuery against `dataset`; a line that would not
+/// (a bad or out-of-range vertex id, an unknown category, a position
+/// without any_of terms, an empty sequence) is an InvalidArgument naming
+/// `path:line`.
 Result<std::vector<Query>> LoadWorkloadFile(const std::string& path,
                                             const Dataset& dataset);
 

@@ -432,8 +432,8 @@ TEST(CompletionBoundsTest, DestinationTailPrunesAlone) {
   // 0 -1- 1(sushi) -1- 2(gift) -1- 3(dest); a second sushi place at 4 sits
   // beside the start (0 -2- 4) with a gift shop next to it (4 -0.5- 5), far
   // from the destination. Every position has a perfect PoI (no floor), and
-  // the sushi -> gift leg bound (0.5) keeps 4's partial route under the
-  // threshold (2 + 0.5 < 3); only its tail D(4, 3) = 5 prunes it, so with
+  // 4's partial route is under the threshold (2 < 3); only its tail
+  // D(4, 3) = 5 prunes it, so with
   // the bounds on only the route at 1 is expanded. That route ties the
   // threshold exactly (1 + D(1, 3) = 3); the tail's shave keeps it.
   const BoundFixture fx(6,
@@ -480,10 +480,14 @@ TEST(CompletionBoundsTest, PositionWithoutPerfectPoiRaisesTheFloor) {
     const bool bounds = (bits & 2) != 0;
     EXPECT_EQ(st.semantic_floor, bounds ? s[7].semantic_floor : 0.0)
         << "bits=" << bits;
-    // With NNinit's route known up front, the first expansion's budget
-    // (floor threshold 2 minus the gift -> sushi leg 1) stops short of
-    // both gift shops.
-    const int64_t want = !bounds ? 2 : (bits & 1) != 0 ? 0 : 1;
+    // The floor alone leaves the gift shop at 1 to be expanded: with
+    // NNinit's route known up front, the first expansion's budget (the
+    // floor threshold 2) admits it at distance 1 and stops short of the
+    // one at 3; without NNinit, 3 is enqueued but pruned at dequeue once
+    // the expansion of 1 found the skyline route. (The paper's §5.3.3
+    // gift -> sushi leg bound, 1, used to shrink that budget to 1 and
+    // skip the expansion of 1 too; DESIGN.md §6 says why it is gone.)
+    const int64_t want = bounds ? 1 : 2;
     EXPECT_EQ(Expansions(st), want) << "bits=" << bits;
   }
 }
@@ -491,9 +495,10 @@ TEST(CompletionBoundsTest, PositionWithoutPerfectPoiRaisesTheFloor) {
 // Float ties on the flexible-hierarchy scenario (cluster graph, Euclidean
 // weights, 240 PoIs): its k = 2 queries produce routes whose lengths differ
 // from l̄(∅) and from their destination tails by an ulp or two. The
-// §5.3.3 ball and the destination tail are compared with route lengths
-// summed in another order, so each needs its margin: queries 2716 and 2986
-// lost a route to the ball, and 760 and 2195 lose one to an unshaved tail.
+// destination tail (and the §5.3.3 ball, which the engine no longer builds)
+// are compared with route lengths summed in another order, so each needs
+// its margin: queries 2716 and 2986 lost a route to the ball, and 760 and
+// 2195 lose one to an unshaved tail.
 TEST(CompletionBoundsTest, UlpTiesOnFlexScenarioStayExact) {
   ScenarioSpec spec;
   spec.name = "flex-cluster";

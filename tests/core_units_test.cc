@@ -1,6 +1,6 @@
 // Unit tests for core building blocks: PositionMatcher (predicates,
-// multi-category modes), query validation, ThresholdPolicy, NNinit,
-// lower bounds, the expansion search and the on-the-fly cache.
+// multi-category modes), query validation, ThresholdPolicy and its
+// completion bounds, NNinit, the expansion search and the on-the-fly cache.
 
 #include <gtest/gtest.h>
 
@@ -8,9 +8,7 @@
 #include <utility>
 #include <vector>
 
-#include "cache/shared_query_cache.h"
 #include "category/taxonomy_factory.h"
-#include "core/lower_bound.h"
 #include "core/mdijkstra_cache.h"
 #include "core/modified_dijkstra.h"
 #include "core/nn_init.h"
@@ -19,9 +17,6 @@
 #include "core/skyline_set.h"
 #include "core/threshold.h"
 #include "graph/graph_builder.h"
-#include "index/ch_oracle.h"
-#include "retrieval/bucket_retriever.h"
-#include "retrieval/category_buckets.h"
 #include "tests/test_util.h"
 #include "util/rng.h"
 #include "util/stamped_span_table.h"
@@ -144,7 +139,6 @@ TEST(PositionMatcherTest, AverageModeAveragesOverPoiCategories) {
                               MultiCategoryMode::kAverageSimilarity);
   EXPECT_EQ(max_m.SimOfPoi(0), 1.0);
   EXPECT_DOUBLE_EQ(avg_m.SimOfPoi(0), 0.5);  // (1 + 0) / 2
-  EXPECT_EQ(avg_m.max_non_perfect_sim(), 1.0);  // conservative δ = 0
 }
 
 TEST(ValidateQueryTest, CatchesBadInputs) {
@@ -266,113 +260,31 @@ TEST(NnInitTest, FindsPerfectChainAndSemanticVariants) {
   EXPECT_EQ(stats.nninit_perfect_length, 4.0);
 }
 
-TEST(LowerBoundTest, LegBoundsAreValidMinima) {
-  const LineFixture fx;
-  const WuPalmerSimilarity fn;
-  std::vector<PositionMatcher> matchers;
-  matchers.emplace_back(fx.graph, fx.forest, fn,
-                        CategoryPredicate::Single(fx.asian),
-                        MultiCategoryMode::kMaxSimilarity);
-  matchers.emplace_back(fx.graph, fx.forest, fn,
-                        CategoryPredicate::Single(fx.gift),
-                        MultiCategoryMode::kMaxSimilarity);
-  SearchStats stats;
-  const LowerBounds lb =
-      ComputeLowerBounds(fx.graph, matchers, 0, kInfWeight, &stats);
-  ASSERT_EQ(lb.ls_leg.size(), 1u);
-  // Nearest Food-tree PoI to the Gift PoI is Asian@3 -> distance 1.
-  EXPECT_DOUBLE_EQ(lb.ls_leg[0], 1.0);
-  EXPECT_DOUBLE_EQ(lb.lp_leg[0], 1.0);
-  ASSERT_EQ(lb.ls_remaining.size(), 3u);
-  EXPECT_DOUBLE_EQ(lb.ls_remaining[1], 1.0);
-  EXPECT_DOUBLE_EQ(lb.ls_remaining[2], 0.0);
-}
-
-// A finite ball: the legs gather their sources and targets from the ball's
-// own PoIs, so a matching PoI just outside it seeds no leg, and the classic
-// and bucket-table variants agree on every leg, whether the tables serve
-// the leg (`force`) or it falls back to the ball-restricted search.
-TEST(LowerBoundTest, FiniteBallExcludesPoisJustOutside) {
-  const LineFixture fx;  // for the forest and category ids
-  // 0 -1- 1 (Asian A) -2.5- 2 (Gift G) -0.6- 3 (Asian B): with l̄(∅) = 4
-  // the ball holds 0..2, and B at distance 4.1 lies just outside it.
-  GraphBuilder b;
-  for (int i = 0; i < 4; ++i) b.AddVertex();
-  b.AddEdge(0, 1, 1.0);
-  b.AddEdge(1, 2, 2.5);
-  b.AddEdge(2, 3, 0.6);
-  b.AddPoi(1, {fx.asian}, "A");
-  b.AddPoi(2, {fx.gift}, "G");
-  b.AddPoi(3, {fx.asian}, "B");
-  const Graph g = std::move(b.Build()).ValueOrDie();
-  const WuPalmerSimilarity fn;
-  std::vector<PositionMatcher> matchers;
-  for (const CategoryId c : {fx.asian, fx.gift, fx.asian}) {
-    matchers.emplace_back(g, fx.forest, fn, CategoryPredicate::Single(c),
-                          MultiCategoryMode::kMaxSimilarity);
-  }
-
-  // Without a ball, B seeds leg 0 and is leg 1's nearest target: 0.6.
-  const LowerBounds open = ComputeLowerBounds(g, matchers, 0, kInfWeight,
-                                              nullptr);
-  ASSERT_EQ(open.ls_leg.size(), 2u);
-  EXPECT_DOUBLE_EQ(open.ls_leg[0], 0.6);
-  EXPECT_DOUBLE_EQ(open.ls_leg[1], 0.6);
-
-  // Inside the ball only A -> G and G -> A remain: 2.5 on both legs.
-  const Weight radius = 4.0;
-  const LowerBounds classic =
-      ComputeLowerBounds(g, matchers, 0, radius, nullptr);
-  for (size_t i = 0; i < 2; ++i) {
-    EXPECT_DOUBLE_EQ(classic.ls_leg[i], 2.5) << "leg " << i;
-    EXPECT_DOUBLE_EQ(classic.lp_leg[i], 2.5) << "leg " << i;
-  }
-
-  const ChOracle ch = ChOracle::Build(g);
-  const CategoryBucketIndex buckets = CategoryBucketIndex::Build(g, ch);
-  for (const bool force : {false, true}) {
-    OracleWorkspace ows;
-    BucketScanState scan;
-    SharedQueryCache shared;
-    const BucketDistances dist{BucketRetriever(buckets), &ows, &scan,
-                               &shared, force};
-    SearchStats stats;
-    const LowerBounds tables = ComputeLowerBoundsWithBuckets(
-        g, matchers, 0, radius, dist, &stats);
-    EXPECT_EQ(tables.ls_leg, classic.ls_leg) << "force=" << force;
-    EXPECT_EQ(tables.lp_leg, classic.lp_leg) << "force=" << force;
-    // Only `force` hands the legs to the tables' forward searches.
-    EXPECT_EQ(stats.bucket_fwd_searches > 0, force);
-  }
-}
-
 TEST(ThresholdPolicyTest, PruningLogic) {
   SkylineSet skyline;
   skyline.Update({10.0, 0.0}, {1});  // perfect route of length 10
   skyline.Update({4.0, 0.5}, {2});
   const SemanticAggregator agg;
-  LowerBounds lb;
-  lb.ls_remaining = {2.0, 2.0, 0.0};
-  lb.lp_remaining = {3.0, 3.0, 0.0};
-  lb.ls_leg = {2.0};
-  lb.lp_leg = {3.0};
-  const std::vector<double> sigma = {0.8, 0.8, 0.0};
-  const ThresholdPolicy policy(skyline, agg, &lb, sigma, 2);
+  const ThresholdPolicy policy(skyline, agg);  // no semantic floor
 
-  // Size-1 partial with semantic 0 (acc=1): threshold is 10.
-  EXPECT_FALSE(policy.ShouldPrunePartial(1.0, 7.9, 1));  // 7.9+2 < 10
-  EXPECT_TRUE(policy.ShouldPrunePartial(1.0, 8.0, 1));   // 8+2 >= 10
-  // Lemma 5.8: with acc=1, delta = 1-0.8 = 0.2 => bumped threshold uses
-  // semantic 0.2 -> Th = 10... entry (4,0.5) needs sem >= 0.5.
-  // With acc such that sem=0.5: Th(0.5)=4.
-  EXPECT_TRUE(policy.ShouldPrunePartial(0.5, 4.0, 1));  // plain: 4+2 >= 4
+  // Lemma 5.3 at the route's own score: Th(0) = 10, Th(0.5) = 4, and a
+  // score between the two steps reads the lower one's threshold.
+  EXPECT_FALSE(policy.ShouldPrunePartial(1.0, 9.9, 1));
+  EXPECT_TRUE(policy.ShouldPrunePartial(1.0, 10.0, 1));  // equal length
+  EXPECT_FALSE(policy.ShouldPrunePartial(0.8, 9.9, 1));   // Th(0.2) = 10
+  EXPECT_FALSE(policy.ShouldPrunePartial(0.5, 3.9, 1));
+  EXPECT_TRUE(policy.ShouldPrunePartial(0.5, 4.0, 1));
+  // The destination tail adds to the length.
+  EXPECT_TRUE(policy.ShouldPrunePartial(1.0, 7.0, 1, 3.0));
+  EXPECT_FALSE(policy.ShouldPrunePartial(1.0, 7.0, 1, 2.9));
   // Complete-route pruning is plain dominance.
   EXPECT_TRUE(policy.ShouldPruneComplete({11.0, 0.0}));
+  EXPECT_TRUE(policy.ShouldPruneComplete({10.0, 0.0}));
   EXPECT_FALSE(policy.ShouldPruneComplete({9.0, 0.0}));
-  // Budget: Th(0)=10, len=3, next leg m+1=2 -> remaining 0.
+  // Budget: the threshold minus the length so far, whatever the position.
   EXPECT_DOUBLE_EQ(policy.ExpansionBudget(1.0, 3.0, 1), 7.0);
-  // For m=0 -> candidate size 1, remaining ls_remaining[1]=2.
-  EXPECT_DOUBLE_EQ(policy.ExpansionBudget(1.0, 0.0, 0), 8.0);
+  EXPECT_DOUBLE_EQ(policy.ExpansionBudget(1.0, 0.0, 0), 10.0);
+  EXPECT_DOUBLE_EQ(policy.ExpansionBudget(0.5, 1.0, 1), 3.0);
 }
 
 // The flat stamped-span cache must behave exactly like a plain map from
@@ -515,10 +427,9 @@ TEST(ThresholdPolicyTest, CompletionBounds) {
   SkylineSet skyline;
   skyline.Update({4.0, 0.5}, {2});  // no perfect route: Th(s) = inf below 0.5
   const SemanticAggregator agg;
-  const std::vector<double> sigma = {0.0, 0.0, 0.0};
   const std::vector<double> best_sim = {1.0, 0.5};  // position 1 tops at 0.5
-  const ThresholdPolicy plain(skyline, agg, nullptr, sigma, 2);
-  const ThresholdPolicy floored(skyline, agg, nullptr, sigma, 2, best_sim);
+  const ThresholdPolicy plain(skyline, agg);
+  const ThresholdPolicy floored(skyline, agg, best_sim);
 
   // Semantic floor: acc 1 extended by 1.0 then 0.5 scores 0.5.
   EXPECT_EQ(plain.SemanticFloor(1.0, 0), 0.0);
@@ -546,8 +457,7 @@ TEST(ThresholdPolicyTest, CompletionBounds) {
 TEST(ThresholdPolicyTest, EmptySkylineNeverPrunes) {
   SkylineSet skyline;
   const SemanticAggregator agg;
-  const std::vector<double> sigma = {0.0, 0.0};
-  const ThresholdPolicy policy(skyline, agg, nullptr, sigma, 1);
+  const ThresholdPolicy policy(skyline, agg);
   EXPECT_FALSE(policy.ShouldPrunePartial(1.0, 1e12, 1));
   EXPECT_EQ(policy.ExpansionBudget(1.0, 0.0, 0), kInfWeight);
 }

@@ -1,12 +1,14 @@
-// Hostile-bytes sweep over the three binary formats the library persists:
+// Hostile-bytes sweep over the three binary formats the library persists —
 // graph snapshots (graph.bin), CH oracle indexes (.chidx) and category-bucket
-// tables (.cbkt). Every truncation of a small valid file, and 200 seeded
-// single-byte corruptions of it, must come back from the loader as a
-// Status: a truncated file is always rejected, and a corrupted one is
-// either rejected or loads into a structure that is safe to use. A loader
-// that crashes, or accepts a structure that crashes its first consumer,
-// fails here (and under the sanitizer build, reads out of bounds are
-// caught even when they happen not to crash).
+// tables (.cbkt) — and the text workload format (start|dest|predicates,
+// with '+' all_of and '!' none_of terms). Every truncation of a small valid
+// file, and 200 seeded single-byte corruptions of it, must come back from
+// the loader as a Status or as a structure that is safe to use: a truncated
+// binary file is always rejected (a truncated text file may still be a
+// valid, shorter workload), and a corrupted one is either rejected or
+// loads. A loader that crashes, or accepts a structure that crashes its
+// first consumer, fails here (and under the sanitizer build, reads out of
+// bounds are caught even when they happen not to crash).
 
 #include <fstream>
 #include <iterator>
@@ -24,6 +26,7 @@
 #include "retrieval/category_buckets.h"
 #include "scenario/scenario.h"
 #include "util/rng.h"
+#include "workload/query_gen.h"
 
 namespace skysr {
 namespace {
@@ -72,21 +75,26 @@ struct SavedFiles {
   }
 };
 
-/// Runs `load` on every proper prefix of `bytes` (each must be rejected)
-/// and on `kFlips` seeded single-byte corruptions (each may load or not).
-/// `load` writes nothing but the scratch file and returns the load status;
-/// it is expected to exercise whatever it loaded.
+/// Runs `load` on every proper prefix of `bytes` (each must be rejected
+/// unless `prefixes_may_load`) and on `kFlips` seeded single-byte
+/// corruptions (each may load or not). `load` writes nothing but the
+/// scratch file and returns the load status; it is expected to exercise
+/// whatever it loaded.
 template <typename Load>
 void Sweep(const Bytes& bytes, const std::string& scratch, uint64_t seed,
-           Load load) {
+           Load load, bool prefixes_may_load = false) {
   ASSERT_FALSE(bytes.empty());
   WriteFile(scratch, bytes.data(), bytes.size());
   ASSERT_TRUE(load().ok()) << "the unmodified file must load";
 
   for (size_t cut = 0; cut < bytes.size(); ++cut) {
     WriteFile(scratch, bytes.data(), cut);
-    ASSERT_FALSE(load().ok()) << "truncated at byte " << cut << " of "
-                              << bytes.size();
+    SCOPED_TRACE("truncated at byte " + std::to_string(cut) + " of " +
+                 std::to_string(bytes.size()));
+    const bool loaded = load().ok();
+    if (!prefixes_may_load) {
+      ASSERT_FALSE(loaded);
+    }
   }
 
   Rng rng(seed);
@@ -183,6 +191,57 @@ TEST(LoaderMutationTest, CategoryBucketTables) {
     }
     return loaded.status();
   });
+}
+
+// The workload text format: the scenario's queries plus one with a
+// destination, a '+' (all_of) and a '!' (none_of) term. Whatever a mutant
+// loads must be a workload the engine accepts: every query passes
+// ValidateQuery (so a vertex id out of the graph's range, or one of 2^32
+// and above that a narrowing cast would wrap to a valid id, is a parse
+// error) and runs.
+TEST(LoaderMutationTest, WorkloadFile) {
+  const SavedFiles files;
+  const Dataset& ds = files.scenario.dataset;
+  std::vector<Query> queries = files.scenario.queries;
+  ASSERT_FALSE(queries.empty());
+  Query complex = queries[0];
+  ASSERT_GE(complex.size(), 2);
+  complex.destination = static_cast<VertexId>(ds.graph.num_vertices() - 1);
+  complex.sequence[0].all_of.push_back(complex.sequence[0].any_of[0]);
+  complex.sequence[1].none_of.push_back(
+      ds.forest.RootOf(ds.forest.num_trees() - 1));
+  queries.push_back(complex);
+  const std::string path = files.dir + "/mutation_workload.txt";
+  ASSERT_TRUE(WriteWorkloadFile(path, ds, queries).ok());
+  const Bytes bytes = ReadFile(path);
+  ASSERT_NE(std::string(bytes.begin(), bytes.end()).find('+'),
+            std::string::npos);
+  ASSERT_NE(std::string(bytes.begin(), bytes.end()).find('!'),
+            std::string::npos);
+
+  BssrEngine engine(ds.graph, ds.forest);
+  Sweep(
+      bytes, files.scratch_path, 404,
+      [&] {
+        auto loaded = LoadWorkloadFile(files.scratch_path, ds);
+        if (loaded.ok()) {
+          for (const Query& q : *loaded) {
+            EXPECT_TRUE(ValidateQuery(ds.graph, ds.forest, q).ok());
+            EXPECT_TRUE(engine.Run(q).ok());
+          }
+        }
+        return loaded.status();
+      },
+      /*prefixes_may_load=*/true);
+
+  // Vertex ids just past the graph and past 2^32 are refused, not wrapped.
+  const std::string name = ds.forest.Name(ds.forest.RootOf(0));
+  for (const std::string& line :
+       {std::to_string(ds.graph.num_vertices()) + "|-|" + name,
+        "4294967296|-|" + name, "0|4294967297|" + name, "-1|-|" + name}) {
+    WriteFile(files.scratch_path, line.data(), line.size());
+    EXPECT_FALSE(LoadWorkloadFile(files.scratch_path, ds).ok()) << line;
+  }
 }
 
 }  // namespace

@@ -290,10 +290,40 @@ TEST(EngineTraceTest, TracedRunRecordsPhasesAndPreservesCounters) {
             result->stats.phases.of(TracePhase::kQuery).total_ns);
 }
 
-// The oracle_table phase times the index-served distance work: NNinit hops
-// and lower-bound legs answered off the bucket tables. A traced CH + bucket
-// engine records it; the classic engine, which has no index to consult,
-// never does.
+// The lower_bound phase times the completion-bound set-up (the semantic-
+// floor scan): exactly one span per query that runs with the bounds on,
+// whatever its length, and none with them off.
+TEST(EngineTraceTest, OneLowerBoundSpanPerBoundedQuery) {
+  const testing::TinyDataset tiny = testing::MakeTinyDataset(7);
+  BssrEngine engine(tiny.graph, tiny.forest);
+  QueryTrace trace(4096);
+  trace.set_enabled(true);
+  engine.AttachTrace(&trace);
+  for (const int k : {1, 2, 3}) {
+    Query q;
+    q.start = 0;
+    for (PoiId p = 0; p < k; ++p) {
+      q.sequence.push_back(
+          CategoryPredicate::Single(tiny.graph.PoiPrimaryCategory(p)));
+    }
+    for (const bool bounds : {true, false}) {
+      QueryOptions options;
+      options.use_lower_bounds = bounds;
+      const auto result = engine.Run(q, options);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      ASSERT_FALSE(result->stats.infeasible.fired());
+      EXPECT_EQ(result->stats.phases.of(TracePhase::kLowerBound).count,
+                bounds ? 1 : 0)
+          << "k=" << k << " bounds=" << bounds;
+    }
+  }
+  engine.AttachTrace(nullptr);
+}
+
+// The oracle_table phase times the index-served distance work, which is
+// now the NNinit hops answered off the bucket tables and nothing else. A
+// traced CH + bucket engine records it; the classic engine, which has no
+// index to consult, never does.
 TEST(EngineTraceTest, OracleTableSpansOnlyWithBucketTables) {
   const testing::TinyDataset tiny = testing::MakeTinyDataset(7);
   Query q;
@@ -323,7 +353,7 @@ TEST(EngineTraceTest, OracleTableSpansOnlyWithBucketTables) {
 
   BssrEngine indexed(tiny.graph, tiny.forest, &ch, &buckets);
   EXPECT_GE(oracle_table_spans(indexed, RetrieverKind::kBucket), 1);
-  // kSettle keeps the classic hops and legs even with the tables attached.
+  // kSettle keeps the classic hops even with the tables attached.
   EXPECT_EQ(oracle_table_spans(indexed, RetrieverKind::kSettle), 0);
 
   BssrEngine classic(tiny.graph, tiny.forest);

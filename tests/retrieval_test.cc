@@ -1,5 +1,6 @@
 // PoI-retrieval subsystem (src/retrieval/): bucket tables bit-equal to
-// graph Dijkstra, candidate streams identical across all three backends,
+// graph Dijkstra, candidate streams identical across the three primitives
+// the engine calls (settle loop, bucket scan, resumable slot),
 // resumable state equivalent to both fresh searches and the legacy hash-map
 // ResumableDijkstra, engine-level bit-identity across retriever kinds,
 // bucket-table persistence, and workspace-reuse determinism with buckets
@@ -12,11 +13,14 @@
 
 #include <gtest/gtest.h>
 
+#include "cache/shared_query_cache.h"
 #include "core/bssr_engine.h"
+#include "core/modified_dijkstra.h"
 #include "graph/dijkstra.h"
 #include "graph/resumable_dijkstra.h"
 #include "retrieval/bucket_io.h"
-#include "retrieval/poi_retriever.h"
+#include "retrieval/bucket_retriever.h"
+#include "retrieval/resumable_retriever.h"
 #include "scenario/scenario.h"
 #include "service/query_service.h"
 
@@ -65,14 +69,56 @@ struct Emitted {
   double sim;
 };
 
-std::vector<Emitted> Stream(PoiRetriever& retriever,
-                            const PositionMatcher& matcher, VertexId source,
-                            Weight budget) {
+Emitted EmittedOf(const ExpansionCandidate& c) {
+  return Emitted{c.vertex, c.dist, c.sim};
+}
+
+// One deferred-mode expansion at a fixed budget through each primitive the
+// engine calls, each with fresh state so nothing leaks between cases.
+
+// The classic settle loop, with the Lemma 5.5 cuts off.
+std::vector<Emitted> SettleStream(const Graph& g,
+                                  const PositionMatcher& matcher,
+                                  VertexId source, Weight budget) {
   std::vector<Emitted> out;
-  (void)retriever.Retrieve(matcher, source, [budget] { return budget; },
-                           [&](const ExpansionCandidate& c) {
-                             out.push_back(Emitted{c.vertex, c.dist, c.sim});
-                           });
+  ExpansionScratch scratch;
+  (void)RunExpansionInto(
+      g, matcher, source, [budget] { return budget; },
+      /*apply_lemma55=*/false, scratch, /*out=*/nullptr,
+      [&](const ExpansionCandidate& c) { out.push_back(EmittedOf(c)); },
+      nullptr);
+  return out;
+}
+
+// A bucket scan capped at the budget, then the engine's replay loop: the
+// first candidate at or beyond the budget ends the stream.
+std::vector<Emitted> BucketStream(const CategoryBucketIndex& buckets,
+                                  const PositionMatcher& matcher,
+                                  VertexId source, Weight budget) {
+  OracleWorkspace ows;
+  BucketScanState state;
+  SharedQueryCache cache;
+  (void)BucketRetriever(buckets).Collect(source, matcher, ows, state, cache,
+                                         budget, nullptr);
+  std::vector<Emitted> out;
+  for (const ExpansionCandidate& c : state.cands) {
+    if (c.dist >= budget) break;
+    out.push_back(EmittedOf(c));
+  }
+  return out;
+}
+
+// A resumable slot.
+std::vector<Emitted> ResumeStream(const Graph& g,
+                                  const PositionMatcher& matcher,
+                                  VertexId source, Weight budget) {
+  std::vector<Emitted> out;
+  ResumablePool pool;
+  pool.Prepare(1);
+  (void)RetrieveResumable(
+      g, matcher, *pool.FindOrCreate(g, source), [budget] { return budget; },
+      [&](const ExpansionCandidate& c) { out.push_back(EmittedOf(c)); },
+      nullptr, nullptr);
   return out;
 }
 
@@ -89,8 +135,8 @@ void ExpectSameStream(const std::vector<Emitted>& a,
 // Every PoI distance the bucket scan produces must be the exact double a
 // flat graph Dijkstra computes — the exactness contract of
 // distance_oracle.h. These are the only index-served distances of NNinit
-// hops and lower-bound legs, so the check spans every graph family and
-// weight model (unit weights maximize ties, continuous weights exercise
+// hops and bucket-served expansions, so the check spans every graph family
+// and weight model (unit weights maximize ties, continuous weights exercise
 // rounding), plus a source sitting on a PoI vertex (distance 0 to itself).
 TEST(CategoryBucketTest, ExactDistancesBitEqualDijkstra) {
   for (const GraphFamily family :
@@ -132,10 +178,10 @@ TEST(CategoryBucketTest, ExactDistancesBitEqualDijkstra) {
   }
 }
 
-// The three backends must emit identical candidate streams — same PoIs,
+// The three primitives must emit identical candidate streams — same PoIs,
 // same bit-exact distances, same order — under unlimited and finite
 // budgets.
-TEST(PoiRetrieverTest, BackendsStreamIdenticalCandidates) {
+TEST(RetrievalPrimitivesTest, StreamIdenticalCandidates) {
   const Scenario sc = MakeScenario(RetrievalSpec(GraphFamily::kCluster, 902));
   const Graph& g = sc.dataset.graph;
   const ChOracle ch = ChOracle::Build(g);
@@ -147,27 +193,19 @@ TEST(PoiRetrieverTest, BackendsStreamIdenticalCandidates) {
       for (int i = 0; i < 3; ++i) {
         const auto src =
             static_cast<VertexId>((g.num_vertices() * (2 * i + 1)) / 7);
-        // Fresh backends per (matcher, source) so suspended state cannot
-        // leak between cases.
-        auto settle = MakePoiRetriever(g);
-        auto bucket = MakePoiRetriever(buckets);
-        auto resume = MakeResumablePoiRetriever(g);
-        const auto ref = Stream(*settle, matcher, src, kInfWeight);
-        ExpectSameStream(Stream(*bucket, matcher, src, kInfWeight), ref,
+        const auto ref = SettleStream(g, matcher, src, kInfWeight);
+        ExpectSameStream(BucketStream(buckets, matcher, src, kInfWeight), ref,
                          "bucket/inf");
-        ExpectSameStream(Stream(*resume, matcher, src, kInfWeight), ref,
+        ExpectSameStream(ResumeStream(g, matcher, src, kInfWeight), ref,
                          "resume/inf");
         if (ref.size() >= 2) {
           // A budget that cuts the stream mid-way (strictly above the
           // median candidate, at or below the next).
           const Weight budget = ref[ref.size() / 2].dist;
-          auto settle2 = MakePoiRetriever(g);
-          auto bucket2 = MakePoiRetriever(buckets);
-          auto resume2 = MakeResumablePoiRetriever(g);
-          const auto ref2 = Stream(*settle2, matcher, src, budget);
-          ExpectSameStream(Stream(*bucket2, matcher, src, budget), ref2,
+          const auto ref2 = SettleStream(g, matcher, src, budget);
+          ExpectSameStream(BucketStream(buckets, matcher, src, budget), ref2,
                            "bucket/cut");
-          ExpectSameStream(Stream(*resume2, matcher, src, budget), ref2,
+          ExpectSameStream(ResumeStream(g, matcher, src, budget), ref2,
                            "resume/cut");
         }
       }
@@ -233,19 +271,12 @@ TEST(ResumableRetrieverTest, GrowingBudgetsMatchFreshSearches) {
     DijkstraRunStats rstats;
     (void)RetrieveResumable(g, matcher, *slot, [budget] { return budget; },
                             [&](const ExpansionCandidate& c) {
-                              got.push_back(Emitted{c.vertex, c.dist, c.sim});
+                              got.push_back(EmittedOf(c));
                             },
                             nullptr, &rstats);
     // Fresh search at the same budget.
-    std::vector<Emitted> ref;
-    ExpansionScratch scratch;
-    (void)RunExpansionInto(g, matcher, src, [budget] { return budget; },
-                           /*apply_lemma55=*/false, scratch, /*out=*/nullptr,
-                           [&](const ExpansionCandidate& c) {
-                             ref.push_back(Emitted{c.vertex, c.dist, c.sim});
-                           },
-                           nullptr);
-    ExpectSameStream(got, ref, "resume growing budget");
+    ExpectSameStream(got, SettleStream(g, matcher, src, budget),
+                     "resume growing budget");
     // The slot never re-settles its prefix: total settles stay bounded by
     // the log length.
     EXPECT_EQ(settles_before + rstats.settled,

@@ -41,8 +41,8 @@
 //       the skyline plus search statistics. --oracle ch builds (or --index
 //       loads) the contraction-hierarchies index; it speeds up the query
 //       only together with --buckets, which loads (or builds) the category
-//       bucket tables that NNinit hops, lower-bound legs and expansions
-//       read. --retriever picks how much of the query the tables answer.
+//       bucket tables that NNinit hops and expansions read. --retriever
+//       picks how much of the query the tables answer.
 //       --trace-out records per-phase spans and writes Chrome trace-event
 //       JSON (loadable in chrome://tracing or https://ui.perfetto.dev) plus
 //       a per-phase breakdown to stdout. --explain prints the query's
