@@ -43,8 +43,10 @@ class ChOracle;
 /// snapshot builders must derive it the same way so bindings match.
 uint64_t WarmStateChecksum(const Graph& g, const ChOracle* oracle);
 
-/// Aggregated observability counters (ServiceMetrics folds per-task deltas
-/// of these into its wait-free atomics).
+/// Cumulative warm-state event counters. The cache is their only writer:
+/// BssrEngine::Run stores each query's deltas in its SearchStats, and every
+/// other record (explain, slow-query log, service metrics) reads them
+/// there.
 struct SharedCacheCounters {
   int64_t fwd_hits = 0;        // private-cache + snapshot hits
   int64_t fwd_misses = 0;      // searches that had to run

@@ -269,8 +269,7 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
   // it skips.
   SharedQueryCache* const xc = xcache_ != nullptr ? xcache_ : &ws_.xcache;
   if (xcache_ == nullptr) xc->Invalidate();
-  SharedCacheCounters xc_before;
-  if (exp != nullptr) xc_before = xc->Counters();
+  const SharedCacheCounters xc_before = xc->Counters();
   ResumablePool& resume_pool = xc->resume_pool();
   resume_pool.Prepare(RetrieverCostModel::ResumableSlots(g_->num_vertices()));
   ws_.qb.Reset(options.queue_discipline, k);
@@ -648,21 +647,16 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
       skyline.MemoryBytes() + cache.MemoryBytes() +
       ws_.prune_floors.MemoryBytes();
 
-  if (exp != nullptr) {
-    // Every forward-cache lookup is a counted search or reuse, so the
-    // stats are the one writer of the forward-search layer.
-    exp->fwd_search.hits = stats.bucket_fwd_reuses;
-    exp->fwd_search.misses = stats.bucket_fwd_searches;
-    exp->fwd_search.bytes = xc->ResidentBytes();
-    const SharedCacheCounters xc_after = xc->Counters();
-    exp->resume_slots.hits = xc_after.resume_reuses - xc_before.resume_reuses;
-    exp->resume_slots.misses =
-        xc_after.resume_evictions - xc_before.resume_evictions;
-    exp->cand_pruned = stats.cand_pruned;
-    exp->floor_skips = stats.cand_floor_skipped;
-    exp->infeasible = stats.infeasible;
-    exp->semantic_floor = stats.semantic_floor;
-  }
+  // The cache is the one writer of warm-state events; the query's share is
+  // the delta of its counters over this run.
+  const SharedCacheCounters xc_after = xc->Counters();
+  stats.bucket_fwd_reuses = xc_after.fwd_hits - xc_before.fwd_hits;
+  stats.bucket_fwd_searches = xc_after.fwd_misses - xc_before.fwd_misses;
+  stats.fwd_evictions = xc_after.fwd_evictions - xc_before.fwd_evictions;
+  stats.resume_reuses = xc_after.resume_reuses - xc_before.resume_reuses;
+  stats.resume_evictions =
+      xc_after.resume_evictions - xc_before.resume_evictions;
+  if (exp != nullptr) exp->xcache_bytes = xc->ResidentBytes();
 
   stats.skyline_size = skyline.size();
   result.routes = skyline.TakeRoutes();  // move, not deep copy

@@ -185,8 +185,7 @@ void RunNnInitAdaptive(const Graph& g,
       {
         TraceSpan span(buckets->oracle_ws->trace, TracePhase::kOracleTable);
         buckets->retriever.EnsureForward(cursor, *buckets->oracle_ws,
-                                         *buckets->scan, *buckets->shared,
-                                         stats);
+                                         *buckets->scan, *buckets->shared);
         for (size_t c = 0; c < cand_poi.size(); ++c) {
           dist[c] = buckets->retriever.ExactDistanceTo(cand_poi[c],
                                                        *buckets->scan);

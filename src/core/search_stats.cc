@@ -34,7 +34,8 @@ std::string SearchStats::ToString() const {
       "candidates: examined=%lld pruned=%lld dup_rejected=%lld "
       "floor_skipped=%lld\n"
       "retrieval: bucket_runs=%lld resume_runs=%lld fwd_searches=%lld "
-      "fwd_reuses=%lld bucket_cands=%lld\n"
+      "fwd_reuses=%lld fwd_evictions=%lld resume_reuses=%lld "
+      "resume_evictions=%lld bucket_cands=%lld\n"
       "nninit: %.3fms routes=%lld weight_sum=%.4f perfect_len=%.4f "
       "max_sem_len=%.4f\n"
       "bounds: semantic_floor=%.4f\n"
@@ -57,6 +58,9 @@ std::string SearchStats::ToString() const {
       static_cast<long long>(retriever_resume_runs),
       static_cast<long long>(bucket_fwd_searches),
       static_cast<long long>(bucket_fwd_reuses),
+      static_cast<long long>(fwd_evictions),
+      static_cast<long long>(resume_reuses),
+      static_cast<long long>(resume_evictions),
       static_cast<long long>(bucket_candidates), nninit_ms,
       static_cast<long long>(nninit_routes), nninit_weight_sum,
       nninit_perfect_length, nninit_max_semantic_length, semantic_floor,

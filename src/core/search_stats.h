@@ -1,5 +1,12 @@
 // Instrumentation counters collected by every engine. Each counter feeds one
 // of the paper's tables/figures (see DESIGN.md §3).
+//
+// SearchStats is the one per-query record: each counter has exactly one
+// writer, and every other record derives from it. The engine (and NNinit)
+// write the search and candidate counters; the warm-state fields are the
+// query's deltas of SharedQueryCache::Counters(), the only writer of cache
+// events. QueryExplain renders these counters instead of copying them, the
+// slow-query log keeps the record whole, and ServiceMetrics folds it.
 
 #ifndef SKYSR_CORE_SEARCH_STATS_H_
 #define SKYSR_CORE_SEARCH_STATS_H_
@@ -57,11 +64,19 @@ struct SearchStats {
   // PoI-retrieval subsystem (src/retrieval/).
   int64_t retriever_bucket_runs = 0;  // expansions answered by bucket scans
   int64_t retriever_resume_runs = 0;  // expansions served by resumable slots
-  int64_t bucket_fwd_searches = 0;    // forward upward searches run
-  int64_t bucket_fwd_reuses = 0;      // forward searches replayed from cache
   int64_t bucket_candidates = 0;      // candidates materialized by scans
   double weight_sum = 0;              // all searches (search-space proxy)
   double first_search_weight_sum = 0; // the first modified Dijkstra only
+
+  // Warm state (src/cache/): this query's deltas of the SharedQueryCache
+  // counters, stored once at the end of the run. On an engine with no cache
+  // attached they count reuse within the query only.
+  int64_t bucket_fwd_searches = 0;  // forward upward searches run
+  int64_t bucket_fwd_reuses = 0;    // forward searches replayed (cache or
+                                    // prewarm snapshot)
+  int64_t fwd_evictions = 0;        // forward-cache entries displaced
+  int64_t resume_reuses = 0;        // resumable slots found suspended
+  int64_t resume_evictions = 0;     // resumable slots displaced
 
   // NNinit (§5.3.1, Table 7).
   double nninit_ms = 0;

@@ -1,6 +1,7 @@
 #include "graph/io.h"
 
 #include <fstream>
+#include <limits>
 #include <string>
 
 #include "graph/graph_builder.h"
@@ -72,6 +73,10 @@ Result<Graph> LoadRoadNetwork(const std::string& node_path,
             !ParseInt64(f[2], &n2) || !ParseDouble(f[3], &w)) {
           return ParseError(edge_path, line_no, "malformed number");
         }
+        // Checked before narrowing to VertexId: 2^32 + 1 must not wrap to 1.
+        if (n1 < 0 || n1 >= expected_id || n2 < 0 || n2 >= expected_id) {
+          return ParseError(edge_path, line_no, "edge endpoint out of range");
+        }
         builder.AddEdge(static_cast<VertexId>(n1), static_cast<VertexId>(n2),
                         w);
         return Status::OK();
@@ -94,6 +99,9 @@ Result<std::vector<PoiPoint>> LoadPoiPoints(const std::string& poi_path) {
         if (!ParseDouble(f[0], &p.x) || !ParseDouble(f[1], &p.y) ||
             !ParseInt64(f[2], &cat)) {
           return ParseError(poi_path, line_no, "malformed number");
+        }
+        if (cat < 0 || cat > std::numeric_limits<CategoryId>::max()) {
+          return ParseError(poi_path, line_no, "category id out of range");
         }
         p.categories.push_back(static_cast<CategoryId>(cat));
         for (size_t i = 3; i < f.size(); ++i) {

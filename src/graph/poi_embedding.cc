@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "graph/graph_builder.h"
 #include "graph/spatial_grid.h"
@@ -44,6 +45,20 @@ Result<Graph> EmbedPoisOnEdges(const Graph& base,
   }
   if (base.num_pois() != 0) {
     return Status::InvalidArgument("base graph already contains PoIs");
+  }
+  // Every loader's PoIs pass through here; an infinite or NaN coordinate
+  // would make the placement meaningless.
+  for (VertexId v = 0; v < base.num_vertices(); ++v) {
+    if (!std::isfinite(base.X(v)) || !std::isfinite(base.Y(v))) {
+      return Status::InvalidArgument("non-finite coordinate at vertex " +
+                                     std::to_string(v));
+    }
+  }
+  for (size_t pi = 0; pi < pois.size(); ++pi) {
+    if (!std::isfinite(pois[pi].x) || !std::isfinite(pois[pi].y)) {
+      return Status::InvalidArgument("non-finite coordinate at PoI " +
+                                     std::to_string(pi));
+    }
   }
 
   // Unique undirected edges (u < v).

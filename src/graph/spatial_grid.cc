@@ -7,6 +7,18 @@
 #include "util/logging.h"
 
 namespace skysr {
+namespace {
+
+/// `v` truncated to an index in [0, hi]. The clamp happens on the double,
+/// so a far-away, infinite or NaN coordinate never reaches an overflowing
+/// cast.
+int64_t ClampedIndex(double v, int64_t hi) {
+  if (!(v >= 0)) return 0;
+  if (v >= static_cast<double>(hi)) return hi;
+  return static_cast<int64_t>(v);
+}
+
+}  // namespace
 
 SpatialGrid::SpatialGrid(std::span<const double> xs, std::span<const double> ys,
                          double target_per_cell)
@@ -29,14 +41,17 @@ SpatialGrid::SpatialGrid(std::span<const double> xs, std::span<const double> ys,
   const double width = std::max(max_x - min_x_, 1e-12);
   const double height = std::max(max_y - min_y_, 1e-12);
   const double cells = std::max(1.0, static_cast<double>(n) / target_per_cell);
-  // Aspect-preserving grid with ~`cells` cells total.
+  // Aspect-preserving grid with ~`cells` cells total. Neither side gets
+  // more than `cells` cells: a collinear point set (height clamped to
+  // 1e-12) would otherwise ask for width / 1e-12 columns.
   const double aspect = width / height;
-  nx_ = std::max<int64_t>(1, static_cast<int64_t>(std::sqrt(cells * aspect)));
+  nx_ = std::max<int64_t>(
+      1, ClampedIndex(std::sqrt(cells * aspect), static_cast<int64_t>(cells)));
   ny_ = std::max<int64_t>(1, static_cast<int64_t>(cells / static_cast<double>(nx_)));
   cell_size_ = std::max(width / static_cast<double>(nx_),
                         height / static_cast<double>(ny_));
-  nx_ = static_cast<int64_t>(width / cell_size_) + 1;
-  ny_ = static_cast<int64_t>(height / cell_size_) + 1;
+  nx_ = ClampedIndex(width / cell_size_, nx_) + 1;
+  ny_ = ClampedIndex(height / cell_size_, ny_) + 1;
 
   const int64_t num_cells = nx_ * ny_;
   cell_offsets_.assign(static_cast<size_t>(num_cells) + 1, 0);
@@ -60,10 +75,8 @@ SpatialGrid::SpatialGrid(std::span<const double> xs, std::span<const double> ys,
 
 void SpatialGrid::CellCoords(double x, double y, int64_t* cx,
                              int64_t* cy) const {
-  *cx = std::clamp<int64_t>(
-      static_cast<int64_t>((x - min_x_) / cell_size_), 0, nx_ - 1);
-  *cy = std::clamp<int64_t>(
-      static_cast<int64_t>((y - min_y_) / cell_size_), 0, ny_ - 1);
+  *cx = ClampedIndex((x - min_x_) / cell_size_, nx_ - 1);
+  *cy = ClampedIndex((y - min_y_) / cell_size_, ny_ - 1);
 }
 
 int64_t SpatialGrid::CellOf(double x, double y) const {
@@ -98,7 +111,9 @@ int64_t SpatialGrid::Nearest(double x, double y) const {
           const double ddx = xs_[static_cast<size_t>(i)] - x;
           const double ddy = ys_[static_cast<size_t>(i)] - y;
           const double d2 = ddx * ddx + ddy * ddy;
-          if (d2 < best_d2) {
+          // The first point is taken even at an infinite distance, so a
+          // non-empty grid always answers with a valid index.
+          if (best < 0 || d2 < best_d2) {
             best_d2 = d2;
             best = i;
           }

@@ -21,13 +21,15 @@ class SpatialGrid {
   SpatialGrid(std::span<const double> xs, std::span<const double> ys,
               double target_per_cell = 4.0);
 
-  /// Index of the point nearest to (x, y); -1 when the set is empty.
+  /// Index of the point nearest to (x, y); -1 when the set is empty. A
+  /// query too far away for finite squared distances gets some point.
   int64_t Nearest(double x, double y) const;
 
   /// All point indices within `radius` (Euclidean) of (x, y).
   std::vector<int64_t> WithinRadius(double x, double y, double radius) const;
 
   int64_t num_points() const { return static_cast<int64_t>(xs_.size()); }
+  int64_t num_cells() const { return nx_ * ny_; }
 
  private:
   int64_t CellOf(double x, double y) const;

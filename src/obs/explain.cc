@@ -19,7 +19,7 @@ void Appendf(std::string* out, const char* fmt, ...) {
 
 }  // namespace
 
-std::string QueryExplain::ToTreeString() const {
+std::string QueryExplain::ToTreeString(const SearchStats& stats) const {
   std::string out = "explain\n";
   Appendf(&out,
           "├─ plan: oracle=%s lemma5.5=%s retriever=%s -> %s\n",
@@ -32,8 +32,8 @@ std::string QueryExplain::ToTreeString() const {
           "│  └─ cost model: fwd_settles=%" PRId64
           " settle_density=%.4f vertices=%" PRId64 "\n",
           cost_fwd_settles, cost_settle_density, cost_num_vertices);
-  Appendf(&out, "├─ infeasible: %s\n", infeasible.ToString().c_str());
-  Appendf(&out, "├─ semantic_floor: %.17g\n", semantic_floor);
+  Appendf(&out, "├─ infeasible: %s\n", stats.infeasible.ToString().c_str());
+  Appendf(&out, "├─ semantic_floor: %.17g\n", stats.semantic_floor);
   out += "├─ positions\n";
   for (size_t m = 0; m < positions.size(); ++m) {
     const ExplainPositionBackends& p = positions[m];
@@ -47,7 +47,7 @@ std::string QueryExplain::ToTreeString() const {
   Appendf(&out,
           "│  ├─ fwd_search: %" PRId64 " hit / %" PRId64 " miss, %" PRId64
           " bytes\n",
-          fwd_search.hits, fwd_search.misses, fwd_search.bytes);
+          stats.bucket_fwd_reuses, stats.bucket_fwd_searches, xcache_bytes);
   Appendf(&out, "│  ├─ dest_tail: %s (%" PRId64 " hit / %" PRId64
                 " miss), %" PRId64 " bytes\n",
           dest_tail_source.c_str(), dest_tail.hits, dest_tail.misses,
@@ -57,14 +57,14 @@ std::string QueryExplain::ToTreeString() const {
           result_cache.hits, result_cache.misses);
   Appendf(&out,
           "│  └─ resume_slots: %" PRId64 " reuse / %" PRId64 " evict\n",
-          resume_slots.hits, resume_slots.misses);
+          stats.resume_reuses, stats.resume_evictions);
   Appendf(&out,
           "└─ pruning: cand_pruned=%" PRId64 " floor_skips=%" PRId64 "\n",
-          cand_pruned, floor_skips);
+          stats.cand_pruned, stats.cand_floor_skipped);
   return out;
 }
 
-std::string QueryExplain::ToJson() const {
+std::string QueryExplain::ToJson(const SearchStats& stats) const {
   std::string out = "{";
   Appendf(&out, "\"oracle\":\"%s\",\"lemma55\":\"%s\",", oracle.c_str(),
           deferred_lemma55 ? "deferred" : "inline");
@@ -76,8 +76,9 @@ std::string QueryExplain::ToJson() const {
           deferred_lemma55 ? "true" : "false", cost_fwd_settles,
           cost_settle_density, cost_num_vertices);
   Appendf(&out, "\"infeasible\":{\"reason\":\"%s\",\"position\":%d},",
-          InfeasibleReasonName(infeasible.reason), infeasible.position);
-  Appendf(&out, "\"semantic_floor\":%.17g,", semantic_floor);
+          InfeasibleReasonName(stats.infeasible.reason),
+          stats.infeasible.position);
+  Appendf(&out, "\"semantic_floor\":%.17g,", stats.semantic_floor);
   out += "\"positions\":[";
   for (size_t m = 0; m < positions.size(); ++m) {
     const ExplainPositionBackends& p = positions[m];
@@ -95,16 +96,19 @@ std::string QueryExplain::ToJson() const {
             ",\"bytes\":%" PRId64 "}%s",
             name, l.hits, l.misses, l.bytes, last ? "" : ",");
   };
-  layer("fwd_search", fwd_search, false);
+  layer("fwd_search",
+        {stats.bucket_fwd_reuses, stats.bucket_fwd_searches, xcache_bytes},
+        false);
   layer("dest_tail", dest_tail, false);
   Appendf(&out, "\"dest_tail_source\":\"%s\",", dest_tail_source.c_str());
   layer("result_cache", result_cache, false);
-  layer("resume_slots", resume_slots, true);
+  layer("resume_slots", {stats.resume_reuses, stats.resume_evictions, 0},
+        true);
   out += "},";
   Appendf(&out,
           "\"pruning\":{\"cand_pruned\":%" PRId64 ",\"floor_skips\":%" PRId64
           "}}",
-          cand_pruned, floor_skips);
+          stats.cand_pruned, stats.cand_floor_skipped);
   return out;
 }
 

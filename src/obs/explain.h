@@ -2,9 +2,15 @@
 // serving stack). Where SearchStats counts *how much* work a query did, an
 // explain records *which mechanism decided* to do (or skip) it: the
 // retriever cost model's inputs and verdict, which backend answered each
-// sequence position, what every cache layer contributed, how the pruned
-// candidates split across the pruning layers (DESIGN.md §9 maps each field
-// to its paper mechanism).
+// sequence position, and the cache layers the stats cannot hold (DESIGN.md
+// §9 maps each rendered field to its paper mechanism and its writer).
+//
+// One writer per counter: an explain holds only what SearchStats cannot —
+// the plan, the per-position backends, the destination-tail and result-
+// cache layers and the warm-state resident bytes. The feasibility verdict,
+// the semantic floor, the forward-search and resumable-slot layers and the
+// pruning split are rendered from the SearchStats of the same execution,
+// so both renderers take it.
 //
 // Discipline matches the tracing subsystem (query_trace.h): explain is
 // off by default (`QueryOptions::explain`), costs one branch per
@@ -14,8 +20,9 @@
 // any decision.
 //
 // Rendering: ToTreeString() for humans (`skysr_cli query --explain`),
-// ToJson() for machines (nightly publishes EXPLAIN_scale.json). Attached to QueryResult as a shared_ptr so the
-// slow-query log shares the caller's instance.
+// ToJson() for machines (nightly publishes EXPLAIN_scale.json). Attached to
+// QueryResult as a shared_ptr so the slow-query log shares the caller's
+// instance; the log's record keeps the matching SearchStats.
 
 #ifndef SKYSR_OBS_EXPLAIN_H_
 #define SKYSR_OBS_EXPLAIN_H_
@@ -55,36 +62,24 @@ struct QueryExplain {
   int64_t cost_fwd_settles = 0;       // oracle->ApproxSearchSettles()
   double cost_settle_density = 0.0;   // buckets->SettleDensity()
   int64_t cost_num_vertices = 0;
-  // Feasibility-gate verdict, assigned from SearchStats::infeasible; when
-  // it fired, no search ran and every counter below stays 0.
-  Infeasibility infeasible;
-  // Query shape, assigned from SearchStats::semantic_floor: the best
-  // semantic score any route can reach (0 when no bound applies).
-  double semantic_floor = 0;
 
   // --- Per-position expansion backends (index = sequence position). ---
   std::vector<ExplainPositionBackends> positions;
 
-  // --- Cache attribution, layer by layer. ---
-  // Forward searches: hits/misses are SearchStats::bucket_fwd_reuses /
-  // bucket_fwd_searches.
-  ExplainCacheLayer fwd_search;
+  // --- Cache layers SearchStats does not count. ---
   ExplainCacheLayer dest_tail;     // destination-tail table
   std::string dest_tail_source = "none";  // provider|local|none
   ExplainCacheLayer result_cache;  // service result cache (service fills)
-  ExplainCacheLayer resume_slots;  // resumable-slot reuses vs evictions
+  // Gauge: SharedQueryCache::ResidentBytes() after the query, rendered as
+  // the forward-search layer's bytes.
+  int64_t xcache_bytes = 0;
 
-  // --- Pruning attribution, one field per layer: threshold prunes
-  // (SearchStats::cand_pruned) and prune-floor skips (candidates that
-  // never reach the consume() decision). ---
-  int64_t cand_pruned = 0;
-  int64_t floor_skips = 0;
+  /// Human-readable tree (skysr_cli query --explain). `stats` is the
+  /// SearchStats of the same execution (all-zero for a result-cache hit).
+  std::string ToTreeString(const SearchStats& stats) const;
 
-  /// Human-readable tree (skysr_cli query --explain).
-  std::string ToTreeString() const;
-
-  /// One JSON object.
-  std::string ToJson() const;
+  /// One JSON object; `stats` as for ToTreeString.
+  std::string ToJson(const SearchStats& stats) const;
 };
 
 }  // namespace skysr

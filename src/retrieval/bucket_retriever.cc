@@ -50,8 +50,7 @@ void BucketRetriever::ComputeForward(VertexId source,
 void BucketRetriever::EnsureForward(VertexId source,
                                     OracleWorkspace& oracle_ws,
                                     BucketScanState& state,
-                                    SharedQueryCache& shared,
-                                    SearchStats* stats) const {
+                                    SharedQueryCache& shared) const {
   if (state.cur_src == source) return;
   const Graph& g = index_->graph();
   state.df_of.Prepare(g.num_vertices(), kInfWeight);
@@ -59,7 +58,7 @@ void BucketRetriever::EnsureForward(VertexId source,
 
   // The immutable snapshot first (shared across workers, read with no
   // locks), then the private write-back cache. Misses search and insert,
-  // so repeats become replays.
+  // so repeats become replays. The cache counts each lookup's outcome.
   std::span<const FwdSearchSettle> span;
   if (const FwdSnapshot* snap = shared.snapshot()) {
     span = snap->Find(source);
@@ -69,12 +68,10 @@ void BucketRetriever::EnsureForward(VertexId source,
   if (span.empty()) {
     ComputeForward(source, oracle_ws, state, &state.fold_buf);
     span = shared.fwd_cache().Insert(source, state.fold_buf);
-    if (stats != nullptr) ++stats->bucket_fwd_searches;
   } else {
     for (const FwdSearchSettle& s : span) {
       state.fsum_of.Set(s.vertex, s.fsum);
     }
-    if (stats != nullptr) ++stats->bucket_fwd_reuses;
   }
   // The per-vertex rounded view is rebuilt either way (the arrays describe
   // ONE source at a time; repopulating from the cached span is a linear
@@ -132,7 +129,7 @@ ExpansionOutcome BucketRetriever::Collect(
     VertexId source, const PositionMatcher& matcher,
     OracleWorkspace& oracle_ws, BucketScanState& state,
     SharedQueryCache& shared, Weight budget_cap, SearchStats* stats) const {
-  EnsureForward(source, oracle_ws, state, shared, stats);
+  EnsureForward(source, oracle_ws, state, shared);
   const Graph& g = index_->graph();
   state.cands.clear();
   state.poi_state.Prepare(g.num_pois(), 0);

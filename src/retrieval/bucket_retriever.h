@@ -82,10 +82,10 @@ class BucketRetriever {
   /// search. The lookup order is `shared`'s snapshot -> its forward cache
   /// -> a fresh search (written back to the cache). The records are a pure
   /// function of (CH structure, source), so every path yields bit-identical
-  /// state. `stats` (optional) counts the search or the reuse.
+  /// state. `shared` counts the search or the reuse (the engine reads the
+  /// query's share off SharedQueryCache::Counters()).
   void EnsureForward(VertexId source, OracleWorkspace& oracle_ws,
-                     BucketScanState& state, SharedQueryCache& shared,
-                     SearchStats* stats) const;
+                     BucketScanState& state, SharedQueryCache& shared) const;
 
   /// Low-level: runs the forward upward search from `source` and folds the
   /// exact path sums into `out` (and `state.fsum_of`, which must be
@@ -110,7 +110,8 @@ class BucketRetriever {
   /// sums with the kMeetEpsilon safety margin, so no in-budget candidate is
   /// ever dropped). Returns the stream's coverage: exhausted when nothing
   /// was skipped — any radius is served — else covered to `budget_cap`,
-  /// the same protocol a budget-stopped settle search reports.
+  /// the same protocol a budget-stopped settle search reports. `stats`
+  /// (optional) counts the materialized candidates.
   ExpansionOutcome Collect(VertexId source, const PositionMatcher& matcher,
                            OracleWorkspace& oracle_ws, BucketScanState& state,
                            SharedQueryCache& shared, Weight budget_cap,

@@ -186,7 +186,7 @@ std::string DebugPageHtml(const MetricsSnapshot& s,
       Appendf(&out, "<pre>%s", HtmlEscape(rec.ToString()).c_str());
       if (rec.explain != nullptr) {
         out += "\n";
-        out += HtmlEscape(rec.explain->ToTreeString());
+        out += HtmlEscape(rec.explain->ToTreeString(rec.stats));
       }
       out += "</pre>\n";
     }

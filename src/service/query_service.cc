@@ -155,8 +155,7 @@ void QueryService::Execute(WorkerState& state, ServingTask& task) {
     const int64_t qid =
         query_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
     const double latency_ms = task.enqueued.ElapsedMillis();
-    metrics_.RecordCompleted(latency_ms,
-                             /*vertices_settled=*/0, /*edges_relaxed=*/0,
+    metrics_.RecordCompleted(latency_ms, SearchStats{},
                              static_cast<int64_t>(hit->routes.size()), qid);
     QueryResult answered(*hit);
     if (task.options.explain) {
@@ -186,20 +185,11 @@ void QueryService::Execute(WorkerState& state, ServingTask& task) {
 
   Result<QueryResult> result = state.engine->Run(task.query, task.options);
 
-  // Shared-cache deltas are folded per query (not per worker-loop turn) so
-  // the slow-query log can attach this query's slot reuses.
-  int64_t d_resume_reuses = 0;
+  // The warm-state counts arrive in the query's SearchStats; only the
+  // resident-bytes gauge is read off the cache.
   if (state.xcache != nullptr) {
-    const SharedCacheCounters now = state.xcache->Counters();
     const int64_t bytes = state.xcache->ResidentBytes();
-    d_resume_reuses = now.resume_reuses - state.seen.resume_reuses;
-    metrics_.RecordXCache(now.fwd_hits - state.seen.fwd_hits,
-                          now.fwd_misses - state.seen.fwd_misses,
-                          now.fwd_evictions - state.seen.fwd_evictions,
-                          d_resume_reuses,
-                          now.resume_evictions - state.seen.resume_evictions,
-                          bytes - state.seen_bytes);
-    state.seen = now;
+    metrics_.AddXCacheResidentBytes(bytes - state.seen_bytes);
     state.seen_bytes = bytes;
   }
 
@@ -218,9 +208,9 @@ void QueryService::Execute(WorkerState& state, ServingTask& task) {
     const int64_t qid =
         query_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
     const double latency_ms = task.enqueued.ElapsedMillis();
-    metrics_.RecordCompleted(latency_ms, result->stats.vertices_settled,
-                             result->stats.edges_relaxed,
-                             static_cast<int64_t>(result->routes.size()), qid);
+    metrics_.RecordCompleted(latency_ms, result->stats,
+                             static_cast<int64_t>(result->routes.size()), qid,
+                             /*attached_cache=*/state.xcache != nullptr);
     SlowQueryRecord rec;
     rec.key = std::move(key);
     rec.latency_ms = latency_ms;
@@ -228,7 +218,6 @@ void QueryService::Execute(WorkerState& state, ServingTask& task) {
     rec.execute_ms = exec_timer.ElapsedMillis();
     rec.routes = static_cast<int64_t>(result->routes.size());
     rec.stats = result->stats;
-    rec.xcache_resume_reuses = d_resume_reuses;
     rec.query_id = qid;
     rec.explain = result->explain;
     slow_log_.Offer(std::move(rec));

@@ -178,14 +178,11 @@ class QueryService {
   };
 
   /// One worker's per-thread context: its engine, optional warm cache and
-  /// trace, and the cumulative shared-cache counters already folded into
-  /// the service metrics (so Execute can fold exact per-query deltas and
-  /// hand the same deltas to the slow-query log).
+  /// trace, and the cache's resident bytes last added to the service gauge.
   struct WorkerState {
     BssrEngine* engine = nullptr;
     SharedQueryCache* xcache = nullptr;  // null when the cache is off
     QueryTrace* trace = nullptr;         // null when tracing is off
-    SharedCacheCounters seen;
     int64_t seen_bytes = 0;
   };
 

@@ -58,10 +58,10 @@ double ServiceMetrics::BucketMidpoint(int bucket) {
 }
 
 void ServiceMetrics::RecordCompleted(double latency_ms,
-                                     int64_t vertices_settled,
-                                     int64_t edges_relaxed,
+                                     const SearchStats& stats,
                                      int64_t routes_found,
-                                     int64_t exemplar_id) {
+                                     int64_t exemplar_id,
+                                     bool attached_cache) {
   completed_.fetch_add(1, kRelaxed);
   const auto bucket = static_cast<size_t>(BucketOf(latency_ms));
   latency_buckets_[bucket].fetch_add(1, kRelaxed);
@@ -76,9 +76,16 @@ void ServiceMetrics::RecordCompleted(double latency_ms,
   latency_sum_ms_.fetch_add(latency_ms, kRelaxed);
   AtomicMin(latency_min_ms_, latency_ms);
   AtomicMax(latency_max_ms_, latency_ms);
-  vertices_settled_.fetch_add(vertices_settled, kRelaxed);
-  edges_relaxed_.fetch_add(edges_relaxed, kRelaxed);
+  vertices_settled_.fetch_add(stats.vertices_settled, kRelaxed);
+  edges_relaxed_.fetch_add(stats.edges_relaxed, kRelaxed);
   routes_found_.fetch_add(routes_found, kRelaxed);
+  if (attached_cache) {
+    xcache_fwd_hits_.fetch_add(stats.bucket_fwd_reuses, kRelaxed);
+    xcache_fwd_misses_.fetch_add(stats.bucket_fwd_searches, kRelaxed);
+    xcache_fwd_evictions_.fetch_add(stats.fwd_evictions, kRelaxed);
+    xcache_resume_reuses_.fetch_add(stats.resume_reuses, kRelaxed);
+    xcache_resume_evictions_.fetch_add(stats.resume_evictions, kRelaxed);
+  }
 }
 
 void ServiceMetrics::RecordQueueWait(double wait_ms) {
@@ -88,19 +95,6 @@ void ServiceMetrics::RecordQueueWait(double wait_ms) {
   queue_wait_sum_ms_.fetch_add(wait_ms, kRelaxed);
   AtomicMin(queue_wait_min_ms_, wait_ms);
   AtomicMax(queue_wait_max_ms_, wait_ms);
-}
-
-void ServiceMetrics::RecordXCache(int64_t fwd_hits, int64_t fwd_misses,
-                                  int64_t fwd_evictions,
-                                  int64_t resume_reuses,
-                                  int64_t resume_evictions,
-                                  int64_t resident_bytes_delta) {
-  xcache_fwd_hits_.fetch_add(fwd_hits, kRelaxed);
-  xcache_fwd_misses_.fetch_add(fwd_misses, kRelaxed);
-  xcache_fwd_evictions_.fetch_add(fwd_evictions, kRelaxed);
-  xcache_resume_reuses_.fetch_add(resume_reuses, kRelaxed);
-  xcache_resume_evictions_.fetch_add(resume_evictions, kRelaxed);
-  xcache_resident_bytes_.fetch_add(resident_bytes_delta, kRelaxed);
 }
 
 double ServiceMetrics::PercentileLocked(

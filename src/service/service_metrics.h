@@ -1,7 +1,8 @@
 // Aggregate service-level metrics for QueryService: query/error/cache
 // counters, throughput, and latency percentiles from a lock-free
 // log-bucketed histogram. Built on top of the per-query SearchStats that
-// every engine already emits.
+// every engine already emits: the effort and cross-query cache totals are
+// sums of those records, never a second count of the same events.
 
 #ifndef SKYSR_SERVICE_SERVICE_METRICS_H_
 #define SKYSR_SERVICE_SERVICE_METRICS_H_
@@ -91,9 +92,11 @@ struct MetricsSnapshot {
   int64_t edges_relaxed = 0;
   int64_t routes_found = 0;
 
-  // Cross-query shared-cache activity (src/cache/), summed over the
-  // per-worker caches. Forward hits include prewarm-snapshot hits;
-  // resident_bytes is a point-in-time gauge, not a cumulative count.
+  // Cross-query shared-cache activity (src/cache/): sums of the warm-state
+  // fields of the SearchStats of queries run on workers with a cache
+  // attached (0 when the cache is off). Forward hits include prewarm-
+  // snapshot hits; resident_bytes is a point-in-time gauge, not a
+  // cumulative count.
   int64_t xcache_fwd_hits = 0;
   int64_t xcache_fwd_misses = 0;
   int64_t xcache_fwd_evictions = 0;
@@ -124,25 +127,25 @@ class ServiceMetrics {
   void RecordCacheMiss() { cache_misses_.fetch_add(1, kRelaxed); }
 
   /// Records a successfully answered query with its end-to-end latency and
-  /// the engine effort spent on it (zeros when served from cache). A
-  /// non-zero `exemplar_id` (the service's per-query sequence number)
-  /// additionally stamps the latency bucket's exemplar — last writer wins,
-  /// so each bucket links to its most recent observation.
-  void RecordCompleted(double latency_ms, int64_t vertices_settled,
-                       int64_t edges_relaxed, int64_t routes_found,
-                       int64_t exemplar_id = 0);
+  /// the SearchStats of its execution (all-zero when served from the result
+  /// cache). With `attached_cache` (the worker runs a SharedQueryCache) the
+  /// stats' warm-state deltas fold into the xcache_* totals; without one
+  /// they count reuse within the query only and are left out. A non-zero
+  /// `exemplar_id` (the service's per-query sequence number) additionally
+  /// stamps the latency bucket's exemplar — last writer wins, so each
+  /// bucket links to its most recent observation.
+  void RecordCompleted(double latency_ms, const SearchStats& stats,
+                       int64_t routes_found, int64_t exemplar_id = 0,
+                       bool attached_cache = false);
 
   /// Records one dispatched query's submission-queue wait.
   void RecordQueueWait(double wait_ms);
 
-  /// Folds one worker's shared-cache counter DELTAS in (workers call this
-  /// after each executed query with cumulative-counter differences, so the
-  /// sums stay exact without any shared mutable cache state). The
-  /// resident-bytes delta may be negative; summing every worker's deltas
-  /// yields the current total gauge.
-  void RecordXCache(int64_t fwd_hits, int64_t fwd_misses,
-                    int64_t fwd_evictions, int64_t resume_reuses,
-                    int64_t resume_evictions, int64_t resident_bytes_delta);
+  /// Adds one worker's change of its cache's resident bytes (may be
+  /// negative); summing every worker's deltas yields the total gauge.
+  void AddXCacheResidentBytes(int64_t delta) {
+    xcache_resident_bytes_.fetch_add(delta, kRelaxed);
+  }
 
   MetricsSnapshot Snapshot() const;
 

@@ -67,7 +67,7 @@ std::string SlowQueryRecord::ToString() const {
                 static_cast<long long>(routes),
                 static_cast<long long>(stats.bucket_fwd_reuses),
                 static_cast<long long>(stats.bucket_fwd_searches),
-                static_cast<long long>(xcache_resume_reuses),
+                static_cast<long long>(stats.resume_reuses),
                 key.empty() ? "<uncacheable>" : key.c_str());
   std::string out = buf;
   for (int i = 0; i < kNumTracePhases; ++i) {

@@ -2,10 +2,13 @@
 // the "what was slow and why" complement to the aggregate histogram.
 //
 // Each record carries enough to diagnose the query offline: its canonical
-// key, the queue-wait / execute split of the end-to-end latency, the
-// engine's own SearchStats (effort, feasibility verdict and, when the
-// service runs with tracing enabled, the per-phase time breakdown) and the
-// query's resumable-slot reuses in its worker's shared cache.
+// key, the queue-wait / execute split of the end-to-end latency and the
+// engine's own SearchStats (effort, feasibility verdict, the query's
+// forward-search and resumable-slot reuses in its worker's shared cache
+// and, when the service runs with tracing enabled, the per-phase time
+// breakdown). The record adds no counter of its own: the service times the
+// query, and every count is the engine's or the shared cache's, as
+// SearchStats holds it.
 //
 // The log is thread-safe and cheap on the fast path: a query that cannot
 // displace the current floor is rejected on one relaxed atomic load, no
@@ -37,11 +40,8 @@ struct SlowQueryRecord {
   int64_t routes = 0;
   // The engine's counters for this execution, as the engine wrote them;
   // all-zero for a result-cache hit, which ran no search. Phases stay
-  // all-zero unless the service traces.
+  // all-zero unless the service traces. `explain` renders against these.
   SearchStats stats;
-  // Per-query resumable-slot reuses in the worker's shared cache
-  // (src/cache/); forward-search hits and misses are in `stats`.
-  int64_t xcache_resume_reuses = 0;
   // Service-assigned sequence number (the exemplar trace_id "q<N>" in the
   // Prometheus exposition refers to this); 0 when unassigned.
   int64_t query_id = 0;

@@ -1,6 +1,7 @@
 // Tests for per-query decision attribution (obs/explain.h) and its serving
-// integrations: explain-off bit-identity, pruning attribution copied from
-// SearchStats, JSON round-trip through mini_json,
+// integrations: explain-off bit-identity, per-position backends, the one-
+// writer rule for warm-state and pruning counters, JSON round-trip through
+// mini_json,
 // OpenMetrics latency exemplars, result-cache hit attribution, endpoint
 // routing (404 + extra routes), and the /debug dashboard renderer.
 
@@ -9,8 +10,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <array>
+#include <cmath>
 #include <cstdio>
-#include <iterator>
 #include <memory>
 #include <string>
 #include <utility>
@@ -18,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cache/shared_query_cache.h"
 #include "category/taxonomy_factory.h"
 #include "core/bssr_engine.h"
 #include "graph/graph_builder.h"
@@ -76,7 +80,7 @@ TEST(ExplainTest, OffByDefaultAndObservationOnly) {
   EXPECT_EQ(result->stats.cand_pruned, base->stats.cand_pruned);
 }
 
-TEST(ExplainTest, PruningAttributionCopiesSearchStats) {
+TEST(ExplainTest, PositionsAttributeTheExpansions) {
   const testing::TinyDataset tiny =
       testing::MakeTinyDataset(11, /*n=*/32, /*extra_edges=*/24,
                                /*num_pois=*/16);
@@ -98,9 +102,6 @@ TEST(ExplainTest, PruningAttributionCopiesSearchStats) {
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     ASSERT_NE(r->explain, nullptr);
     const QueryExplain& e = *r->explain;
-    // One field per pruning layer, each the query's own counter.
-    EXPECT_EQ(e.cand_pruned, r->stats.cand_pruned);
-    EXPECT_EQ(e.floor_skips, r->stats.cand_floor_skipped);
     // One backend entry per sequence position, and the expansions that ran
     // are attributed somewhere.
     ASSERT_EQ(e.positions.size(), q.sequence.size());
@@ -113,6 +114,19 @@ TEST(ExplainTest, PruningAttributionCopiesSearchStats) {
   }
 }
 
+/// The number at the dotted `path` ("caches.fwd_search.hits") under `v`;
+/// NaN (equal to nothing) when a key is missing or the value is not a
+/// number.
+double NumberAt(const JsonValue* v, const std::string& path) {
+  size_t from = 0;
+  while (v != nullptr && from <= path.size()) {
+    const size_t dot = std::min(path.find('.', from), path.size());
+    v = v->is_object() ? v->Find(path.substr(from, dot - from)) : nullptr;
+    from = dot + 1;
+  }
+  return v != nullptr && v->is_number() ? v->number : std::nan("");
+}
+
 TEST(ExplainTest, JsonRoundTripsThroughMiniJson) {
   const testing::TinyDataset tiny = testing::MakeTinyDataset(7);
   QueryOptions opts;
@@ -122,26 +136,18 @@ TEST(ExplainTest, JsonRoundTripsThroughMiniJson) {
   ASSERT_TRUE(r.ok());
   ASSERT_NE(r->explain, nullptr);
 
-  const std::string json = r->explain->ToJson();
+  const std::string json = r->explain->ToJson(r->stats);
   auto parsed = ParseJson(json);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString() << "\n" << json;
   ASSERT_TRUE(parsed->is_object());
   EXPECT_EQ(parsed->StringOr("oracle", ""), "none");
-  // The pruning block holds exactly the two layer counters.
+  // The pruning block holds exactly the two layer counters (their values
+  // are checked in WarmStateCountersHaveOneWriter).
   const JsonValue* pruning = parsed->Find("pruning");
   ASSERT_NE(pruning, nullptr);
   ASSERT_TRUE(pruning->is_object());
-  const std::pair<const char*, int64_t> layers[] = {
-      {"cand_pruned", r->stats.cand_pruned},
-      {"floor_skips", r->stats.cand_floor_skipped},
-  };
-  ASSERT_EQ(pruning->object.size(), std::size(layers));
-  for (const auto& [name, expected] : layers) {
-    const JsonValue* v = pruning->Find(name);
-    ASSERT_NE(v, nullptr) << name;
-    ASSERT_TRUE(v->is_number()) << name;
-    EXPECT_EQ(static_cast<int64_t>(v->number), expected) << name;
-  }
+  EXPECT_EQ(pruning->object.size(), 2u);
+  EXPECT_EQ(NumberAt(&*parsed, "pruning.cand_pruned"), r->stats.cand_pruned);
   const JsonValue* caches = parsed->Find("caches");
   ASSERT_NE(caches, nullptr);
   EXPECT_NE(caches->Find("fwd_search"), nullptr);
@@ -154,9 +160,9 @@ TEST(ExplainTest, JsonRoundTripsThroughMiniJson) {
   EXPECT_EQ(positions->array.size(), r->explain->positions.size());
 }
 
-// The semantic floor has one writer, SearchStats: the explain copy, its
-// tree and JSON and SearchStats::ToString all show the value Run wrote, and
-// the JSON number round-trips bit for bit.
+// The semantic floor has one writer, SearchStats: the explain's tree and
+// JSON and SearchStats::ToString all show the value Run wrote, and the JSON
+// number round-trips bit for bit.
 TEST(ExplainTest, SemanticFloorRoundTripsFromSearchStats) {
   // A gift shop, then an Italian restaurant where only a sushi place
   // exists: no route is perfect, so the floor is 1 - sim(Italian, Sushi).
@@ -190,9 +196,8 @@ TEST(ExplainTest, SemanticFloorRoundTripsFromSearchStats) {
     } else {
       EXPECT_EQ(floor, 0.0);  // no bound applies
     }
-    EXPECT_EQ(r->explain->semantic_floor, floor);
 
-    auto parsed = ParseJson(r->explain->ToJson());
+    auto parsed = ParseJson(r->explain->ToJson(r->stats));
     ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
     const JsonValue* json_floor = parsed->Find("semantic_floor");
     ASSERT_NE(json_floor, nullptr);
@@ -200,21 +205,67 @@ TEST(ExplainTest, SemanticFloorRoundTripsFromSearchStats) {
 
     char want[64];
     std::snprintf(want, sizeof(want), "semantic_floor: %.17g", floor);
-    EXPECT_NE(r->explain->ToTreeString().find(want), std::string::npos)
-        << r->explain->ToTreeString();
+    const std::string tree = r->explain->ToTreeString(r->stats);
+    EXPECT_NE(tree.find(want), std::string::npos) << tree;
     std::snprintf(want, sizeof(want), "semantic_floor=%.4f", floor);
     EXPECT_NE(r->stats.ToString().find(want), std::string::npos)
         << r->stats.ToString();
   }
 }
 
-// The forward-search layer has one writer, the engine's SearchStats: on
-// attached and detached CH + bucket engines alike, a query's fwd_search
-// hits and misses are its forward-search reuses and searches, and on the
-// attached engine they are also exactly the cache's counter deltas.
-TEST(ExplainTest, FwdSearchLayerEqualsSearchStats) {
+/// Every explain JSON key rendered from SearchStats equals the query's own
+/// counter.
+void ExpectExplainRendersStats(const QueryResult& r, const std::string& what) {
+  ASSERT_NE(r.explain, nullptr) << what;
+  const SearchStats& st = r.stats;
+  const std::string json = r.explain->ToJson(st);
+  auto parsed = ParseJson(json);
+  ASSERT_TRUE(parsed.ok()) << what << ": " << parsed.status().ToString();
+  const std::pair<const char*, double> keys[] = {
+      {"pruning.cand_pruned", st.cand_pruned},
+      {"pruning.floor_skips", st.cand_floor_skipped},
+      {"semantic_floor", st.semantic_floor},
+      {"infeasible.position", st.infeasible.position},
+      {"caches.fwd_search.hits", st.bucket_fwd_reuses},
+      {"caches.fwd_search.misses", st.bucket_fwd_searches},
+      {"caches.resume_slots.hits", st.resume_reuses},
+      {"caches.resume_slots.misses", st.resume_evictions},
+  };
+  for (const auto& [path, expected] : keys) {
+    EXPECT_EQ(NumberAt(&*parsed, path), expected) << what << ": " << json;
+  }
+  EXPECT_NE(json.find(std::string("\"reason\":\"") +
+                      InfeasibleReasonName(st.infeasible.reason) + "\""),
+            std::string::npos)
+      << what << ": " << json;
+}
+
+/// Warm-state counts in one order: forward-search hits, misses and
+/// evictions, resumable-slot reuses and evictions.
+using Warm = std::array<int64_t, 5>;
+Warm WarmOf(const SearchStats& s) {
+  return {s.bucket_fwd_reuses, s.bucket_fwd_searches, s.fwd_evictions,
+          s.resume_reuses, s.resume_evictions};
+}
+Warm WarmOf(const SharedCacheCounters& c) {
+  return {c.fwd_hits, c.fwd_misses, c.fwd_evictions, c.resume_reuses,
+          c.resume_evictions};
+}
+Warm WarmOf(const MetricsSnapshot& m) {
+  return {m.xcache_fwd_hits, m.xcache_fwd_misses, m.xcache_fwd_evictions,
+          m.xcache_resume_reuses, m.xcache_resume_evictions};
+}
+void Add(Warm* sum, const Warm& d) {
+  for (size_t i = 0; i < sum->size(); ++i) (*sum)[i] += d[i];
+}
+
+// Each warm-state counter has one writer, the SharedQueryCache. A query's
+// SearchStats hold its deltas of the cache's counters, the service's
+// xcache_* totals are the sums of those records, and an explain renders the
+// records instead of keeping copies.
+TEST(ExplainTest, WarmStateCountersHaveOneWriter) {
   ScenarioSpec spec;
-  spec.name = "explain-fwd";
+  spec.name = "explain-warm";
   spec.graph.family = GraphFamily::kCluster;
   spec.graph.target_vertices = 300;
   spec.graph.weights = WeightModel::kEuclidean;
@@ -230,43 +281,63 @@ TEST(ExplainTest, FwdSearchLayerEqualsSearchStats) {
   const Graph& g = sc.dataset.graph;
   const ChOracle ch = ChOracle::Build(g);
   const CategoryBucketIndex buckets = CategoryBucketIndex::Build(g, ch);
+  std::vector<Query> workload = sc.queries;
+  workload.insert(workload.end(), sc.queries.begin(), sc.queries.end());
 
-  BssrEngine detached(g, sc.dataset.forest, &ch, &buckets);
-  BssrEngine attached(g, sc.dataset.forest, &ch, &buckets);
+  // A warm engine, with a forward cache small enough to evict: the cache's
+  // counters move by exactly the sum of the queries' records.
+  BssrEngine engine(g, sc.dataset.forest, &ch, &buckets);
   SharedQueryCache xcache;
-  attached.AttachSharedCache(&xcache);
-
-  int64_t lookups = 0;
-  for (const RetrieverKind rk :
-       {RetrieverKind::kAuto, RetrieverKind::kBucket}) {
+  xcache.fwd_cache().Configure(4);
+  engine.AttachSharedCache(&xcache);
+  for (const RetrieverKind rk : {RetrieverKind::kAuto, RetrieverKind::kSettle,
+                                 RetrieverKind::kBucket}) {
     QueryOptions opts;
     opts.explain = true;
     opts.retriever = rk;
-    for (BssrEngine* engine : {&detached, &attached}) {
-      const char* what = engine == &attached ? "attached" : "detached";
-      for (size_t i = 0; i < sc.queries.size(); ++i) {
-        const SharedCacheCounters before = xcache.Counters();
-        auto r = engine->Run(sc.queries[i], opts);
-        ASSERT_TRUE(r.ok()) << r.status().ToString();
-        ASSERT_NE(r->explain, nullptr);
-        const SearchStats& st = r->stats;
-        const ExplainCacheLayer& fwd = r->explain->fwd_search;
-        EXPECT_EQ(fwd.hits, st.bucket_fwd_reuses) << what << " query " << i;
-        EXPECT_EQ(fwd.misses, st.bucket_fwd_searches)
-            << what << " query " << i;
-        if (engine == &attached) {
-          const SharedCacheCounters after = xcache.Counters();
-          EXPECT_EQ(after.fwd_hits - before.fwd_hits, st.bucket_fwd_reuses)
-              << "query " << i;
-          EXPECT_EQ(after.fwd_misses - before.fwd_misses,
-                    st.bucket_fwd_searches)
-              << "query " << i;
-        }
-        lookups += st.bucket_fwd_reuses + st.bucket_fwd_searches;
-      }
+    const Warm start = WarmOf(xcache.Counters());
+    Warm sum = start;
+    for (size_t i = 0; i < workload.size(); ++i) {
+      auto r = engine.Run(workload[i], opts);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      ExpectExplainRendersStats(*r, RetrieverKindName(rk));
+      Add(&sum, WarmOf(r->stats));
+    }
+    EXPECT_EQ(sum, WarmOf(xcache.Counters())) << RetrieverKindName(rk);
+    if (rk == RetrieverKind::kSettle) {
+      EXPECT_GT(sum[3], start[3]);  // slots resumed across queries
+    }
+    if (rk == RetrieverKind::kBucket) {
+      EXPECT_GT(sum[0], start[0]);  // forward hits
+      EXPECT_GT(sum[2], start[2]);  // forward evictions
     }
   }
-  EXPECT_GT(lookups, 0);  // the forward-search layer actually ran
+
+  // A warm service (prewarm snapshot on, result cache off so every query
+  // runs) and a cold one: the metrics are the sums of the records, and a
+  // worker with no cache attached reports no cross-query activity although
+  // its queries still reuse within themselves.
+  for (const bool warm : {true, false}) {
+    ServiceConfig cfg;
+    cfg.num_threads = 2;
+    cfg.cache_capacity = 0;
+    cfg.oracle = &ch;
+    cfg.buckets = &buckets;
+    cfg.shared_query_cache = warm;
+    cfg.xcache_prewarm_pois = 16;
+    cfg.default_options.explain = true;
+    QueryService service(g, sc.dataset.forest, cfg);
+    Warm sum{};
+    for (const auto& r : service.RunBatch(workload)) {
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      ExpectExplainRendersStats(*r, warm ? "warm service" : "cold service");
+      Add(&sum, WarmOf(r->stats));
+    }
+    const MetricsSnapshot m = service.Metrics();
+    EXPECT_GT(sum[0] + sum[1], 0);
+    EXPECT_EQ(WarmOf(m), warm ? sum : Warm{});
+    EXPECT_EQ(m.xcache_resident_bytes > 0, warm);
+  }
 }
 
 TEST(ExplainTest, TreeStringShowsPlanCachesAndPruningShares) {
@@ -277,7 +348,7 @@ TEST(ExplainTest, TreeStringShowsPlanCachesAndPruningShares) {
   auto r = engine.Run(TinyQuery(tiny), opts);
   ASSERT_TRUE(r.ok());
   ASSERT_NE(r->explain, nullptr);
-  const std::string tree = r->explain->ToTreeString();
+  const std::string tree = r->explain->ToTreeString(r->stats);
   EXPECT_NE(tree.find("plan"), std::string::npos);
   EXPECT_NE(tree.find("caches"), std::string::npos);
   EXPECT_NE(tree.find("pruning"), std::string::npos);
@@ -295,10 +366,11 @@ TEST(ExplainTest, ResumeBackendRendersFromDeferralMode) {
       e.bucket_backend = bucket;
       const std::string want = bucket ? "bucket" : deferred ? "resume"
                                                             : "settle";
-      EXPECT_NE(e.ToTreeString().find("retriever=auto -> " + want + "\n"),
+      const std::string tree = e.ToTreeString(SearchStats{});
+      EXPECT_NE(tree.find("retriever=auto -> " + want + "\n"),
                 std::string::npos)
-          << e.ToTreeString();
-      auto parsed = ParseJson(e.ToJson());
+          << tree;
+      auto parsed = ParseJson(e.ToJson(SearchStats{}));
       ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
       EXPECT_EQ(parsed->StringOr("lemma55", ""),
                 deferred ? "deferred" : "inline");
@@ -316,7 +388,7 @@ TEST(ExplainTest, ResumeBackendRendersFromDeferralMode) {
 
 TEST(ExemplarTest, LatencyBucketCarriesLastExemplar) {
   ServiceMetrics m;
-  m.RecordCompleted(/*latency_ms=*/1.5, 10, 20, 1, /*exemplar_id=*/7);
+  m.RecordCompleted(/*latency_ms=*/1.5, SearchStats{}, 1, /*exemplar_id=*/7);
   const std::string text = PrometheusText(m.Snapshot());
   // OpenMetrics exemplar syntax on the latency bucket the observation
   // landed in, keyed by the service query id.
@@ -330,15 +402,15 @@ TEST(ExemplarTest, LatencyBucketCarriesLastExemplar) {
 
 TEST(ExemplarTest, NoExemplarKeepsPlainExpositionBytes) {
   ServiceMetrics with_id;
-  with_id.RecordCompleted(2.0, 0, 0, 1);  // default exemplar_id = 0
+  with_id.RecordCompleted(2.0, SearchStats{}, 1);  // default exemplar_id = 0
   const std::string text = PrometheusText(with_id.Snapshot());
   EXPECT_EQ(text.find("trace_id"), std::string::npos);
 }
 
 TEST(ExemplarTest, LastWriterWinsPerBucket) {
   ServiceMetrics m;
-  m.RecordCompleted(1.5, 0, 0, 1, /*exemplar_id=*/3);
-  m.RecordCompleted(1.5, 0, 0, 1, /*exemplar_id=*/9);
+  m.RecordCompleted(1.5, SearchStats{}, 1, /*exemplar_id=*/3);
+  m.RecordCompleted(1.5, SearchStats{}, 1, /*exemplar_id=*/9);
   const std::string text = PrometheusText(m.Snapshot());
   EXPECT_NE(text.find("trace_id=\"q9\""), std::string::npos);
   EXPECT_EQ(text.find("trace_id=\"q3\""), std::string::npos);

@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "graph/graph_builder.h"
 #include "graph/io.h"
@@ -209,6 +213,26 @@ TEST(SpatialGridTest, WithinRadiusIsExact) {
   EXPECT_EQ(got.size(), expected);
 }
 
+// A straight road gets about one cell per `target_per_cell` points, not
+// width / 1e-12 columns, and queries far away, at infinity or at NaN still
+// answer with a valid index.
+TEST(SpatialGridTest, DegenerateInputsStayBounded) {
+  std::vector<double> along, zeros(10, 0.0);
+  for (int i = 0; i < 10; ++i) along.push_back(i);
+  const SpatialGrid row(along, zeros), column(zeros, along);
+  EXPECT_LE(row.num_cells(), 16);
+  EXPECT_LE(column.num_cells(), 16);
+  EXPECT_EQ(row.Nearest(6.2, 0), 6);
+  EXPECT_EQ(column.Nearest(0, 6.2), 6);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double probes[][2] = {{1e300, 0}, {-inf, 0}, {inf, inf}, {NAN, 0}};
+  for (const auto& p : probes) {
+    const int64_t i = row.Nearest(p[0], p[1]);
+    EXPECT_TRUE(i >= 0 && i < 10) << p[0] << "," << p[1] << " -> " << i;
+  }
+  EXPECT_EQ(row.WithinRadius(0, 0, inf).size(), 10u);
+}
+
 TEST(PoiEmbeddingTest, SplitsEdgesAndPreservesTotals) {
   GraphBuilder b;
   b.AddVertex(0, 0);
@@ -247,38 +271,58 @@ TEST(PoiEmbeddingTest, RejectsDirectedAndPoiBearingBases) {
   EXPECT_FALSE(EmbedPoisOnEdges(directed, pois).ok());
 }
 
-TEST(IoTest, LoadsCalFormatFiles) {
+// Writes the three Cal-format files and loads them through LoadDataset.
+Result<Graph> LoadCalText(const std::string& nodes, const std::string& edges,
+                          const std::string& pois) {
   const std::string dir = ::testing::TempDir();
-  const std::string nodes = dir + "/nodes.txt";
-  const std::string edges = dir + "/edges.txt";
-  const std::string poifile = dir + "/pois.txt";
-  std::ofstream(nodes) << "# id x y\n0 0.0 0.0\n1 1.0 0.0\n2 1.0 1.0\n";
-  std::ofstream(edges) << "0 0 1 1.0\n1 1 2 1.0\n";
-  std::ofstream(poifile) << "0.5 0.1 3 Corner Store\n";
+  const std::string paths[3] = {dir + "/io_nodes.txt", dir + "/io_edges.txt",
+                                dir + "/io_pois.txt"};
+  std::ofstream(paths[0]) << nodes;
+  std::ofstream(paths[1]) << edges;
+  std::ofstream(paths[2]) << pois;
+  auto g = LoadDataset(paths[0], paths[1], paths[2]);
+  for (const std::string& p : paths) std::remove(p.c_str());
+  return g;
+}
 
-  auto g = LoadDataset(nodes, edges, poifile);
+constexpr char kNodes[] = "# id x y\n0 0.0 0.0\n1 1.0 0.0\n2 1.0 1.0\n";
+constexpr char kEdges[] = "0 0 1 1.0\n1 1 2 1.0\n";
+
+TEST(IoTest, LoadsCalFormatFiles) {
+  auto g = LoadCalText(kNodes, kEdges, "0.5 0.1 3 Corner Store\n");
   ASSERT_TRUE(g.ok()) << g.status().ToString();
   EXPECT_EQ(g->num_pois(), 1);
   EXPECT_EQ(g->PoiPrimaryCategory(0), 3);
   EXPECT_EQ(g->PoiName(0), "Corner Store");
   EXPECT_TRUE(g->IsConnected());
-
-  std::remove(nodes.c_str());
-  std::remove(edges.c_str());
-  std::remove(poifile.c_str());
 }
 
 TEST(IoTest, RejectsMalformedNodeFile) {
-  const std::string dir = ::testing::TempDir();
-  const std::string nodes = dir + "/bad_nodes.txt";
-  const std::string edges = dir + "/bad_edges.txt";
-  std::ofstream(nodes) << "0 0.0\n";  // missing column
-  std::ofstream(edges) << "";
-  EXPECT_FALSE(LoadRoadNetwork(nodes, edges).ok());
-  std::ofstream(nodes) << "5 0.0 0.0\n";  // non-dense id
-  EXPECT_FALSE(LoadRoadNetwork(nodes, edges).ok());
-  std::remove(nodes.c_str());
-  std::remove(edges.c_str());
+  EXPECT_FALSE(LoadCalText("0 0.0\n", "", "").ok());      // missing column
+  EXPECT_FALSE(LoadCalText("5 0.0 0.0\n", "", "").ok());  // non-dense id
+}
+
+// Non-finite coordinates are refused, and ids are range-checked before
+// they narrow to 32 bits: 2^32 + 1 must not load as vertex 1, nor 2^32 + 3
+// as category 3. Finite coordinates whose span overflows a double load.
+TEST(IoTest, RejectsNonFiniteCoordinatesAndWrappingIds) {
+  const std::string poi = "0.5 0.1 3\n";
+  for (const std::string bad : {"inf", "-inf", "nan"}) {
+    EXPECT_FALSE(
+        LoadCalText("0 0 0\n1 " + bad + " 0\n2 1 1\n", kEdges, poi).ok())
+        << bad;
+    EXPECT_FALSE(LoadCalText(kNodes, kEdges, "0.5 " + bad + " 3\n").ok())
+        << bad;
+  }
+  for (const char* edges : {"0 0 4294967297 1.0\n", "0 4294967296 1 1.0\n",
+                            "0 0 3 1.0\n", "0 -1 1 1.0\n"}) {
+    EXPECT_FALSE(LoadCalText(kNodes, edges, poi).ok()) << edges;
+  }
+  for (const char* pois : {"0.5 0.1 4294967299\n", "0.5 0.1 -1\n"}) {
+    EXPECT_FALSE(LoadCalText(kNodes, kEdges, pois).ok()) << pois;
+  }
+  EXPECT_TRUE(
+      LoadCalText("0 -1e308 0\n1 1e308 0\n2 1e308 1e308\n", kEdges, poi).ok());
 }
 
 }  // namespace

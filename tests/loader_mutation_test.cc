@@ -1,14 +1,18 @@
 // Hostile-bytes sweep over the three binary formats the library persists —
 // graph snapshots (graph.bin), CH oracle indexes (.chidx) and category-bucket
-// tables (.cbkt) — and the text workload format (start|dest|predicates,
-// with '+' all_of and '!' none_of terms). Every truncation of a small valid
-// file, and 200 seeded single-byte corruptions of it, must come back from
-// the loader as a Status or as a structure that is safe to use: a truncated
-// binary file is always rejected (a truncated text file may still be a
-// valid, shorter workload), and a corrupted one is either rejected or
-// loads. A loader that crashes, or accepts a structure that crashes its
-// first consumer, fails here (and under the sanitizer build, reads out of
-// bounds are caught even when they happen not to crash).
+// tables (.cbkt) — and the text formats: the workload (start|dest|
+// predicates, with '+' all_of and '!' none_of terms), the Cal-format road
+// network and PoI files (nodes, edges, PoIs) and the indented taxonomy.
+// Every truncation of a small valid file, and 200 seeded single-byte
+// corruptions of it, must come back from the loader as a Status or as a
+// structure that is safe to use: a truncated binary file is always rejected
+// (a truncated text file may still be a valid, shorter one), and a
+// corrupted one is either rejected or loads. Text files also get 200 seeded
+// edits aimed at their number and field paths (MutateText), which random
+// byte flips almost never reach. A loader that crashes, or accepts a
+// structure that crashes its first consumer, fails here (and under the
+// sanitizer build, reads out of bounds are caught even when they happen not
+// to crash).
 
 #include <fstream>
 #include <iterator>
@@ -18,8 +22,10 @@
 
 #include <gtest/gtest.h>
 
+#include "category/text_format.h"
 #include "core/bssr_engine.h"
 #include "graph/dijkstra_runner.h"
+#include "graph/io.h"
 #include "index/ch_oracle.h"
 #include "index/index_io.h"
 #include "retrieval/bucket_io.h"
@@ -75,14 +81,71 @@ struct SavedFiles {
   }
 };
 
+/// One seeded edit aimed at a text parser's number and field paths: a
+/// digit changed or inserted (ids grow past the graph, 2^31 and 2^32), a
+/// separator swapped, a character deleted, or a number replaced by an edge
+/// value.
+Bytes MutateText(Bytes text, Rng& rng) {
+  static constexpr std::string_view kSeparators = " \t\n|;,.+!-#";
+  static constexpr std::string_view kEdgeValues[] = {
+      "4294967297", "2147483648", "-1", "1e308", "inf", "nan",
+      "99999999999999999999"};
+  const auto digit = [](char c) { return c >= '0' && c <= '9'; };
+  // The first byte matching `pred` from a random start, wrapping around.
+  const auto find = [&](auto pred) {
+    const size_t start = rng.UniformU64(text.size());
+    for (size_t i = 0; i < text.size(); ++i) {
+      if (pred(text[(start + i) % text.size()])) {
+        return (start + i) % text.size();
+      }
+    }
+    return start;
+  };
+  const auto some_digit = [&] {
+    return static_cast<char>('0' + rng.UniformU64(10));
+  };
+  switch (rng.UniformU64(5)) {
+    case 0:
+      text[find(digit)] = some_digit();
+      break;
+    case 1:
+      text.insert(text.begin() + static_cast<ptrdiff_t>(find(digit)),
+                  some_digit());
+      break;
+    case 2: {
+      const size_t at = find(
+          [](char c) { return kSeparators.find(c) != kSeparators.npos; });
+      text[at] = kSeparators[rng.UniformU64(kSeparators.size())];
+      break;
+    }
+    case 3:
+      text.erase(text.begin() +
+                 static_cast<ptrdiff_t>(rng.UniformU64(text.size())));
+      break;
+    default: {
+      size_t begin = find(digit), end = begin;
+      while (begin > 0 && digit(text[begin - 1])) --begin;
+      while (end < text.size() && digit(text[end])) ++end;
+      const std::string_view v =
+          kEdgeValues[rng.UniformU64(std::size(kEdgeValues))];
+      text.erase(text.begin() + static_cast<ptrdiff_t>(begin),
+                 text.begin() + static_cast<ptrdiff_t>(end));
+      text.insert(text.begin() + static_cast<ptrdiff_t>(begin), v.begin(),
+                  v.end());
+    }
+  }
+  return text;
+}
+
 /// Runs `load` on every proper prefix of `bytes` (each must be rejected
-/// unless `prefixes_may_load`) and on `kFlips` seeded single-byte
-/// corruptions (each may load or not). `load` writes nothing but the
-/// scratch file and returns the load status; it is expected to exercise
-/// whatever it loaded.
+/// unless `text`: a prefix of a text file may still be a valid, shorter
+/// one), on `kFlips` seeded single-byte corruptions and, for `text`, on
+/// `kFlips` seeded MutateText edits (each may load or not). `load` writes
+/// nothing but the scratch file and returns the load status; it is expected
+/// to exercise whatever it loaded.
 template <typename Load>
 void Sweep(const Bytes& bytes, const std::string& scratch, uint64_t seed,
-           Load load, bool prefixes_may_load = false) {
+           Load load, bool text = false) {
   ASSERT_FALSE(bytes.empty());
   WriteFile(scratch, bytes.data(), bytes.size());
   ASSERT_TRUE(load().ok()) << "the unmodified file must load";
@@ -92,7 +155,7 @@ void Sweep(const Bytes& bytes, const std::string& scratch, uint64_t seed,
     SCOPED_TRACE("truncated at byte " + std::to_string(cut) + " of " +
                  std::to_string(bytes.size()));
     const bool loaded = load().ok();
-    if (!prefixes_may_load) {
+    if (!text) {
       ASSERT_FALSE(loaded);
     }
   }
@@ -112,6 +175,14 @@ void Sweep(const Bytes& bytes, const std::string& scratch, uint64_t seed,
   // Flips in payload bytes no validator can see (coordinates, names,
   // weights) load fine; most flips must still be caught.
   EXPECT_LT(accepted, kFlips);
+
+  for (int i = 0; text && i < kFlips; ++i) {
+    const Bytes mutated = MutateText(bytes, rng);
+    WriteFile(scratch, mutated.data(), mutated.size());
+    SCOPED_TRACE("text edit " + std::to_string(i) + ": " +
+                 std::string(mutated.begin(), mutated.end()));
+    (void)load();
+  }
 }
 
 /// Exercises a loaded graph the way the oracle and bucket loaders do: a
@@ -232,7 +303,7 @@ TEST(LoaderMutationTest, WorkloadFile) {
         }
         return loaded.status();
       },
-      /*prefixes_may_load=*/true);
+      /*text=*/true);
 
   // Vertex ids just past the graph and past 2^32 are refused, not wrapped.
   const std::string name = ds.forest.Name(ds.forest.RootOf(0));
@@ -242,6 +313,78 @@ TEST(LoaderMutationTest, WorkloadFile) {
     WriteFile(files.scratch_path, line.data(), line.size());
     EXPECT_FALSE(LoadWorkloadFile(files.scratch_path, ds).ok()) << line;
   }
+}
+
+// The Cal-format text files LoadDataset reads: a 4 x 4 grid of nodes, its
+// edges and five PoIs (one named). Each file is swept on its own while the
+// other two stay valid; whatever loads must be a graph its consumers can
+// walk, with every PoI of the file placed on it.
+TEST(LoaderMutationTest, CalTextFiles) {
+  const std::string dir = ::testing::TempDir() + "/mutation_cal_";
+  const std::string paths[3] = {dir + "nodes.txt", dir + "edges.txt",
+                                dir + "pois.txt"};
+  std::string files[3] = {"# id x y\n", "",
+                          "0.5 0.5 3 Corner Store\n1.2 1.5 7\n2.5 2.4 1\n"
+                          "0.1 2.5 4\n2.9 0.2 7\n"};
+  int edges = 0;
+  const auto add_edge = [&](int u, int v, const char* w) {
+    files[1] += std::to_string(edges++) + " " + std::to_string(u) + " " +
+                std::to_string(v) + " " + w + "\n";
+  };
+  for (int v = 0; v < 16; ++v) {
+    files[0] += std::to_string(v) + " " + std::to_string(v % 4) + " " +
+                std::to_string(v / 4) + ".5\n";
+    if (v % 4 != 3) add_edge(v, v + 1, "1.25");
+    if (v < 12) add_edge(v, v + 4, "1.5");
+  }
+  const std::string scratch = dir + "scratch.txt";
+  for (int f = 0; f < 3; ++f) {
+    for (int i = 0; i < 3; ++i) {
+      WriteFile(paths[i], files[i].data(), files[i].size());
+    }
+    const auto path = [&](int i) { return i == f ? scratch : paths[i]; };
+    SCOPED_TRACE("sweeping " + paths[f]);
+    Sweep(
+        Bytes(files[f].begin(), files[f].end()), scratch,
+        static_cast<uint64_t>(505 + f),
+        [&] {
+          auto loaded = LoadDataset(path(0), path(1), path(2));
+          if (loaded.ok()) {
+            UseGraph(*loaded);
+            EXPECT_EQ(static_cast<size_t>(loaded->num_pois()),
+                      LoadPoiPoints(path(2))->size());
+          }
+          return loaded.status();
+        },
+        /*text=*/true);
+  }
+}
+
+// The indented taxonomy text: whatever loads must be a forest whose every
+// category can be named, walked to its root and paired with its tree's
+// root.
+TEST(LoaderMutationTest, TaxonomyText) {
+  const SavedFiles files;
+  const std::string text = ForestToText(files.scenario.dataset.forest);
+  Sweep(
+      Bytes(text.begin(), text.end()), files.scratch_path, 606,
+      [&] {
+        auto loaded = LoadForestFile(files.scratch_path);
+        if (loaded.ok()) {
+          const CategoryForest& f = *loaded;
+          for (CategoryId c = 0; c < f.num_categories(); ++c) {
+            EXPECT_EQ(f.Name(f.FindByName(f.Name(c))), f.Name(c));
+            (void)f.Children(c);
+            (void)f.AncestorsOrSelf(c);
+            const CategoryId root = f.RootOf(f.TreeOf(c));
+            EXPECT_EQ(f.Lca(c, root), root);
+            EXPECT_LE(f.Depth(root), f.Depth(c));
+          }
+          EXPECT_TRUE(ForestFromText(ForestToText(f)).ok());
+        }
+        return loaded.status();
+      },
+      /*text=*/true);
 }
 
 }  // namespace

@@ -453,7 +453,7 @@ TEST(PrometheusTest, ServiceMetricsRecordsQueueWait) {
 // a single observation reports itself at every percentile.
 TEST(PrometheusTest, SingleObservationPercentilesEqualIt) {
   ServiceMetrics m;
-  m.RecordCompleted(/*latency_ms=*/0.225, 10, 20, 1);
+  m.RecordCompleted(/*latency_ms=*/0.225, SearchStats{}, 1);
   m.RecordQueueWait(0.225);
   const MetricsSnapshot s = m.Snapshot();
   EXPECT_EQ(s.latency_p50_ms, 0.225);
@@ -474,7 +474,7 @@ TEST(PrometheusTest, ServiceMetricsExposesRecordedCounts) {
   ServiceMetrics m;
   m.RecordSubmitted();
   m.RecordSubmitted();
-  m.RecordCompleted(/*latency_ms=*/1.0, 10, 20, 1);
+  m.RecordCompleted(/*latency_ms=*/1.0, SearchStats{}, 1);
   const std::string text = PrometheusText(m.Snapshot());
   EXPECT_NE(text.find("skysr_queries_submitted_total 2\n"), std::string::npos);
   EXPECT_NE(text.find("skysr_queries_completed_total 1\n"), std::string::npos);

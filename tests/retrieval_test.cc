@@ -161,7 +161,7 @@ TEST(CategoryBucketTest, ExactDistancesBitEqualDijkstra) {
       }
       sources.push_back(g.VertexOfPoi(g.num_pois() / 2));
       for (const VertexId src : sources) {
-        retriever.EnsureForward(src, ows, state, cache, nullptr);
+        retriever.EnsureForward(src, ows, state, cache);
         ref.assign(static_cast<size_t>(g.num_vertices()), kInfWeight);
         RunDijkstra(g, src, dws, [&](VertexId v, Weight d, VertexId) {
           ref[static_cast<size_t>(v)] = d;

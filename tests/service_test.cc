@@ -255,11 +255,17 @@ TEST(ResultCacheTest, LruEviction) {
 
 TEST(ServiceMetricsTest, CountersAndPercentiles) {
   ServiceMetrics metrics;
+  SearchStats effort;
+  effort.vertices_settled = 10;
+  effort.edges_relaxed = 20;
+  effort.bucket_fwd_reuses = 3;
+  effort.resume_reuses = 2;
   for (int i = 0; i < 98; ++i) {
-    metrics.RecordCompleted(/*latency_ms=*/1.0, 10, 20, 1);
+    metrics.RecordCompleted(/*latency_ms=*/1.0, effort, 1);
   }
-  metrics.RecordCompleted(/*latency_ms=*/100.0, 10, 20, 1);
-  metrics.RecordCompleted(/*latency_ms=*/100.0, 10, 20, 1);
+  metrics.RecordCompleted(/*latency_ms=*/100.0, effort, 1, /*exemplar_id=*/0,
+                          /*attached_cache=*/true);
+  metrics.RecordCompleted(/*latency_ms=*/100.0, effort, 1);
   metrics.RecordCacheHit();
   metrics.RecordCacheHit();
   metrics.RecordCacheMiss();
@@ -276,6 +282,9 @@ TEST(ServiceMetricsTest, CountersAndPercentiles) {
   EXPECT_EQ(s.vertices_settled, 1000);
   EXPECT_EQ(s.edges_relaxed, 2000);
   EXPECT_EQ(s.routes_found, 100);
+  // Warm-state counts fold only from a worker with a cache attached.
+  EXPECT_EQ(s.xcache_fwd_hits, 3);
+  EXPECT_EQ(s.xcache_resume_reuses, 2);
   // p50 lands in the ~1ms bucket, p99 in the ~100ms bucket (log-bucketed,
   // so assert within a growth factor, not exactly).
   EXPECT_GT(s.latency_p50_ms, 0.7);
@@ -429,7 +438,8 @@ TEST(QueryServiceTest, UnsatisfiableQueryShortCircuitsBesideTraffic) {
     EXPECT_EQ(r.stats.routes_enqueued, 0);
     EXPECT_EQ(r.stats.vertices_settled, 0);
     ASSERT_NE(r.explain, nullptr);
-    EXPECT_EQ(r.explain->infeasible.ToString(), "no_match@3");
+    EXPECT_NE(r.explain->ToTreeString(r.stats).find("infeasible: no_match@3"),
+              std::string::npos);
   }
   EXPECT_EQ(short_circuited, 2);
   EXPECT_FALSE(results[5]->routes.empty());

@@ -640,10 +640,11 @@ int CmdQuery(const std::map<std::string, std::string>& flags) {
   }
   std::printf("\n%s\n", result->stats.ToString().c_str());
   if (result->explain != nullptr) {
-    std::printf("\n%s", result->explain->ToTreeString().c_str());
+    std::printf("\n%s",
+                result->explain->ToTreeString(result->stats).c_str());
     if (flags.count("explain-out")) {
       if (!WriteTextFile(flags.at("explain-out"),
-                         result->explain->ToJson() + "\n")) {
+                         result->explain->ToJson(result->stats) + "\n")) {
         return 1;
       }
       std::printf("\nwrote explain JSON to %s\n",
@@ -946,7 +947,7 @@ int CmdBatch(const std::map<std::string, std::string>& flags) {
                     "{\"query_id\":%lld,\"latency_ms\":%.3f,\"explain\":",
                     static_cast<long long>(rec.query_id), rec.latency_ms);
       json += head;
-      json += rec.explain->ToJson();
+      json += rec.explain->ToJson(rec.stats);
       json += "}";
     }
     json += "]\n";
