@@ -2,6 +2,8 @@
 
 #include <fstream>
 #include <sstream>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "util/string_util.h"
@@ -37,6 +39,8 @@ Result<CategoryForest> ForestFromText(const std::string& text) {
   std::istringstream in(text);
   std::string line;
   std::vector<CategoryId> ancestry;  // ancestry[d] = last node at depth d
+  // FindByName answers one category per name, so names must be unique.
+  std::unordered_map<std::string, int64_t> line_of_name;
   int64_t line_no = 0;
   while (std::getline(in, line)) {
     ++line_no;
@@ -53,11 +57,19 @@ Result<CategoryForest> ForestFromText(const std::string& text) {
       return Status::InvalidArgument("line " + std::to_string(line_no) +
                                      ": indentation jumps a level");
     }
+    std::string name(trimmed);
+    const auto [seen, inserted] = line_of_name.emplace(name, line_no);
+    if (!inserted) {
+      return Status::InvalidArgument(
+          "lines " + std::to_string(seen->second) + " and " +
+          std::to_string(line_no) + ": duplicate category name '" + name +
+          "'");
+    }
     CategoryId id;
     if (depth == 0) {
-      id = builder.AddRoot(std::string(trimmed));
+      id = builder.AddRoot(std::move(name));
     } else {
-      id = builder.AddChild(ancestry[depth - 1], std::string(trimmed));
+      id = builder.AddChild(ancestry[depth - 1], std::move(name));
     }
     ancestry.resize(depth);
     ancestry.push_back(id);

@@ -587,8 +587,8 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
       if (exp != nullptr) {
         ++exp->positions[static_cast<size_t>(m)].resume_runs;
       }
-      outcome = RetrieveResumable(*g_, matcher,
-                                  *resume_pool.FindOrCreate(*g_, src), budget,
+      outcome = RetrieveResumable(*g_, matcher, resume_pool,
+                                  *resume_pool.FindOrCreate(src), budget,
                                   consume_filtered, out, &run_stats);
     } else {
       ++stats.mdijkstra_runs;

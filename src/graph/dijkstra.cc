@@ -18,58 +18,18 @@ std::vector<VertexId> DistanceField::PathTo(VertexId target) const {
   return path;
 }
 
-namespace {
-
-DistanceField CollectField(const Graph& g, VertexId source, Weight radius) {
+DistanceField SingleSourceDistances(const Graph& g, VertexId source) {
   DistanceField out;
   const auto n = static_cast<size_t>(g.num_vertices());
   out.dist.assign(n, kInfWeight);
   out.parent.assign(n, kInvalidVertex);
   DijkstraWorkspace ws;
-  RunDijkstra(g, source, ws,
-              [&](VertexId v, Weight d, VertexId parent) {
-                if (d > radius) return VisitAction::kStop;
-                out.dist[static_cast<size_t>(v)] = d;
-                out.parent[static_cast<size_t>(v)] = parent;
-                return VisitAction::kContinue;
-              });
-  return out;
-}
-
-}  // namespace
-
-DistanceField SingleSourceDistances(const Graph& g, VertexId source) {
-  return CollectField(g, source, kInfWeight);
-}
-
-DistanceField BoundedDistances(const Graph& g, VertexId source,
-                               Weight radius) {
-  return CollectField(g, source, radius);
-}
-
-Weight PointToPointDistance(const Graph& g, VertexId source, VertexId target) {
-  Weight result = kInfWeight;
-  DijkstraWorkspace ws;
-  RunDijkstra(g, source, ws, [&](VertexId v, Weight d, VertexId) {
-    if (v == target) {
-      result = d;
-      return VisitAction::kStop;
-    }
+  RunDijkstra(g, source, ws, [&](VertexId v, Weight d, VertexId parent) {
+    out.dist[static_cast<size_t>(v)] = d;
+    out.parent[static_cast<size_t>(v)] = parent;
     return VisitAction::kContinue;
   });
-  return result;
-}
-
-std::optional<NearestHit> MultiSourceNearest(
-    const Graph& g, std::span<const SourceSeed> seeds,
-    const std::function<bool(VertexId)>& is_target,
-    const std::function<bool(VertexId)>& traversal_filter,
-    DijkstraRunStats* stats_out) {
-  DijkstraWorkspace ws;
-  return MultiSourceNearestT(
-      g, seeds, ws, is_target,
-      [&](VertexId v) { return !traversal_filter || traversal_filter(v); },
-      stats_out);
+  return out;
 }
 
 std::vector<Weight> BellmanFordDistances(const Graph& g, VertexId source) {

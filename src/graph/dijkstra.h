@@ -3,9 +3,6 @@
 #ifndef SKYSR_GRAPH_DIJKSTRA_H_
 #define SKYSR_GRAPH_DIJKSTRA_H_
 
-#include <functional>
-#include <optional>
-#include <span>
 #include <vector>
 
 #include "graph/dijkstra_runner.h"
@@ -28,51 +25,11 @@ struct DistanceField {
 /// Full single-source shortest paths.
 DistanceField SingleSourceDistances(const Graph& g, VertexId source);
 
-/// Single-source shortest paths truncated at `radius`: vertices with distance
-/// > radius keep kInfWeight. Settles every vertex with dist <= radius.
-DistanceField BoundedDistances(const Graph& g, VertexId source, Weight radius);
-
-/// Point-to-point distance with early termination; kInfWeight if unreachable.
-Weight PointToPointDistance(const Graph& g, VertexId source, VertexId target);
-
 /// Result of a nearest-target search.
 struct NearestHit {
   VertexId vertex = kInvalidVertex;
   Weight dist = kInfWeight;
 };
-
-/// Multi-source multi-destination Dijkstra (Lemma 5.9): returns the closest
-/// vertex satisfying `is_target` from any seed, or an empty optional. When
-/// `traversal_filter` is provided, only vertices for which it returns true
-/// are expanded (used for the ball restriction of Algorithm 4; see DESIGN.md).
-std::optional<NearestHit> MultiSourceNearest(
-    const Graph& g, std::span<const SourceSeed> seeds,
-    const std::function<bool(VertexId)>& is_target,
-    const std::function<bool(VertexId)>& traversal_filter = nullptr,
-    DijkstraRunStats* stats_out = nullptr);
-
-/// Monomorphized variant for hot call sites: the predicates inline into the
-/// settle loop and the caller supplies the workspace, so repeated searches
-/// (one per query leg) allocate nothing. `traversal_filter` is always
-/// consulted here — pass `[](VertexId) { return true; }` for no filter.
-template <typename IsTarget, typename TraversalFilter>
-std::optional<NearestHit> MultiSourceNearestT(
-    const Graph& g, std::span<const SourceSeed> seeds, DijkstraWorkspace& ws,
-    IsTarget&& is_target, TraversalFilter&& traversal_filter,
-    DijkstraRunStats* stats_out = nullptr) {
-  std::optional<NearestHit> hit;
-  DijkstraRunStats stats =
-      RunDijkstra(g, seeds, ws, [&](VertexId v, Weight d, VertexId) {
-        if (is_target(v)) {
-          hit = NearestHit{v, d};
-          return VisitAction::kStop;
-        }
-        if (!traversal_filter(v)) return VisitAction::kSkipExpand;
-        return VisitAction::kContinue;
-      });
-  if (stats_out != nullptr) *stats_out += stats;
-  return hit;
-}
 
 /// Reference Bellman-Ford (handles the same non-negative inputs; O(V*E)).
 /// Exists to property-test Dijkstra against an independent implementation.

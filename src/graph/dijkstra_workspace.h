@@ -92,6 +92,13 @@ class DijkstraWorkspace {
   /// same workspace), which the epoch scheme already requires.
   DaryHeap<DijkstraHeapItem>& heap() { return heap_; }
 
+  /// Bytes held by the per-vertex slots and the heap's storage.
+  int64_t MemoryBytes() const {
+    return static_cast<int64_t>(
+        slots_.capacity() * sizeof(Slot) +
+        heap_.items().capacity() * sizeof(DijkstraHeapItem));
+  }
+
  private:
   struct Slot {
     uint32_t stamp = 0;

@@ -13,7 +13,7 @@
 //                       (category_buckets + bucket_retriever) — answers
 //                       deferred-mode expansions without settling road
 //                       vertices; wins grow with graph size
-//   RetrieveResumable   flat suspend/resume settle state per hot source
+//   RetrieveResumable   suspend/resume settle state per hot source
 //                       (resumable_retriever) — one suspended search serves
 //                       every position, and a larger budget extends it
 //                       instead of rebuilding it
@@ -55,8 +55,10 @@ struct RetrieverCostModel {
            static_cast<double>(num_vertices);
   }
 
-  /// Resumable slots per engine: each slot owns O(|V|) flat arrays, so the
-  /// count adapts to the graph — a fixed slot-vertex budget, clamped.
+  /// Resumable slots per engine: a fixed slot-vertex budget, clamped. A
+  /// slot holds only its settle log and frontier (the pool's one O(|V|)
+  /// label workspace is shared), but the count decides which slots CLOCK
+  /// evicts, and so the work counters.
   static int ResumableSlots(int64_t num_vertices) {
     constexpr int64_t kSlotVertexBudget = int64_t{1} << 21;
     const int64_t slots = kSlotVertexBudget / (num_vertices > 0

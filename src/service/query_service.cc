@@ -155,9 +155,14 @@ void QueryService::Execute(WorkerState& state, ServingTask& task) {
     const int64_t qid =
         query_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
     const double latency_ms = task.enqueued.ElapsedMillis();
-    metrics_.RecordCompleted(latency_ms, SearchStats{},
-                             static_cast<int64_t>(hit->routes.size()), qid);
     QueryResult answered(*hit);
+    // The hit ran no search: its stats describe this answer, not the
+    // execution that filled the cache.
+    answered.stats = SearchStats{};
+    answered.stats.skyline_size = static_cast<int64_t>(answered.routes.size());
+    answered.stats.elapsed_ms = exec_timer.ElapsedMillis();
+    metrics_.RecordCompleted(latency_ms, answered.stats,
+                             answered.stats.skyline_size, qid);
     if (task.options.explain) {
       // Cached entries are stored explain-stripped, so a hit synthesizes
       // its own attribution: the whole query was one result-cache hit.
@@ -168,9 +173,10 @@ void QueryService::Execute(WorkerState& state, ServingTask& task) {
     rec.key = key;
     rec.latency_ms = latency_ms;
     rec.queue_wait_ms = queue_wait_ms;
-    rec.execute_ms = exec_timer.ElapsedMillis();
+    rec.execute_ms = answered.stats.elapsed_ms;
     rec.cache_hit = true;
-    rec.routes = static_cast<int64_t>(hit->routes.size());
+    rec.routes = answered.stats.skyline_size;
+    rec.stats = answered.stats;
     rec.query_id = qid;
     rec.explain = answered.explain;
     slow_log_.Offer(std::move(rec));

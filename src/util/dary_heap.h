@@ -32,6 +32,9 @@ class DaryHeap {
   void clear() { items_.clear(); }
   void reserve(size_t n) { items_.reserve(n); }
 
+  /// The stored elements in heap (not sorted) order, read-only.
+  const std::vector<T>& items() const { return items_; }
+
   /// Replaces the comparator. Only valid while the heap is empty (otherwise
   /// the heap property under the new order is not re-established).
   void set_less(Less less) {

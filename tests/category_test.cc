@@ -195,5 +195,17 @@ TEST(TextFormatTest, RejectsIndentationJump) {
   EXPECT_FALSE(ForestFromText("Food\n   OddIndent\n").ok());
 }
 
+// FindByName answers one category per name, so a second category of the
+// same name (anywhere in the forest) is rejected, naming both lines.
+TEST(TextFormatTest, RejectsDuplicateNames) {
+  const auto f = ForestFromText("Food\n  Asian\nShops\n  # gifts\n  Asian\n");
+  ASSERT_FALSE(f.ok());
+  EXPECT_EQ(f.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(f.status().ToString().find("lines 2 and 5"), std::string::npos)
+      << f.status().ToString();
+  EXPECT_NE(f.status().ToString().find("'Asian'"), std::string::npos);
+  EXPECT_FALSE(ForestFromText("Food\nFood\n").ok());
+}
+
 }  // namespace
 }  // namespace skysr

@@ -1,5 +1,6 @@
 // Property tests of the shortest-path toolkit against an independent
-// Bellman-Ford reference, plus bounded/multi-source/resumable variants.
+// Bellman-Ford reference, plus the runner's visit actions and the
+// resumable variant.
 
 #include <gtest/gtest.h>
 
@@ -74,76 +75,6 @@ TEST(DijkstraTest, PathReconstructionIsConsistent) {
     }
     EXPECT_NEAR(sum, field.dist[static_cast<size_t>(v)], 1e-9);
   }
-}
-
-TEST(DijkstraTest, BoundedSearchStopsAtRadius) {
-  const Graph g = RandomConnectedGraph(6, 50, 70, false);
-  const DistanceField full = SingleSourceDistances(g, 0);
-  Weight median = 0;
-  {
-    std::vector<Weight> d = full.dist;
-    std::nth_element(d.begin(), d.begin() + d.size() / 2, d.end());
-    median = d[d.size() / 2];
-  }
-  const DistanceField bounded = BoundedDistances(g, 0, median);
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    const Weight fd = full.dist[static_cast<size_t>(v)];
-    const Weight bd = bounded.dist[static_cast<size_t>(v)];
-    if (fd <= median) {
-      EXPECT_NEAR(bd, fd, 1e-12);
-    } else {
-      EXPECT_EQ(bd, kInfWeight);
-    }
-  }
-}
-
-TEST(DijkstraTest, PointToPointMatchesField) {
-  const Graph g = RandomConnectedGraph(7, 40, 50, false);
-  const DistanceField field = SingleSourceDistances(g, 3);
-  for (VertexId v = 0; v < g.num_vertices(); v += 5) {
-    EXPECT_NEAR(PointToPointDistance(g, 3, v),
-                field.dist[static_cast<size_t>(v)], 1e-12);
-  }
-}
-
-TEST(MultiSourceTest, FindsClosestTargetFromAnySeed) {
-  const Graph g = RandomConnectedGraph(8, 60, 80, false);
-  Rng rng(8);
-  std::vector<SourceSeed> seeds;
-  for (int i = 0; i < 5; ++i) {
-    seeds.push_back(SourceSeed{
-        static_cast<VertexId>(rng.UniformU64(
-            static_cast<uint64_t>(g.num_vertices()))),
-        0});
-  }
-  std::vector<char> is_target(static_cast<size_t>(g.num_vertices()), 0);
-  for (int i = 0; i < 4; ++i) {
-    is_target[rng.UniformU64(static_cast<uint64_t>(g.num_vertices()))] = 1;
-  }
-  const auto hit = MultiSourceNearest(
-      g, seeds, [&](VertexId v) { return is_target[static_cast<size_t>(v)] != 0; });
-  ASSERT_TRUE(hit.has_value());
-
-  // Reference: min over seeds × targets of pairwise distance.
-  Weight best = kInfWeight;
-  for (const SourceSeed& s : seeds) {
-    const DistanceField f = SingleSourceDistances(g, s.vertex);
-    for (VertexId v = 0; v < g.num_vertices(); ++v) {
-      if (is_target[static_cast<size_t>(v)]) {
-        best = std::min(best, f.dist[static_cast<size_t>(v)]);
-      }
-    }
-  }
-  EXPECT_NEAR(hit->dist, best, 1e-9);
-}
-
-TEST(MultiSourceTest, ReturnsNulloptWithoutTargets) {
-  const Graph g = RandomConnectedGraph(9, 20, 10, false);
-  const SourceSeed seed{0, 0};
-  const auto hit = MultiSourceNearest(
-      g, std::span<const SourceSeed>(&seed, 1),
-      [](VertexId) { return false; });
-  EXPECT_FALSE(hit.has_value());
 }
 
 TEST(ResumableDijkstraTest, SettlesInNonDecreasingOrderAndMatchesField) {

@@ -373,7 +373,7 @@ TEST(LoaderMutationTest, TaxonomyText) {
         if (loaded.ok()) {
           const CategoryForest& f = *loaded;
           for (CategoryId c = 0; c < f.num_categories(); ++c) {
-            EXPECT_EQ(f.Name(f.FindByName(f.Name(c))), f.Name(c));
+            EXPECT_EQ(f.FindByName(f.Name(c)), c);
             (void)f.Children(c);
             (void)f.AncestorsOrSelf(c);
             const CategoryId root = f.RootOf(f.TreeOf(c));

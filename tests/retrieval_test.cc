@@ -7,6 +7,7 @@
 // enabled.
 
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -116,7 +117,7 @@ std::vector<Emitted> ResumeStream(const Graph& g,
   ResumablePool pool;
   pool.Prepare(1);
   (void)RetrieveResumable(
-      g, matcher, *pool.FindOrCreate(g, source), [budget] { return budget; },
+      g, matcher, pool, *pool.FindOrCreate(source), [budget] { return budget; },
       [&](const ExpansionCandidate& c) { out.push_back(EmittedOf(c)); },
       nullptr, nullptr);
   return out;
@@ -225,10 +226,10 @@ TEST(ResumableRetrieverTest, MatchesHashMapResumableDijkstra) {
   pool.Prepare(4);
   for (int i = 0; i < 4; ++i) {
     const auto src = static_cast<VertexId>((g.num_vertices() * i) / 4);
-    ResumableSlot* slot = pool.FindOrCreate(g, src);
+    ResumableSlot* slot = pool.FindOrCreate(src);
     ASSERT_NE(slot, nullptr);
     (void)RetrieveResumable(
-        g, matchers[0], *slot, [] { return kInfWeight; },
+        g, matchers[0], pool, *slot, [] { return kInfWeight; },
         [](const ExpansionCandidate&) {}, nullptr, nullptr);
     EXPECT_TRUE(slot->exhausted);
     ResumableDijkstra rd(g, src);
@@ -262,14 +263,14 @@ TEST(ResumableRetrieverTest, GrowingBudgetsMatchFreshSearches) {
 
   ResumablePool pool;
   pool.Prepare(1);
-  ResumableSlot* slot = pool.FindOrCreate(g, src);
+  ResumableSlot* slot = pool.FindOrCreate(src);
   ASSERT_NE(slot, nullptr);
   int64_t settles_before = 0;
   for (const double frac : {0.25, 0.5, 1.01}) {
     const Weight budget = max_dist * frac;
     std::vector<Emitted> got;
     DijkstraRunStats rstats;
-    (void)RetrieveResumable(g, matcher, *slot, [budget] { return budget; },
+    (void)RetrieveResumable(g, matcher, pool, *slot, [budget] { return budget; },
                             [&](const ExpansionCandidate& c) {
                               got.push_back(EmittedOf(c));
                             },
@@ -283,6 +284,105 @@ TEST(ResumableRetrieverTest, GrowingBudgetsMatchFreshSearches) {
               static_cast<int64_t>(slot->log.size()));
     settles_before = static_cast<int64_t>(slot->log.size());
   }
+}
+
+// More sources than slots, resumed in an interleaved order: slots are
+// evicted and reassigned, and the pool's one label workspace is rebuilt
+// from a slot's log and frontier whenever a different slot resumes (and
+// only then). Every expansion must still emit what a fresh search at its
+// budget emits and count the work of a search that never shared its
+// labels (a one-slot pool per source), and every slot's log must stay a
+// prefix of the hash-map ResumableDijkstra's settle sequence.
+TEST(ResumableRetrieverTest, InterleavedResumesRebuildLabelsExactly) {
+  const Scenario sc =
+      MakeScenario(RetrievalSpec(GraphFamily::kSmallWorld, 907));
+  const Graph& g = sc.dataset.graph;
+  const auto matchers = MatchersOf(sc, sc.queries[0]);
+
+  std::vector<VertexId> sources;
+  std::vector<Weight> max_dist;
+  DijkstraWorkspace dws;
+  for (int i = 0; i < 4; ++i) {
+    const auto src = static_cast<VertexId>((g.num_vertices() * i) / 4 + 1);
+    Weight farthest = 0;
+    RunDijkstra(g, src, dws, [&](VertexId, Weight d, VertexId) {
+      farthest = d;
+      return VisitAction::kContinue;
+    });
+    sources.push_back(src);
+    max_dist.push_back(farthest);
+  }
+
+  ResumablePool pool;
+  pool.Prepare(2);
+  std::vector<ResumablePool> solo(sources.size());
+  for (ResumablePool& p : solo) p.Prepare(1);
+  // Indices into `sources`. Sources 0 and 1 alternate on live slots, so
+  // each resume rebuilds a suspended search's labels; source 0 then
+  // resumes twice in a row, and sources 2 and 3 evict and reassign slots.
+  // The j-th visit of a source asks for 22% more of its radius.
+  const int schedule[] = {0, 1, 0, 1, 0, 0, 2, 1, 2, 1, 3, 0, 3, 2};
+  std::vector<int> visits(sources.size(), 0);
+  int prev = -1;
+  int64_t expected_loads = 0;
+  int64_t suspended_loads = 0;  // rebuilds from a non-empty log
+  for (size_t step = 0; step < std::size(schedule); ++step) {
+    const int si = schedule[step];
+    const VertexId src = sources[static_cast<size_t>(si)];
+    const Weight budget = max_dist[static_cast<size_t>(si)] * 0.22 *
+                          ++visits[static_cast<size_t>(si)];
+    const PositionMatcher& matcher = matchers[step % matchers.size()];
+    ResumableSlot* slot = pool.FindOrCreate(src);
+    // The schedule only has steps that resume the search.
+    ASSERT_FALSE(slot->exhausted) << "step " << step;
+    ASSERT_LT(slot->covered, budget) << "step " << step;
+    if (si != prev) {
+      ++expected_loads;
+      if (!slot->log.empty()) ++suspended_loads;
+    }
+    prev = si;
+
+    // A reassigned slot starts over; so does its reference.
+    ResumablePool& ref_pool = solo[static_cast<size_t>(si)];
+    if (slot->log.empty()) ref_pool.Clear();
+    ResumableSlot* ref = ref_pool.FindOrCreate(src);
+
+    std::vector<Emitted> got;
+    DijkstraRunStats got_stats;
+    const ExpansionOutcome out = RetrieveResumable(
+        g, matcher, pool, *slot, [budget] { return budget; },
+        [&](const ExpansionCandidate& c) { got.push_back(EmittedOf(c)); },
+        nullptr, &got_stats);
+    EXPECT_EQ(pool.label_loads(), expected_loads) << "step " << step;
+    ExpectSameStream(got, SettleStream(g, matcher, src, budget),
+                     "interleaved resume");
+
+    DijkstraRunStats ref_stats;
+    const ExpansionOutcome ref_out = RetrieveResumable(
+        g, matcher, ref_pool, *ref, [budget] { return budget; },
+        [](const ExpansionCandidate&) {}, nullptr, &ref_stats);
+    EXPECT_EQ(out.covered_radius, ref_out.covered_radius) << "step " << step;
+    EXPECT_EQ(out.exhausted, ref_out.exhausted) << "step " << step;
+    EXPECT_EQ(got_stats.settled, ref_stats.settled) << "step " << step;
+    EXPECT_EQ(got_stats.relaxed, ref_stats.relaxed) << "step " << step;
+    EXPECT_EQ(got_stats.weight_sum, ref_stats.weight_sum) << "step " << step;
+    EXPECT_EQ(slot->heap.size(), ref->heap.size()) << "step " << step;
+
+    ResumableDijkstra rd(g, src);
+    for (const SettleRecord& rec : slot->log) {
+      const auto settle = rd.Next();
+      ASSERT_TRUE(settle.has_value()) << "step " << step;
+      EXPECT_EQ(settle->vertex, rec.vertex) << "step " << step;
+      EXPECT_EQ(settle->dist, rec.dist) << "step " << step;
+    }
+    if (slot->exhausted) {
+      EXPECT_FALSE(rd.Next().has_value());
+    }
+  }
+  EXPECT_EQ(suspended_loads, 7);
+  EXPECT_EQ(pool.evictions(), 4);
+  EXPECT_EQ(pool.label_loads(),
+            static_cast<int64_t>(std::size(schedule)) - 1);
 }
 
 // Engine-level: every retriever kind must produce bit-identical skylines
@@ -379,7 +479,7 @@ TEST(RetrievalEngineTest, DecisionCountersIndependentOfBackend) {
 // Saved bucket tables must round-trip losslessly and refuse any other
 // dataset.
 TEST(BucketIoTest, SaveLoadRoundTripAndChecksumGuard) {
-  const Scenario sc = MakeScenario(RetrievalSpec(GraphFamily::kGrid, 907));
+  const Scenario sc = MakeScenario(RetrievalSpec(GraphFamily::kSmallWorld, 907));
   const Graph& g = sc.dataset.graph;
   const ChOracle ch = ChOracle::Build(g);
   const CategoryBucketIndex built = CategoryBucketIndex::Build(g, ch);

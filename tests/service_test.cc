@@ -14,6 +14,7 @@
 
 #include "index/ch_oracle.h"
 #include "retrieval/category_buckets.h"
+#include "scenario/scenario.h"
 #include "service/bounded_queue.h"
 #include "service/query_service.h"
 #include "service/result_cache.h"
@@ -482,6 +483,55 @@ TEST(QueryServiceTest, RepeatedBatchServedFromCacheIdentically) {
   EXPECT_GE(m.cache_hits, static_cast<int64_t>(queries.size()));
   EXPECT_GT(m.cache_hit_rate, 0.0);
   EXPECT_GT(m.qps, 0.0);
+}
+
+// A result-cache hit runs no search, so its answer reports no search work
+// (the execution that filled the cache reported it once), only its route
+// count and its own execute time — the same figures its metrics and
+// slow-query record count.
+TEST(QueryServiceTest, CacheHitReportsItsOwnStats) {
+  ScenarioSpec spec;
+  spec.name = "service-hit-stats";
+  spec.graph.family = GraphFamily::kGrid;
+  spec.graph.target_vertices = 360;
+  spec.pois.num_pois = 90;
+  spec.pois.multi_category_rate = 0.2;  // keeps queries in deferred mode
+  spec.workload.num_queries = 8;
+  SeedScenarioSpec(&spec, 941);
+  const Scenario sc = MakeScenario(spec);
+  const std::vector<Query>& queries = sc.queries;
+  ServiceConfig cfg;
+  cfg.num_threads = 1;
+  cfg.cache_capacity = 64;
+  cfg.slow_query_log_capacity = 4;
+  QueryService service(sc.dataset.graph, sc.dataset.forest, cfg);
+
+  bool any_resumed = false;
+  for (const Query& q : queries) {
+    const Result<QueryResult> first = service.Submit(q).get();
+    const Result<QueryResult> second = service.Submit(q).get();
+    ASSERT_TRUE(first.ok());
+    ASSERT_TRUE(second.ok());
+    ExpectExactlyEqual(first->routes, second->routes);
+    EXPECT_GT(first->stats.vertices_settled, 0);
+    any_resumed |= first->stats.retriever_resume_runs > 0;
+    EXPECT_EQ(second->stats.vertices_settled, 0);
+    EXPECT_EQ(second->stats.retriever_resume_runs, 0);
+    EXPECT_EQ(second->stats.mdijkstra_runs, 0);
+    EXPECT_EQ(second->stats.routes_enqueued, 0);
+    EXPECT_EQ(second->stats.skyline_size,
+              static_cast<int64_t>(second->routes.size()));
+    EXPECT_GE(second->stats.elapsed_ms, 0.0);
+  }
+  EXPECT_TRUE(any_resumed);
+
+  const MetricsSnapshot m = service.Metrics();
+  EXPECT_EQ(m.cache_hits, static_cast<int64_t>(queries.size()));
+  for (const SlowQueryRecord& rec : m.slow_queries) {
+    if (!rec.cache_hit) continue;
+    EXPECT_EQ(rec.stats.vertices_settled, 0);
+    EXPECT_EQ(rec.stats.skyline_size, rec.routes);
+  }
 }
 
 TEST(QueryServiceTest, ConcurrencySmokeManyClientsManyQueries) {

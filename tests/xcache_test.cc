@@ -147,25 +147,22 @@ TEST(SharedQueryCacheTest, RebindInvalidatesAndRefusesMismatchedSnapshots) {
 // are counted once per slot per query, CLOCK spares the slot the current
 // query touched, and a shrinking bound drops every suspended search.
 TEST(ResumablePoolTest, KeepsSlotsCountsReusesAndEvictsByClock) {
-  const Scenario sc = MakeScenario(ServingSpec(GraphFamily::kGrid, 930));
-  const Graph& g = sc.dataset.graph;
-
   ResumablePool pool;
   pool.Prepare(2);
-  ResumableSlot* s0 = pool.FindOrCreate(g, 0);
-  ResumableSlot* s1 = pool.FindOrCreate(g, 1);
+  ResumableSlot* s0 = pool.FindOrCreate(0);
+  ResumableSlot* s1 = pool.FindOrCreate(1);
   EXPECT_EQ(pool.reuses(), 0);  // creations are not reuses
 
   // Next query: suspended state survives, and touching a kept slot counts
   // as exactly one reuse.
   pool.Prepare(2);
-  EXPECT_EQ(pool.FindOrCreate(g, 0), s0);
-  EXPECT_EQ(pool.FindOrCreate(g, 0), s0);
+  EXPECT_EQ(pool.FindOrCreate(0), s0);
+  EXPECT_EQ(pool.FindOrCreate(0), s0);
   EXPECT_EQ(pool.reuses(), 1);
 
   // At capacity, the untouched slot (1) is the CLOCK victim; its object is
   // recycled for the new source.
-  ResumableSlot* s2 = pool.FindOrCreate(g, 2);
+  ResumableSlot* s2 = pool.FindOrCreate(2);
   EXPECT_EQ(pool.evictions(), 1);
   EXPECT_EQ(s2, s1);
   EXPECT_EQ(s2->source, 2);
@@ -174,10 +171,45 @@ TEST(ResumablePoolTest, KeepsSlotsCountsReusesAndEvictsByClock) {
   // is recycled for each new source.
   pool.Prepare(1);
   EXPECT_EQ(pool.live(), 0);
-  EXPECT_EQ(pool.FindOrCreate(g, 3)->source, 3);
-  EXPECT_EQ(pool.FindOrCreate(g, 4)->source, 4);
+  EXPECT_EQ(pool.FindOrCreate(3)->source, 3);
+  EXPECT_EQ(pool.FindOrCreate(4)->source, 4);
   EXPECT_EQ(pool.live(), 1);
   EXPECT_EQ(pool.evictions(), 2);
+}
+
+// The slots share one O(|V|) label workspace: filling k slots adds its
+// bytes once, not k times, beside each slot's own log and frontier, and
+// the cache's resident-bytes gauge includes them.
+TEST(ResumablePoolTest, MemoryCountsTheSharedWorkspaceOnce) {
+  const Scenario sc = MakeScenario(ServingSpec(GraphFamily::kGrid, 931));
+  const Graph& g = sc.dataset.graph;
+  const PositionMatcher matcher(g, sc.dataset.forest, *DefaultSimilarity(),
+                                sc.queries[0].sequence[0],
+                                MultiCategoryMode::kMaxSimilarity);
+  DijkstraWorkspace one;
+  one.Prepare(g.num_vertices());
+  const int64_t ws_bytes = one.MemoryBytes();
+  EXPECT_GE(ws_bytes, g.num_vertices() * static_cast<int64_t>(sizeof(Weight)));
+
+  SharedQueryCache cache;
+  ResumablePool& pool = cache.resume_pool();
+  pool.Prepare(4);
+  EXPECT_EQ(pool.MemoryBytes(), 0);
+  std::vector<const ResumableSlot*> slots;
+  for (int i = 0; i < 4; ++i) {
+    ResumableSlot* slot =
+        pool.FindOrCreate(static_cast<VertexId>((g.num_vertices() * i) / 4));
+    (void)RetrieveResumable(
+        g, matcher, pool, *slot, [] { return kInfWeight; },
+        [](const ExpansionCandidate&) {}, nullptr, nullptr);
+    slots.push_back(slot);
+    int64_t slot_bytes = 0;
+    for (const ResumableSlot* s : slots) slot_bytes += s->MemoryBytes();
+    EXPECT_GT(slot_bytes, 0);
+    EXPECT_EQ(pool.MemoryBytes(), ws_bytes + slot_bytes) << i + 1 << " slots";
+  }
+  EXPECT_EQ(cache.ResidentBytes(),
+            cache.fwd_cache().MemoryBytes() + pool.MemoryBytes());
 }
 
 TEST(SharedQueryCacheTest, WarmStateChecksumSeparatesStructures) {
