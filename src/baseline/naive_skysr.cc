@@ -13,8 +13,7 @@ namespace skysr {
 Result<QueryResult> RunNaiveSkySr(const Graph& g, const CategoryForest& forest,
                                   const Query& query,
                                   const QueryOptions& options,
-                                  OsrEngineKind engine, NaiveRunInfo* info,
-                                  const ChOracle* oracle) {
+                                  OsrEngineKind engine, NaiveRunInfo* info) {
   SKYSR_RETURN_NOT_OK(ValidateQuery(g, forest, query));
   std::vector<CategoryId> base;
   for (const CategoryPredicate& p : query.sequence) {
@@ -62,9 +61,9 @@ Result<QueryResult> RunNaiveSkySr(const Graph& g, const CategoryForest& forest,
     const OsrResult osr =
         engine == OsrEngineKind::kDijkstraBased
             ? RunOsrDijkstra(g, osr_matchers, query.start, query.destination,
-                             remaining, oracle)
+                             remaining)
             : RunOsrPne(g, osr_matchers, query.start, query.destination,
-                        remaining, oracle);
+                        remaining);
     if (info != nullptr) {
       ++info->osr_queries;
       info->vertices_settled += osr.vertices_settled;

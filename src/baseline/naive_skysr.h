@@ -29,15 +29,12 @@ struct NaiveRunInfo {
 
 /// Runs the naive baseline. Requires a plain query (single category per
 /// position, no all_of/none_of). Returns the same QueryResult shape as
-/// BssrEngine::Run; stats fields that do not apply stay zero. `oracle`
-/// (optional) is forwarded to the OSR engines for index-backed destination
-/// tails.
+/// BssrEngine::Run; stats fields that do not apply stay zero.
 Result<QueryResult> RunNaiveSkySr(const Graph& g, const CategoryForest& forest,
                                   const Query& query,
                                   const QueryOptions& options,
                                   OsrEngineKind engine,
-                                  NaiveRunInfo* info = nullptr,
-                                  const ChOracle* oracle = nullptr);
+                                  NaiveRunInfo* info = nullptr);
 
 }  // namespace skysr
 

@@ -57,19 +57,12 @@ struct StateKeyHash {
 OsrResult RunOsrDijkstra(const Graph& g,
                          const std::vector<PositionMatcher>& matchers,
                          VertexId start, std::optional<VertexId> dest,
-                         double time_budget_seconds,
-                         const ChOracle* oracle) {
+                         double time_budget_seconds) {
   WallTimer timer;
   OsrResult result;
   const int k = static_cast<int>(matchers.size());
   const int64_t n = g.num_vertices();
   const int64_t layers = k + 1;
-  // Index-backed destination mode: progress-k states complete through an
-  // exact oracle tail instead of walking the graph to the destination.
-  const bool oracle_tails = dest && oracle != nullptr;
-  DestTail dest_tail(g, oracle_tails ? dest : std::nullopt, oracle);
-  Weight best_total = kInfWeight;
-  std::vector<PoiId> best_route;
 
   // PoIs that perfectly match two or more positions break the classic
   // (vertex, progress) state space: of two routes reaching the same state,
@@ -154,28 +147,14 @@ OsrResult RunOsrDijkstra(const Graph& g,
     }
     Item item = heap.pop();
     queue_bytes -= ItemBytes(item);
-    // Oracle-tail termination: pops are ordered by tail-free length, and
-    // any future completion's total is at least its tail-free length, so
-    // once that passes the best candidate total the candidate is optimal.
-    if (oracle_tails && item.len >= best_total) break;
     if (is_settled(item.vertex, item.progress, item)) continue;
     settle(item);
     ++result.vertices_settled;
 
-    if (item.progress == k) {
-      if (oracle_tails) {
-        const Weight tail = dest_tail.Get(item.vertex);
-        if (item.len + tail < best_total) {
-          best_total = item.len + tail;
-          best_route = std::move(item.route);
-        }
-        continue;  // completed states need no graph walk to the destination
-      }
-      if (!dest || item.vertex == *dest) {
-        result.pois = std::move(item.route);
-        result.length = item.len;
-        break;
-      }
+    if (item.progress == k && (!dest || item.vertex == *dest)) {
+      result.pois = std::move(item.route);
+      result.length = item.len;
+      break;
     }
 
     // Zero-cost progress transition at a perfectly matching PoI.
@@ -208,10 +187,6 @@ OsrResult RunOsrDijkstra(const Graph& g,
     }
   }
 
-  if (oracle_tails && !result.timed_out && best_total != kInfWeight) {
-    result.pois = std::move(best_route);
-    result.length = best_total;
-  }
   result.peak_queue_size = static_cast<int64_t>(heap.peak_size());
   result.route_nodes = 0;
   result.logical_peak_bytes =

@@ -31,19 +31,13 @@ namespace skysr {
 
 /// Runs one Dijkstra-based OSR query. `matchers` define the per-position
 /// perfect-match sets; `dest` optionally appends a fixed destination. The
-/// search aborts (timed_out) after `time_budget_seconds`.
-///
-/// With a CH `oracle` and a destination, completed (progress = k)
-/// states stop walking the graph toward the destination: each settles once,
-/// adds its exact oracle tail D(v, dest), and the search ends when the
-/// popped tail-free length can no longer beat the best total — same answer,
-/// a fraction of the settles. Null (the default) keeps the paper-faithful
-/// walk.
+/// search aborts (timed_out) after `time_budget_seconds`. Completed
+/// (progress = k) states keep walking the graph to the destination, as in
+/// the paper.
 OsrResult RunOsrDijkstra(const Graph& g,
                          const std::vector<PositionMatcher>& matchers,
                          VertexId start, std::optional<VertexId> dest,
-                         double time_budget_seconds,
-                         const ChOracle* oracle = nullptr);
+                         double time_budget_seconds);
 
 }  // namespace skysr
 

@@ -5,7 +5,6 @@
 
 #include "core/route.h"
 #include "graph/dijkstra.h"
-#include "graph/graph_builder.h"
 #include "graph/resumable_dijkstra.h"
 #include "util/dary_heap.h"
 #include "util/timer.h"
@@ -97,13 +96,17 @@ struct PneItem {
 OsrResult RunOsrPne(const Graph& g,
                     const std::vector<PositionMatcher>& matchers,
                     VertexId start, std::optional<VertexId> dest,
-                    double time_budget_seconds,
-                    const ChOracle* oracle) {
+                    double time_budget_seconds) {
   WallTimer timer;
   OsrResult result;
   const int k = static_cast<int>(matchers.size());
 
-  DestTail dest_tail(g, dest, oracle);
+  std::vector<Weight> dest_tail;  // D(v, dest), filled only with a dest
+  if (dest) {
+    std::unique_ptr<const Graph> reversed;
+    DijkstraWorkspace ws;
+    DistancesTo(g, *dest, reversed, ws, &dest_tail);
+  }
 
   IncrementalNn nn(g, matchers);
   RouteArena arena;
@@ -159,7 +162,8 @@ OsrResult RunOsrPne(const Graph& g,
         break;
       }
       spawn(arena.node(item.node).parent, item.size - 1, item.rank + 1);
-      const Weight tail = dest_tail.Get(arena.node(item.node).vertex);
+      const Weight tail =
+          dest_tail[static_cast<size_t>(arena.node(item.node).vertex)];
       if (tail != kInfWeight) {
         heap.push(PneItem{item.len + tail, item.node, item.size, item.rank,
                           /*tailed=*/true});

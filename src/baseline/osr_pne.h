@@ -27,14 +27,12 @@
 
 namespace skysr {
 
-/// Runs one PNE OSR query (same contract as RunOsrDijkstra). A CH
-/// `oracle` answers destination tails lazily per candidate completion
-/// instead of a whole-graph reverse Dijkstra.
+/// Runs one PNE OSR query (same contract as RunOsrDijkstra). A destination
+/// costs one DistancesTo sweep for the completion tails.
 OsrResult RunOsrPne(const Graph& g,
                     const std::vector<PositionMatcher>& matchers,
                     VertexId start, std::optional<VertexId> dest,
-                    double time_budget_seconds,
-                    const ChOracle* oracle = nullptr);
+                    double time_budget_seconds);
 
 }  // namespace skysr
 

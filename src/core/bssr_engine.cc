@@ -15,7 +15,6 @@
 #include "obs/explain.h"
 #include "obs/query_trace.h"
 #include "graph/dijkstra.h"
-#include "graph/graph_builder.h"
 #include "retrieval/bucket_retriever.h"
 #include "retrieval/poi_retriever.h"
 #include "retrieval/resumable_retriever.h"
@@ -218,39 +217,13 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
 
   // Destination distances (§6): D(v, destination) for every v. Directed
   // graphs search the reversed graph, built lazily once per engine instead
-  // of per query. With a shared provider (QueryService's per-destination
-  // LRU) the table is fetched — or computed once and shared — instead of
-  // re-running the full-graph reverse Dijkstra per repeat; the computation
-  // is identical either way, so results are too.
+  // of per query.
   const std::vector<Weight>* dest_dist = nullptr;
-  std::shared_ptr<const std::vector<Weight>> shared_tails;
   if (query.destination) {
     TraceSpan tails_span(trace, TracePhase::kDestTails);
-    const VertexId dest = *query.destination;
-    if (dest_tails_ != nullptr) {
-      bool computed = false;
-      shared_tails = dest_tails_->GetOrCompute(dest,
-                                               [&](std::vector<Weight>* out) {
-                                                 computed = true;
-                                                 ComputeDestTails(dest, out);
-                                               });
-      dest_dist = shared_tails.get();
-      if (exp != nullptr) {
-        exp->dest_tail_source = "provider";
-        ++(computed ? exp->dest_tail.misses : exp->dest_tail.hits);
-      }
-    } else {
-      ComputeDestTails(dest, &ws_.dest_dist);
-      dest_dist = &ws_.dest_dist;
-      if (exp != nullptr) {
-        exp->dest_tail_source = "local";
-        ++exp->dest_tail.misses;
-      }
-    }
-    if (exp != nullptr) {
-      exp->dest_tail.bytes =
-          static_cast<int64_t>(dest_dist->size() * sizeof(Weight));
-    }
+    DistancesTo(*g_, *query.destination, reversed_, ws_.dijkstra_ws,
+                &ws_.dest_dist);
+    dest_dist = &ws_.dest_dist;
   }
 
   SkylineSet& skyline = ws_.skyline;
@@ -624,9 +597,9 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
           break;
         }
       }
-      const QbEntry entry = qb.pop();
+      const int32_t node = qb.pop();
       ++stats.routes_dequeued;
-      const RouteArena::Node& nd = arena.node(entry.node);
+      const RouteArena::Node& nd = arena.node(node);
       const Weight tail_lb =
           tail_bound ? DestTailLowerBound(
                            (*dest_dist)[static_cast<size_t>(nd.vertex)])
@@ -635,7 +608,7 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
         ++stats.routes_pruned;
         continue;
       }
-      expand(entry.node);
+      expand(node);
     }
   }
 
@@ -666,23 +639,6 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
   }
   stats.elapsed_ms = timer.ElapsedMillis();
   return result;
-}
-
-void BssrEngine::ComputeDestTails(VertexId destination,
-                                  std::vector<Weight>* out) {
-  const Graph* search_graph = g_;
-  if (g_->directed()) {
-    if (reversed_ == nullptr) {
-      reversed_ = std::make_unique<const Graph>(ReverseOf(*g_));
-    }
-    search_graph = reversed_.get();
-  }
-  out->assign(static_cast<size_t>(g_->num_vertices()), kInfWeight);
-  RunDijkstra(*search_graph, destination, ws_.dijkstra_ws,
-              [&](VertexId v, Weight d, VertexId) {
-                (*out)[static_cast<size_t>(v)] = d;
-                return VisitAction::kContinue;
-              });
 }
 
 }  // namespace skysr

@@ -23,7 +23,6 @@
 
 #include "cache/shared_query_cache.h"
 #include "category/category_forest.h"
-#include "core/dest_tails.h"
 #include "core/query.h"
 #include "core/query_workspace.h"
 #include "core/route.h"
@@ -71,13 +70,6 @@ class BssrEngine {
   Result<QueryResult> Run(const Query& query,
                           const QueryOptions& options = QueryOptions());
 
-  /// Optional shared destination-tail provider (see core/dest_tails.h);
-  /// null keeps the per-query reverse Dijkstra. The provider must outlive
-  /// the engine.
-  void SetDestTailProvider(DestTailProvider* provider) {
-    dest_tails_ = provider;
-  }
-
   /// Attaches (or detaches, with null) an engine-lifetime cross-query cache
   /// (see cache/shared_query_cache.h). The cache must outlive the engine and
   /// — like the engine itself — is single-threaded: one cache per engine per
@@ -114,18 +106,12 @@ class BssrEngine {
   const CategoryForest* forest_;
   const ChOracle* oracle_;  // may be null (no index)
   const CategoryBucketIndex* buckets_;  // may be null (no bucket backend)
-  DestTailProvider* dest_tails_ = nullptr;  // may be null (local tails)
   SharedQueryCache* xcache_ = nullptr;  // null: ws_.xcache, cold per query
   QueryTrace* trace_ = nullptr;  // may be null (tracing off, the default)
   bool has_multi_category_poi_ = false;
 
-  // Destination tails D(v, destination): the full-graph reverse Dijkstra
-  // behind both the local and the provider-backed tail paths.
-  void ComputeDestTails(VertexId destination, std::vector<Weight>* out);
-
-  // Destination queries on directed graphs need D(v, destination) = forward
-  // distances in the reversed graph; built once on first use instead of per
-  // query.
+  // Destination queries on directed graphs sweep the reversed graph
+  // (DistancesTo); built once on first use instead of per query.
   std::unique_ptr<const Graph> reversed_;
 
   // Reusable per-query state (engine is single-threaded by design).

@@ -42,30 +42,17 @@ struct QbEntry {
   Weight length;
 };
 
-/// §5.3.2: the proposed discipline dequeues the largest route first, then the
-/// semantically best, then the shortest; the distance-based baseline orders
-/// purely by length. Node-id tie-breaks keep runs deterministic.
-struct QbLess {
-  QueueDiscipline discipline;
-  bool operator()(const QbEntry& a, const QbEntry& b) const {
-    if (discipline == QueueDiscipline::kProposed) {
-      if (a.size != b.size) return a.size > b.size;
-      if (a.semantic != b.semantic) return a.semantic < b.semantic;
-      if (a.length != b.length) return a.length < b.length;
-    } else {
-      if (a.length != b.length) return a.length < b.length;
-    }
-    return a.node < b.node;
-  }
-};
-
-/// The bulk queue Q_b. For the proposed discipline the size key is the
+/// The bulk queue Q_b (§5.3.2). The proposed discipline dequeues the largest
+/// route first, then the semantically best, then the shortest; the
+/// distance-based baseline orders purely by length. Node-id tie-breaks keep
+/// runs deterministic. For the proposed discipline the size key is the
 /// STRICT primary sort, so the queue keeps one heap per route size and pops
 /// from the largest non-empty size — the identical total order at a
 /// fraction of the sift depth: the size-asc breadth accumulates in the
 /// size-1 heap and is popped once each, while the eagerly-drained deeper
 /// heaps (where most pops land on heavy queries) stay tiny. The
-/// distance-based discipline ignores size and keeps the single heap.
+/// distance-based discipline keys every entry (length, 0, node) into the
+/// unused size-0 heap.
 class QbQueue {
  public:
   /// Entry of a per-size heap: size is the bucket index. Semantic and
@@ -91,9 +78,7 @@ class QbQueue {
   /// Clears and configures for a query of sequence size `k` (enqueued route
   /// sizes are 1..k-1). Keeps all heap capacity.
   void Reset(QueueDiscipline discipline, int k) {
-    discipline_ = discipline;
-    flat_.clear();
-    flat_.set_less(QbLess{discipline});
+    proposed_ = discipline == QueueDiscipline::kProposed;
     if (buckets_.size() < static_cast<size_t>(k)) {
       buckets_.resize(static_cast<size_t>(k));
     }
@@ -107,55 +92,50 @@ class QbQueue {
 
   void push(const QbEntry& e) {
     // Both keys must be non-negative for the bit-pattern ordering to match
-    // the double ordering of QbLess. -0.0 passes the check (it compares
-    // equal to 0.0) but its sign bit would sort it as the LARGEST uint64,
-    // diverging from the flat path where -0.0 == 0.0 — adding +0.0 maps
-    // -0.0 to +0.0 and leaves every other non-negative value unchanged.
+    // the double ordering. -0.0 passes the check (it compares equal to 0.0)
+    // but its sign bit would sort it as the LARGEST uint64 — adding +0.0
+    // maps -0.0 to +0.0 and leaves every other non-negative value
+    // unchanged.
     SKYSR_DCHECK(e.semantic >= 0.0);
     SKYSR_DCHECK(e.length >= 0.0);
     ++size_;
     if (size_ > peak_size_) peak_size_ = size_;
-    if (discipline_ != QueueDiscipline::kProposed) {
-      flat_.push(e);
+    const uint64_t length_bits = std::bit_cast<uint64_t>(e.length + 0.0);
+    if (!proposed_) {
+      buckets_[0].push(SlimEntry{length_bits, 0, e.node});
       return;
     }
-    buckets_[static_cast<size_t>(e.size)].push(
-        SlimEntry{std::bit_cast<uint64_t>(e.semantic + 0.0),
-                  std::bit_cast<uint64_t>(e.length + 0.0), e.node});
+    buckets_[static_cast<size_t>(e.size)].push(SlimEntry{
+        std::bit_cast<uint64_t>(e.semantic + 0.0), length_bits, e.node});
     if (e.size > top_size_) top_size_ = e.size;
   }
 
-  QbEntry pop() {
+  /// Removes the first entry in the discipline's order; returns its node.
+  int32_t pop() {
     SKYSR_DCHECK(size_ > 0);
     --size_;
-    if (discipline_ != QueueDiscipline::kProposed) {
-      return flat_.pop();
-    }
     // Checked downward scan: stops at bucket 0 instead of underflowing if
     // the size accounting ever drifts out of sync with the buckets.
     while (top_size_ > 0 && buckets_[static_cast<size_t>(top_size_)].empty()) {
       --top_size_;
     }
-    SKYSR_DCHECK(top_size_ >= 0);
     SKYSR_DCHECK(!buckets_[static_cast<size_t>(top_size_)].empty());
-    const int32_t size = top_size_;
-    SlimEntry e = buckets_[static_cast<size_t>(size)].pop();
+    const int32_t node = buckets_[static_cast<size_t>(top_size_)].pop().node;
     // Lower the bound eagerly when this pop drained the bucket, so pushes at
     // smaller sizes don't leave every later pop re-scanning the stale upper
     // range.
     while (top_size_ > 0 && buckets_[static_cast<size_t>(top_size_)].empty()) {
       --top_size_;
     }
-    return QbEntry{e.node, size, std::bit_cast<double>(e.semantic_bits),
-                   std::bit_cast<Weight>(e.length_bits)};
+    return node;
   }
 
   size_t peak_size() const { return peak_size_; }
 
  private:
-  QueueDiscipline discipline_ = QueueDiscipline::kProposed;
-  DaryHeap<QbEntry, QbLess> flat_{QbLess{QueueDiscipline::kProposed}};
-  std::vector<DaryHeap<SlimEntry, SlimLess>> buckets_;  // index = route size
+  bool proposed_ = true;
+  // Index = route size; the distance-based discipline uses only index 0.
+  std::vector<DaryHeap<SlimEntry, SlimLess>> buckets_;
   int32_t top_size_ = 0;  // upper bound on the largest non-empty bucket
   size_t size_ = 0;
   size_t peak_size_ = 0;

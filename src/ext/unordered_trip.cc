@@ -1,12 +1,12 @@
 #include "ext/unordered_trip.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "core/nn_init.h"
 #include "core/skyline_set.h"
 #include "graph/dijkstra.h"
 #include "graph/dijkstra_runner.h"
-#include "graph/graph_builder.h"
 #include "util/dary_heap.h"
 #include "util/timer.h"
 
@@ -62,11 +62,9 @@ Result<QueryResult> RunUnorderedSkySr(const Graph& g,
   std::vector<Weight> dest_storage;
   const std::vector<Weight>* dest_dist = nullptr;
   if (query.destination) {
-    dest_storage = g.directed()
-                       ? SingleSourceDistances(ReverseOf(g),
-                                               *query.destination)
-                             .dist
-                       : SingleSourceDistances(g, *query.destination).dist;
+    std::unique_ptr<const Graph> reversed;
+    DijkstraWorkspace ws;
+    DistancesTo(g, *query.destination, reversed, ws, &dest_storage);
     dest_dist = &dest_storage;
   }
 

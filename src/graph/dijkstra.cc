@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "graph/graph_builder.h"
+
 namespace skysr {
 
 std::vector<VertexId> DistanceField::PathTo(VertexId target) const {
@@ -30,6 +32,20 @@ DistanceField SingleSourceDistances(const Graph& g, VertexId source) {
     return VisitAction::kContinue;
   });
   return out;
+}
+
+void DistancesTo(const Graph& g, VertexId dest,
+                 std::unique_ptr<const Graph>& reversed, DijkstraWorkspace& ws,
+                 std::vector<Weight>* out) {
+  if (g.directed() && reversed == nullptr) {
+    reversed = std::make_unique<const Graph>(ReverseOf(g));
+  }
+  out->assign(static_cast<size_t>(g.num_vertices()), kInfWeight);
+  RunDijkstra(g.directed() ? *reversed : g, dest, ws,
+              [&](VertexId v, Weight d, VertexId) {
+                (*out)[static_cast<size_t>(v)] = d;
+                return VisitAction::kContinue;
+              });
 }
 
 std::vector<Weight> BellmanFordDistances(const Graph& g, VertexId source) {

@@ -466,116 +466,6 @@ void ChOracle::UnpackBwd(VertexId owner, const ChEdge& e,
   UnpackFwd(e.mid, FrozenEdge(e.mid, owner, /*fwd=*/true), weights);
 }
 
-namespace {
-
-/// Sums unpacked original-edge weights source->target, left to right — the
-/// association order a flat Dijkstra's relaxations use.
-Weight PathOrderSum(const std::vector<Weight>& weights) {
-  Weight total = 0;
-  for (const Weight w : weights) total += w;
-  return total;
-}
-
-}  // namespace
-
-Weight ChOracle::Distance(VertexId source, VertexId target,
-                          OracleWorkspace& ws) const {
-  SKYSR_DCHECK(source >= 0 && source < g_->num_vertices());
-  SKYSR_DCHECK(target >= 0 && target < g_->num_vertices());
-  const int64_t n = g_->num_vertices();
-  ws.fwd.Prepare(n);
-  ws.bwd.Prepare(n);
-  ws.fwd_edge.Prepare(n, -1);
-  ws.bwd_edge.Prepare(n, -1);
-
-  // Alternating bidirectional upward search with the classic pruning: a
-  // side stops once its queue minimum exceeds the best meeting sum (plus
-  // the epsilon window, so near-best candidates survive for re-summing).
-  DaryHeap<UpItem>& fwd_heap = ws.heap;
-  DaryHeap<UpItem>& bwd_heap = ws.heap2;
-  fwd_heap.clear();
-  bwd_heap.clear();
-  ws.fwd.SetDist(source, 0, kInvalidVertex);
-  fwd_heap.push(UpItem{0, source});
-  ws.bwd.SetDist(target, 0, kInvalidVertex);
-  bwd_heap.push(UpItem{0, target});
-
-  Weight best = kInfWeight;
-  std::vector<VertexId>& meets = ws.meets;
-  meets.clear();
-  const auto step = [&](bool forward) {
-    DaryHeap<UpItem>& heap = forward ? fwd_heap : bwd_heap;
-    DijkstraWorkspace& mine = forward ? ws.fwd : ws.bwd;
-    DijkstraWorkspace& other = forward ? ws.bwd : ws.fwd;
-    StampedArray<int32_t>& edge_of = forward ? ws.fwd_edge : ws.bwd_edge;
-    const auto& offsets = forward ? up_fwd_offsets_ : up_bwd_offsets_;
-    const auto& edges = forward ? up_fwd_edges_ : up_bwd_edges_;
-
-    const UpItem item = heap.pop();
-    if (mine.Settled(item.vertex)) return;
-    mine.MarkSettled(item.vertex);
-    if (other.Settled(item.vertex)) {
-      const Weight sum = item.dist + other.Dist(item.vertex);
-      if (sum < best) best = sum;
-      meets.push_back(item.vertex);
-    }
-    if (Stalled(forward ? up_bwd_offsets_ : up_fwd_offsets_,
-                forward ? up_bwd_edges_ : up_fwd_edges_, item.vertex,
-                item.dist, mine)) {
-      return;
-    }
-    const auto b = static_cast<size_t>(offsets[item.vertex]);
-    const auto e = static_cast<size_t>(offsets[item.vertex + 1]);
-    for (size_t idx = b; idx < e; ++idx) {
-      const ChEdge& ed = edges[idx];
-      if (mine.Settled(ed.to)) continue;
-      const Weight nd = item.dist + ed.weight;
-      if (nd < mine.Dist(ed.to)) {
-        mine.SetDist(ed.to, nd, item.vertex);
-        edge_of.Set(ed.to, static_cast<int32_t>(idx));
-        heap.push(UpItem{nd, ed.to});
-      }
-    }
-  };
-  while (!fwd_heap.empty() || !bwd_heap.empty()) {
-    const Weight stop = best + best * kMeetEpsilon;  // inf while no meet
-    const bool fwd_live = !fwd_heap.empty() && fwd_heap.top().dist <= stop;
-    const bool bwd_live = !bwd_heap.empty() && bwd_heap.top().dist <= stop;
-    if (!fwd_live && !bwd_live) break;
-    if (fwd_live &&
-        (!bwd_live || fwd_heap.top().dist <= bwd_heap.top().dist)) {
-      step(/*forward=*/true);
-    } else {
-      step(/*forward=*/false);
-    }
-  }
-  if (best == kInfWeight) return kInfWeight;
-
-  const Weight window = best + best * kMeetEpsilon;
-  Weight exact = kInfWeight;
-  std::vector<Weight>& weights = ws.weights;
-  std::vector<std::pair<VertexId, int32_t>>& chain = ws.chain;
-  for (const VertexId v : meets) {
-    if (ws.fwd.Dist(v) + ws.bwd.Dist(v) > window) continue;
-    weights.clear();
-    chain.clear();
-    for (VertexId x = v; x != source; x = ws.fwd.Parent(x)) {
-      chain.emplace_back(ws.fwd.Parent(x), ws.fwd_edge.Get(x));
-    }
-    for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-      UnpackFwd(it->first, up_fwd_edges_[static_cast<size_t>(it->second)],
-                &weights);
-    }
-    for (VertexId x = v; x != target; x = ws.bwd.Parent(x)) {
-      UnpackBwd(ws.bwd.Parent(x),
-                up_bwd_edges_[static_cast<size_t>(ws.bwd_edge.Get(x))],
-                &weights);
-    }
-    exact = std::min(exact, PathOrderSum(weights));
-  }
-  return exact;
-}
-
 int64_t ChOracle::MemoryBytes() const {
   return static_cast<int64_t>(
       rank_.capacity() * sizeof(int32_t) +

@@ -10,20 +10,18 @@
 // correctness). Each vertex's final edge set — to higher-ranked neighbors
 // only — is frozen at its contraction into upward forward/backward CSRs.
 //
-// Query: a bidirectional Dijkstra over the upward graphs; every vertex
-// settled by both sides is a meeting candidate and the best up-down path is
-// the shortest path. To honor the exactness contract (distance_oracle.h),
-// the winner is not returned as the rounded sum of shortcut weights: all
-// candidates within a relative epsilon of the best are unpacked into
-// original edges and re-summed source->target in path order, and the
-// minimum re-summed value is returned — the same double a flat Dijkstra
-// computes.
-//
-// Many-to-many distances are not answered here: the category-bucket tables
-// (src/retrieval/category_buckets.h) freeze every PoI's backward upward
-// search once, and NNinit hops and deferred expansions scan them against
-// one forward upward search per source, with the same epsilon-window
-// re-summing as Distance().
+// Query: the oracle answers no distances itself. It exposes the full
+// upward searches (forward from a source, backward from a target), the
+// upward edges and their unpacking into original edges. The category-bucket
+// tables (src/retrieval/category_buckets.h) freeze every PoI's backward
+// upward search once, and NNinit hops and deferred expansions scan them
+// against one forward upward search per source: every vertex settled by
+// both sides is a meeting candidate, and the best up-down path is the
+// shortest path. To honor the exactness contract (distance_oracle.h) a scan
+// does not return the rounded sum of shortcut weights: every meet within
+// kMeetEpsilon of the best is unpacked into original edges and re-summed
+// source->target in path order, and the minimum re-summed value wins — the
+// same double a flat Dijkstra computes.
 //
 // Topology caveat: contraction hierarchies assume road-like graphs (low
 // highway dimension). Measured single-threaded (Release, 4-vCPU x86 VM):
@@ -70,12 +68,6 @@ class ChOracle {
 
   const Graph& graph() const { return *g_; }
 
-  /// Exact shortest-path distance (kInfWeight when unreachable), bit-equal
-  /// to a reference graph Dijkstra (see the exactness contract in
-  /// distance_oracle.h).
-  Weight Distance(VertexId source, VertexId target,
-                  OracleWorkspace& ws) const;
-
   /// Mean settles of an upward search, measured over a deterministic
   /// sample of sources right after Build/Load — the per-endpoint cost
   /// consumers weigh against a plain graph search. CH upward spaces are
@@ -105,8 +97,9 @@ class ChOracle {
 
   /// Near-best meeting candidates within this relative window of the best
   /// rounded up-down sum are unpacked and re-summed (the window absorbs the
-  /// association-order rounding drift of nested shortcut weights). Bucket
-  /// scans must apply the same window to stay bit-equal with Distance().
+  /// association-order rounding drift of nested shortcut weights). Every
+  /// bucket scan applies this window to stay bit-equal with a flat
+  /// Dijkstra.
   static constexpr double kMeetEpsilon = 1e-9;
 
   /// Full upward search (with stall-on-demand) from one endpoint over the

@@ -2,18 +2,17 @@
 // consumers: the `flat|ch` oracle names, the heap item of the upward
 // searches, and the per-thread OracleWorkspace.
 //
-// The one distance index is ChOracle (contraction hierarchies). The engine
+// The one distance index is ChOracle (contraction hierarchies). Everything
 // reaches it through the category-bucket tables (src/retrieval/), which
-// answer NNinit hops and deferred expansions;
-// ChOracle::Distance() answers the OSR baselines' destination tails. "flat"
-// names the index-free configuration: plain graph searches throughout.
+// answer NNinit hops and deferred expansions. "flat" names the index-free
+// configuration: plain graph searches throughout.
 //
 // Exactness contract (load-bearing — the differential harness demands
 // bit-identical skylines with and without the index): every distance the
 // index layer returns is the SAME double a reference graph Dijkstra would
-// return, not merely a value within floating-point noise of it. ChOracle
-// achieves this by unpacking the winning up-down path into original edges
-// and re-summing source->target in path order (the association order
+// return, not merely a value within floating-point noise of it. The bucket
+// scans achieve this by unpacking the winning up-down paths into original
+// edges and re-summing source->target in path order (the association order
 // Dijkstra's relaxations use). When several distinct shortest paths exist,
 // their path-order sums coincide for exact (integer-valued) weights and
 // differ with probability zero for continuously distributed weights;
@@ -30,8 +29,6 @@
 
 #include <optional>
 #include <string_view>
-#include <utility>
-#include <vector>
 
 #include "graph/dijkstra_workspace.h"
 #include "graph/types.h"
@@ -69,19 +66,15 @@ struct OracleHeapItem {
 class QueryTrace;  // src/obs/query_trace.h — forward-declared to keep the
                    // index layer free of the obs headers
 
-/// Per-thread scratch for oracle queries and bucket-table scans, reusable
+/// Per-thread scratch for upward searches and bucket-table scans, reusable
 /// across calls: two upward searches with the relaxed CSR edge per vertex
-/// (for path unpacking), and ChOracle::Distance()'s unpack buffers.
+/// (for path unpacking).
 struct OracleWorkspace {
   DijkstraWorkspace fwd;
   DijkstraWorkspace bwd;
   StampedArray<int32_t> fwd_edge;  // CSR edge index that set fwd dist
   StampedArray<int32_t> bwd_edge;
   DaryHeap<OracleHeapItem> heap;   // search frontier (CH upward searches)
-  DaryHeap<OracleHeapItem> heap2;  // opposite side of bidirectional queries
-  std::vector<VertexId> meets;     // Distance()'s meeting candidates
-  std::vector<std::pair<VertexId, int32_t>> chain;  // forward tree walk
-  std::vector<Weight> weights;     // unpacked original-edge weights
   /// Borrowed tracer (src/obs/): the bucket-served NNinit hops, and only
   /// they, record kOracleTable spans into it. Null or disabled — the
   /// default — costs one branch per hop. The workspace is

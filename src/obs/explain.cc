@@ -48,10 +48,6 @@ std::string QueryExplain::ToTreeString(const SearchStats& stats) const {
           "│  ├─ fwd_search: %" PRId64 " hit / %" PRId64 " miss, %" PRId64
           " bytes\n",
           stats.bucket_fwd_reuses, stats.bucket_fwd_searches, xcache_bytes);
-  Appendf(&out, "│  ├─ dest_tail: %s (%" PRId64 " hit / %" PRId64
-                " miss), %" PRId64 " bytes\n",
-          dest_tail_source.c_str(), dest_tail.hits, dest_tail.misses,
-          dest_tail.bytes);
   Appendf(&out,
           "│  ├─ result_cache: %" PRId64 " hit / %" PRId64 " miss\n",
           result_cache.hits, result_cache.misses);
@@ -99,8 +95,6 @@ std::string QueryExplain::ToJson(const SearchStats& stats) const {
   layer("fwd_search",
         {stats.bucket_fwd_reuses, stats.bucket_fwd_searches, xcache_bytes},
         false);
-  layer("dest_tail", dest_tail, false);
-  Appendf(&out, "\"dest_tail_source\":\"%s\",", dest_tail_source.c_str());
   layer("result_cache", result_cache, false);
   layer("resume_slots", {stats.resume_reuses, stats.resume_evictions, 0},
         true);

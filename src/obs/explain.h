@@ -6,8 +6,8 @@
 // §9 maps each rendered field to its paper mechanism and its writer).
 //
 // One writer per counter: an explain holds only what SearchStats cannot —
-// the plan, the per-position backends, the destination-tail and result-
-// cache layers and the warm-state resident bytes. The feasibility verdict,
+// the plan, the per-position backends, the result-cache layer and the
+// warm-state resident bytes. The feasibility verdict,
 // the semantic floor, the forward-search and resumable-slot layers and the
 // pruning split are rendered from the SearchStats of the same execution,
 // so both renderers take it.
@@ -67,8 +67,6 @@ struct QueryExplain {
   std::vector<ExplainPositionBackends> positions;
 
   // --- Cache layers SearchStats does not count. ---
-  ExplainCacheLayer dest_tail;     // destination-tail table
-  std::string dest_tail_source = "none";  // provider|local|none
   ExplainCacheLayer result_cache;  // service result cache (service fills)
   // Gauge: SharedQueryCache::ResidentBytes() after the query, rendered as
   // the forward-search layer's bytes.

@@ -22,7 +22,7 @@ namespace skysr {
 enum class TracePhase : uint8_t {
   kQuery = 0,       // root span: one whole BssrEngine::Run
   kNnInit,          // §5.3.1 initial search
-  kDestTails,       // §6 destination-distance table (reverse Dijkstra / LRU)
+  kDestTails,       // §6 destination-distance table (DistancesTo sweep)
   kLowerBound,      // completion-bound set-up: the semantic-floor scan
   kOracleTable,     // bucket-served NNinit hops (inside nn_init)
   kQbDrain,         // Algorithm 1's bulk-queue drain loop

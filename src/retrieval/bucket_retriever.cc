@@ -99,8 +99,8 @@ Weight BucketRetriever::ExactDistanceTo(PoiId p,
   if (best == kInfWeight) return kInfWeight;
 
   // Phase 2: re-sum every meet inside the epsilon window, in source -> PoI
-  // travel order, and keep the minimum — ChOracle::Distance()'s exactness
-  // protocol with the forward prefix pre-folded and the backward unpacks
+  // travel order, and keep the minimum — the exactness protocol of
+  // ch_oracle.h, with the forward prefix pre-folded and the backward unpacks
   // read from the per-edge pools.
   const Weight window = best + best * ChOracle::kMeetEpsilon;
   Weight exact = kInfWeight;
@@ -177,7 +177,7 @@ ExpansionOutcome BucketRetriever::Collect(
   bool skipped = false;
 
   // Phase 2: re-sum the meets inside each candidate's epsilon window
-  // (Distance()'s exactness protocol; see ExactDistanceTo). A multi-category
+  // (the exactness protocol of ExactDistanceTo). A multi-category
   // PoI under two scanned categories stages each meet twice; the min makes
   // the duplicate harmless.
   state.exact.Prepare(g.num_pois(), kInfWeight);

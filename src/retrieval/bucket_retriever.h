@@ -97,8 +97,9 @@ class BucketRetriever {
 
   /// Exact shortest-path distance source -> PoI (kInfWeight when
   /// unreachable), bit-equal to a flat graph Dijkstra; requires
-  /// EnsureForward for the source. Mirrors ChOracle::Distance()'s
-  /// epsilon-window re-summing over the PoI's stored backward settles.
+  /// EnsureForward for the source. Re-sums every meet within
+  /// ChOracle::kMeetEpsilon of the best rounded up-down sum over the PoI's
+  /// stored backward settles and keeps the minimum.
   Weight ExactDistanceTo(PoiId p, BucketScanState& state) const;
 
   /// Materializes into state.cands the matching-candidate stream of

@@ -32,11 +32,11 @@
 // shortcut middles with linear adjacency scans.
 //
 // Exactness (load-bearing): distances must be bit-equal to a flat graph
-// Dijkstra, not merely within noise. The scan reproduces the protocol of
-// ChOracle::Distance() — min rounded up-down sum over the meeting vertices,
-// then every meet within the kMeetEpsilon window is re-summed from original
-// edge weights in source->target travel order, and the minimum re-summed
-// double wins. The forward prefix of each re-sum is folded incrementally
+// Dijkstra, not merely within noise. The scan runs the meet-window
+// protocol of ch_oracle.h — min rounded up-down sum over the meeting
+// vertices, then every meet within the kMeetEpsilon window is re-summed from
+// original edge weights in source->target travel order, and the minimum
+// re-summed double wins. The forward prefix of each re-sum is folded incrementally
 // along the forward search tree (fold-left over a concatenation equals
 // folding the suffix onto the folded prefix — the identical operation
 // sequence), so it is computed once per meeting vertex per source.

@@ -302,11 +302,9 @@ DiffReport RunDifferentialCheck(const DiffCheckParams& params) {
       if (params.check_naive_baseline && IsPlainQuery(q)) {
         for (OsrEngineKind kind :
              {OsrEngineKind::kDijkstraBased, OsrEngineKind::kPne}) {
-          // The shared oracle rides along, covering the index-backed OSR
-          // destination tails; the tolerance absorbs their summation-order
-          // drift.
+          // The tolerance absorbs the OSR engines' summation-order drift.
           auto naive = RunNaiveSkySr(sc.dataset.graph, sc.dataset.forest, q,
-                                     defaults, kind, nullptr, service_oracle);
+                                     defaults, kind);
           ++report.baseline_runs;
           const char* name = kind == OsrEngineKind::kDijkstraBased
                                  ? "naive-dijkstra"

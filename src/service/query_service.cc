@@ -38,7 +38,6 @@ QueryService::QueryService(const Graph& graph, const CategoryForest& forest,
       config_(std::move(config)),
       queue_(config_.queue_capacity),
       cache_(config_.cache_capacity),
-      dest_tails_(config_.dest_tail_cache_capacity),
       slow_log_(config_.slow_query_log_capacity) {
   // Prewarm snapshot: the forward upward searches of the first N PoI
   // vertices, computed once here and shared read-only by every worker's
@@ -101,10 +100,8 @@ void QueryService::WorkerLoop(int thread_index) {
   // drawn and stay; results are bit-identical to a fresh engine per query.
   // The distance oracle and category-bucket tables (if any) are shared and
   // immutable, with each engine's workspace holding its private oracle and
-  // retrieval scratch; destination tails are shared through the service's
-  // per-destination LRU.
+  // retrieval scratch.
   BssrEngine engine(*graph_, *forest_, config_.oracle, config_.buckets);
-  engine.SetDestTailProvider(&dest_tails_);
   // Cross-query warm state: worker-private and engine-lifetime, so the read
   // path is lock-free by construction — the only state shared across
   // workers is the immutable prewarm snapshot. Counter deltas are folded

@@ -38,7 +38,6 @@
 #include "obs/query_trace.h"
 #include "retrieval/category_buckets.h"
 #include "service/bounded_queue.h"
-#include "service/dest_tail_cache.h"
 #include "service/prometheus.h"
 #include "service/result_cache.h"
 #include "service/service_metrics.h"
@@ -69,10 +68,6 @@ struct ServiceConfig {
   /// One table set serves every worker; per-worker scan state lives inside
   /// each engine's workspace. Null keeps the settle/resume paths.
   const CategoryBucketIndex* buckets = nullptr;
-  /// Per-destination reverse-tail LRU entries (one entry = an O(|V|) tail
-  /// table shared across workers); 0 disables sharing and every §6
-  /// destination query recomputes its tails.
-  size_t dest_tail_cache_capacity = 32;
   /// Cross-query shared cache (src/cache/): each worker's engine keeps
   /// engine-lifetime warm state — a CLOCK-evicted forward-upward-search
   /// cache plus persistent resumable-retriever slots — and all workers
@@ -160,9 +155,6 @@ class QueryService {
   size_t cache_size() const { return cache_.size(); }
   const Graph& graph() const { return *graph_; }
   const CategoryForest& forest() const { return *forest_; }
-  /// The shared destination-tail LRU (hit/miss counters for tests and
-  /// metrics dumps).
-  const DestTailLru& dest_tails() const { return dest_tails_; }
   /// The prewarm snapshot shared by every worker's cache; null when the
   /// shared query cache is off, bucketless, or prewarming is disabled.
   const FwdSnapshot* warm_snapshot() const { return warm_snapshot_.get(); }
@@ -200,7 +192,6 @@ class QueryService {
 
   BoundedQueue<ServingTask> queue_;
   LruResultCache cache_;
-  DestTailLru dest_tails_;
   ServiceMetrics metrics_;
   SlowQueryLog slow_log_;
   // One trace per worker (empty when tracing is off); allocated before the

@@ -35,13 +35,6 @@ class DaryHeap {
   /// The stored elements in heap (not sorted) order, read-only.
   const std::vector<T>& items() const { return items_; }
 
-  /// Replaces the comparator. Only valid while the heap is empty (otherwise
-  /// the heap property under the new order is not re-established).
-  void set_less(Less less) {
-    SKYSR_DCHECK(items_.empty());
-    less_ = std::move(less);
-  }
-
   /// The minimum element. Requires !empty().
   const T& top() const {
     SKYSR_DCHECK(!items_.empty());

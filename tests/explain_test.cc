@@ -151,7 +151,6 @@ TEST(ExplainTest, JsonRoundTripsThroughMiniJson) {
   const JsonValue* caches = parsed->Find("caches");
   ASSERT_NE(caches, nullptr);
   EXPECT_NE(caches->Find("fwd_search"), nullptr);
-  EXPECT_NE(caches->Find("dest_tail"), nullptr);
   EXPECT_NE(caches->Find("result_cache"), nullptr);
   EXPECT_NE(caches->Find("resume_slots"), nullptr);
   const JsonValue* positions = parsed->Find("positions");

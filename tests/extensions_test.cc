@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "baseline/brute_force.h"
+#include "baseline/naive_skysr.h"
 #include "category/taxonomy_factory.h"
 #include "core/bssr_engine.h"
 #include "ext/unordered_trip.h"
@@ -87,6 +88,15 @@ TEST_P(DirectedGraphs, BssrMatchesBruteForceOnDirectedNetworks) {
   auto brute = BruteForceSkySr(ds.graph, ds.forest, q, opts);
   ASSERT_TRUE(brute.ok());
   EXPECT_TRUE(ScoreVectorsNear(bssr->routes, *brute)) << "seed=" << seed;
+  // The naive baseline over both OSR engines: Dij walks one-way edges to the
+  // destination, PNE reads its tails off the reverse sweep.
+  for (const OsrEngineKind kind :
+       {OsrEngineKind::kDijkstraBased, OsrEngineKind::kPne}) {
+    auto naive = RunNaiveSkySr(ds.graph, ds.forest, q, opts, kind);
+    ASSERT_TRUE(naive.ok());
+    EXPECT_TRUE(ScoreVectorsNear(naive->routes, *brute))
+        << "seed=" << seed << " engine=" << static_cast<int>(kind);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DirectedGraphs, ::testing::Range(0, 12));

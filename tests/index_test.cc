@@ -1,33 +1,29 @@
-// Distance-oracle index layer tests (tier1): randomized CH correctness
-// against plain Dijkstra over all three scenario graph families, the
-// bit-equality contract of distance_oracle.h, pinned CH and bucket-table
-// bytes, index save/load round-trips, the graph-checksum mismatch guard,
-// and index-backed engine / service / OSR-baseline integration. The
-// bucket-table distances the engine reads are checked in retrieval_test.
+// Distance-oracle index layer tests (tier1): bucket-table distances on
+// disconnected and directed graphs, pinned CH and bucket-table bytes, index
+// save/load round-trips, the graph-checksum mismatch guard, and
+// index-backed engine / service integration. The bit-equality contract of
+// distance_oracle.h across every scenario graph family and weight model is
+// checked through the bucket tables in retrieval_test.
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
-#include <memory>
-#include <optional>
 #include <string>
 
 #include <gtest/gtest.h>
 
-#include "baseline/osr_dijkstra.h"
-#include "baseline/osr_pne.h"
+#include "cache/shared_query_cache.h"
 #include "core/bssr_engine.h"
 #include "graph/dijkstra.h"
 #include "graph/graph_builder.h"
 #include "index/ch_oracle.h"
 #include "index/index_io.h"
 #include "retrieval/bucket_io.h"
+#include "retrieval/bucket_retriever.h"
 #include "retrieval/category_buckets.h"
 #include "scenario/diff_check.h"
 #include "scenario/scenario.h"
 #include "service/query_service.h"
-#include "util/rng.h"
 #include "workload/dataset.h"
 
 namespace skysr {
@@ -43,81 +39,44 @@ ScenarioGraphParams FamilyParams(GraphFamily family, int64_t vertices,
   return p;
 }
 
-/// Random vertex pairs, deterministic per seed.
-std::vector<std::pair<VertexId, VertexId>> RandomPairs(int64_t n, int count,
-                                                       uint64_t seed) {
-  Rng rng(seed);
-  std::vector<std::pair<VertexId, VertexId>> pairs;
-  pairs.reserve(static_cast<size_t>(count));
-  for (int i = 0; i < count; ++i) {
-    pairs.emplace_back(static_cast<VertexId>(rng.UniformInt(0, n - 1)),
-                       static_cast<VertexId>(rng.UniformInt(0, n - 1)));
-  }
-  return pairs;
-}
-
-class IndexFamilyTest
-    : public ::testing::TestWithParam<std::tuple<GraphFamily, WeightModel>> {
-};
-
-// The exactness contract: CH returns the very double a reference Dijkstra
-// computes, across every scenario graph family and weight model (unit
-// weights maximize ties, continuous weights exercise rounding).
-TEST_P(IndexFamilyTest, ChMatchesDijkstraBitwise) {
-  const auto [family, weights] = GetParam();
-  const Graph g = MakeScenarioGraph(
-      FamilyParams(family, 400, weights, 7 + static_cast<uint64_t>(family)));
+/// Every (source, PoI) distance the bucket tables of `g` answer, checked
+/// against a flat Dijkstra from each source.
+void ExpectBucketDistancesMatchDijkstra(const Graph& g, const char* what) {
   const ChOracle ch = ChOracle::Build(g);
+  const CategoryBucketIndex buckets = CategoryBucketIndex::Build(g, ch);
+  const BucketRetriever retriever(buckets);
+  BucketScanState state;
+  SharedQueryCache cache;
   OracleWorkspace ws;
-
-  for (const auto& [s, t] : RandomPairs(g.num_vertices(), 120, 99)) {
+  for (VertexId s = 0; s < g.num_vertices(); ++s) {
+    retriever.EnsureForward(s, ws, state, cache);
     const DistanceField ref = SingleSourceDistances(g, s);
-    const Weight want = ref.dist[static_cast<size_t>(t)];
-    EXPECT_EQ(ch.Distance(s, t, ws), want)
-        << GraphFamilyName(family) << " CH mismatch " << s << "->" << t;
+    for (PoiId p = 0; p < g.num_pois(); ++p) {
+      EXPECT_EQ(retriever.ExactDistanceTo(p, state),
+                ref.dist[static_cast<size_t>(g.VertexOfPoi(p))])
+          << what << " " << s << "->" << g.VertexOfPoi(p);
+    }
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    AllFamilies, IndexFamilyTest,
-    ::testing::Combine(::testing::Values(GraphFamily::kGrid,
-                                         GraphFamily::kCluster,
-                                         GraphFamily::kSmallWorld),
-                       ::testing::Values(WeightModel::kUnit,
-                                         WeightModel::kUniform,
-                                         WeightModel::kEuclidean)));
 
 TEST(ChOracleTest, DisconnectedAndDirectedGraphs) {
   // Two components: 0-1-2 and 3-4; plus a directed variant with a one-way
-  // shortcut that only helps one direction.
+  // shortcut that only helps one direction. A PoI sits on every vertex.
   GraphBuilder b(/*directed=*/false);
-  for (int i = 0; i < 5; ++i) b.AddVertex();
+  for (int i = 0; i < 5; ++i) b.AddPoi(b.AddVertex(), {0});
   b.AddEdge(0, 1, 1.5);
   b.AddEdge(1, 2, 2.25);
   b.AddEdge(3, 4, 4.0);
-  const Graph g = b.Build().ValueOrDie();
-  const ChOracle ch = ChOracle::Build(g);
-  OracleWorkspace ws;
-  EXPECT_EQ(ch.Distance(0, 2, ws), 3.75);
-  EXPECT_EQ(ch.Distance(0, 3, ws), kInfWeight);
-  EXPECT_EQ(ch.Distance(4, 3, ws), 4.0);
+  ExpectBucketDistancesMatchDijkstra(b.Build().ValueOrDie(), "undirected");
 
   GraphBuilder db(/*directed=*/true);
-  for (int i = 0; i < 4; ++i) db.AddVertex();
+  for (int i = 0; i < 4; ++i) db.AddPoi(db.AddVertex(), {0});
   db.AddEdge(0, 1, 1.0);
   db.AddEdge(1, 2, 1.0);
   db.AddEdge(2, 3, 1.0);
   db.AddEdge(3, 0, 10.0);
   db.AddEdge(0, 3, 1.25);
-  const Graph dg = db.Build().ValueOrDie();
-  const ChOracle dch = ChOracle::Build(dg);
-  for (VertexId s = 0; s < 4; ++s) {
-    const DistanceField ref = SingleSourceDistances(dg, s);
-    for (VertexId t = 0; t < 4; ++t) {
-      EXPECT_EQ(dch.Distance(s, t, ws), ref.dist[static_cast<size_t>(t)])
-          << "directed CH " << s << "->" << t;
-    }
-  }
+  ExpectBucketDistancesMatchDijkstra(db.Build().ValueOrDie(), "directed");
 }
 
 /// The bytes SaveBucketIndex writes for `buckets`.
@@ -185,8 +144,12 @@ TEST(IndexBytesTest, ChAndBucketBytesArePinned) {
 }
 
 TEST(IndexIoTest, SaveLoadRoundTripsChOracle) {
-  const Graph g = MakeScenarioGraph(
-      FamilyParams(GraphFamily::kCluster, 250, WeightModel::kUniform, 11));
+  ScenarioSpec spec;
+  spec.graph =
+      FamilyParams(GraphFamily::kCluster, 250, WeightModel::kUniform, 11);
+  spec.pois.num_pois = 40;
+  const Scenario sc = MakeScenario(spec);
+  const Graph& g = sc.dataset.graph;
   const std::string ch_path = ::testing::TempDir() + "/roundtrip.chidx";
 
   const ChOracle built_ch = ChOracle::Build(g);
@@ -194,11 +157,13 @@ TEST(IndexIoTest, SaveLoadRoundTripsChOracle) {
 
   auto ch = LoadOracleIndex(ch_path, g);
   ASSERT_TRUE(ch.ok()) << ch.status().ToString();
+  EXPECT_EQ((*ch)->StructureChecksum(), built_ch.StructureChecksum());
 
-  OracleWorkspace ws;
-  for (const auto& [s, t] : RandomPairs(g.num_vertices(), 40, 17)) {
-    EXPECT_EQ(built_ch.Distance(s, t, ws), (*ch)->Distance(s, t, ws));
-  }
+  // The bucket tables are the only consumer of the index: built from the
+  // loaded oracle, they must write the built oracle's bytes.
+  EXPECT_TRUE(
+      BucketFileBytes(CategoryBucketIndex::Build(g, built_ch), "built") ==
+      BucketFileBytes(CategoryBucketIndex::Build(g, **ch), "loaded"));
 }
 
 TEST(IndexIoTest, ChecksumMismatchIsRejectedWithClearMessage) {
@@ -254,44 +219,6 @@ TEST(OracleEngineTest, OracleBackedEngineMatchesFlatEngine) {
           service_results[qi].ValueOrDie().routes, want->routes))
           << sc.spec.name << " service query " << qi;
     }
-  }
-}
-
-// The OSR baselines accept the oracle for destination tails; totals agree
-// with the classic whole-graph sweep up to summation order.
-TEST(OracleEngineTest, OsrDestinationTailsMatchWithOracle) {
-  const Scenario sc = MakeScenario(ScenarioSuiteSpec(2, 77));
-  const Graph& g = sc.dataset.graph;
-  const auto ch = std::make_unique<ChOracle>(ChOracle::Build(g));
-  const SimilarityFunction& sim = *DefaultSimilarity();
-
-  std::vector<PositionMatcher> matchers;
-  std::vector<CategoryId> cats;
-  for (PoiId p = 0; p < std::min<PoiId>(2, static_cast<PoiId>(g.num_pois()));
-       ++p) {
-    cats.push_back(g.PoiPrimaryCategory(p));
-  }
-  ASSERT_FALSE(cats.empty());
-  for (const CategoryId c : cats) {
-    matchers.emplace_back(g, sc.dataset.forest, sim,
-                          CategoryPredicate::Single(c),
-                          MultiCategoryMode::kMaxSimilarity);
-  }
-
-  const VertexId start = 0;
-  const auto dest = std::optional<VertexId>(g.num_vertices() - 1);
-  const OsrResult dij = RunOsrDijkstra(g, matchers, start, dest, 30.0);
-  const OsrResult dij_ch =
-      RunOsrDijkstra(g, matchers, start, dest, 30.0, ch.get());
-  const OsrResult pne = RunOsrPne(g, matchers, start, dest, 30.0);
-  const OsrResult pne_ch = RunOsrPne(g, matchers, start, dest, 30.0, ch.get());
-  ASSERT_EQ(dij.pois.has_value(), dij_ch.pois.has_value());
-  ASSERT_EQ(pne.pois.has_value(), pne_ch.pois.has_value());
-  if (dij.pois) {
-    EXPECT_NEAR(dij_ch.length, dij.length, 1e-9 * std::max(1.0, dij.length));
-    EXPECT_NEAR(pne_ch.length, pne.length, 1e-9 * std::max(1.0, pne.length));
-    // The oracle mode settles strictly less of the (vertex, progress) space.
-    EXPECT_LE(dij_ch.vertices_settled, dij.vertices_settled);
   }
 }
 

@@ -18,6 +18,7 @@
 #include <iterator>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -215,9 +216,12 @@ TEST(LoaderMutationTest, ChOracleIndex) {
     if (loaded.ok()) {
       const auto& ch = static_cast<const ChOracle&>(**loaded);
       OracleWorkspace ws;
+      std::vector<std::pair<VertexId, Weight>> settled;
       for (VertexId s = 0; s < g.num_vertices(); s += 7) {
-        (void)ch.Distance(s, static_cast<VertexId>(g.num_vertices() - 1 - s),
-                          ws);
+        settled.clear();
+        ch.ForwardUpwardSearch(s, ws, &settled);
+        ch.BackwardUpwardSearch(
+            static_cast<VertexId>(g.num_vertices() - 1 - s), ws, &settled);
       }
       // Building bucket tables unpacks every upward edge.
       (void)CategoryBucketIndex::Build(g, ch);

@@ -1,10 +1,11 @@
 // Q_b queue ordering (core/query_workspace.h).
 //
-// The bucketed proposed-discipline queue claims the IDENTICAL total order as
-// a flat comparator-based queue over QbLess — including the signed-zero and
-// equal-key edge cases the raw-bit SlimLess compare is sensitive to — so the
-// headline test drives randomized interleaved push/pop traffic against a
-// std::set reference model ordered by QbLess itself.
+// The queue's bit-pattern heaps claim the IDENTICAL total order as a flat
+// comparator-based queue over QbLess, the §5.3.2 order written out on
+// doubles — including the signed-zero and equal-key edge cases the raw-bit
+// SlimLess compare is sensitive to — so the headline test drives randomized
+// interleaved push/pop traffic, under both disciplines, against a std::set
+// reference model ordered by QbLess.
 
 #include <iterator>
 #include <set>
@@ -19,6 +20,23 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // QbQueue: bucketed vs flat pop-order equivalence.
+
+/// §5.3.2: the proposed discipline dequeues the largest route first, then
+/// the semantically best, then the shortest; the distance-based baseline
+/// orders purely by length. Node ids break ties.
+struct QbLess {
+  QueueDiscipline discipline;
+  bool operator()(const QbEntry& a, const QbEntry& b) const {
+    if (discipline == QueueDiscipline::kProposed) {
+      if (a.size != b.size) return a.size > b.size;
+      if (a.semantic != b.semantic) return a.semantic < b.semantic;
+      if (a.length != b.length) return a.length < b.length;
+    } else {
+      if (a.length != b.length) return a.length < b.length;
+    }
+    return a.node < b.node;
+  }
+};
 
 // Reference model: QbLess is a total order once node ids are distinct, so a
 // std::set ordered by it pops (begin, erase) in exactly the sequence the
@@ -37,25 +55,22 @@ double PickKey(Rng& rng) {
 
 TEST(QbQueueTest, BucketedMatchesFlatReferenceOrder) {
   Rng rng(0x9b0);
-  for (int round = 0; round < 50; ++round) {
+  for (int round = 0; round < 100; ++round) {
+    const QueueDiscipline discipline = round % 2 == 0
+                                           ? QueueDiscipline::kProposed
+                                           : QueueDiscipline::kDistanceBased;
     const int k = static_cast<int>(rng.UniformInt(2, 6));
     QbQueue queue;
-    queue.Reset(QueueDiscipline::kProposed, k);
-    QbModel model{QbLess{QueueDiscipline::kProposed}};
+    queue.Reset(discipline, k);
+    QbModel model{QbLess{discipline}};
     int32_t next_node = 0;
 
+    // Every node is unique, so its identity is the whole order check.
     const auto pop_and_compare = [&]() {
       ASSERT_FALSE(model.empty());
-      const QbEntry want = *model.begin();
+      const int32_t want = model.begin()->node;
       model.erase(model.begin());
-      const QbEntry got = queue.pop();
-      // Node identity is the real order check (every entry is unique); the
-      // key comparisons use ==, under which the queue's normalized +0.0
-      // matches a -0.0 pushed by the caller.
-      ASSERT_EQ(got.node, want.node);
-      ASSERT_EQ(got.size, want.size);
-      ASSERT_EQ(got.semantic, want.semantic);
-      ASSERT_EQ(got.length, want.length);
+      ASSERT_EQ(queue.pop(), want) << "round " << round;
     };
 
     for (int op = 0; op < 400; ++op) {
@@ -88,9 +103,9 @@ TEST(QbQueueTest, NegativeZeroSortsAsZero) {
                      /*length=*/-0.0});
   // Semantic ascending with -0.0 == 0.0: nodes 2 and 3 tie on semantic and
   // fall through to length, where node 3's -0.0 sorts before node 2's 1.0.
-  EXPECT_EQ(queue.pop().node, 3);
-  EXPECT_EQ(queue.pop().node, 2);
-  EXPECT_EQ(queue.pop().node, 1);
+  EXPECT_EQ(queue.pop(), 3);
+  EXPECT_EQ(queue.pop(), 2);
+  EXPECT_EQ(queue.pop(), 1);
   EXPECT_TRUE(queue.empty());
 }
 
@@ -102,10 +117,10 @@ TEST(QbQueueTest, DrainAndRefillAcrossSizes) {
   queue.Reset(QueueDiscipline::kProposed, 5);
   queue.push(QbEntry{1, 4, 0.5, 1.0});
   queue.push(QbEntry{2, 1, 0.5, 1.0});
-  EXPECT_EQ(queue.pop().node, 1);  // size-4 bucket drained
+  EXPECT_EQ(queue.pop(), 1);  // size-4 bucket drained
   queue.push(QbEntry{3, 2, 0.5, 1.0});
-  EXPECT_EQ(queue.pop().node, 3);  // bound re-raised by the push
-  EXPECT_EQ(queue.pop().node, 2);
+  EXPECT_EQ(queue.pop(), 3);  // bound re-raised by the push
+  EXPECT_EQ(queue.pop(), 2);
   EXPECT_TRUE(queue.empty());
 }
 
